@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .equations import rank_mod_p
+from .equations import echelon, rank_mod_p
 from .errors import ParseError, ValidationError
 from .groups import is_prime
 from .words import strip_comment
@@ -357,30 +357,10 @@ def certify_non_zero_divisor(M: AlgebraMatrix) -> NonZeroDivisorCertificate | No
         raise ValidationError("zero-divisor certification needs a square matrix")
     p = M.spec.p
     aug = augmentation_matrix(M)
-    d = _det_mod_p(aug, p)
+    d = echelon(aug, p).det
     if d == 0:
         return None
     return NonZeroDivisorCertificate(tuple(tuple(r) for r in aug), d, p)
-
-
-def _det_mod_p(A: list[list[int]], p: int) -> int:
-    n = len(A)
-    m = [[x % p for x in row] for row in A]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = (det * m[c][c]) % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = (m[i][c] * inv) % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return det % p
 
 
 @dataclass(frozen=True)
@@ -403,39 +383,11 @@ def certify_row_independence(rows: RowFamily) -> RowIndependenceCertificate | No
         raise ValidationError("this certificate needs the prime-field setting")
     p = rows.spec.p
     aug = [[augmentation(e) for e in r] for r in rows.rows]
-    if not aug:
-        return RowIndependenceCertificate((), (), 1, f"Z_{p}")
-    pivots = _pivot_columns_mod_p(aug, p)
-    if pivots is None:
+    e = echelon(aug, p)
+    if e.rank < len(aug):
         return None
-    minor = [[aug[i][j] for j in pivots] for i in range(len(aug))]
     return RowIndependenceCertificate(
-        tuple(tuple(r) for r in aug), tuple(pivots), _det_mod_p(minor, p), f"Z_{p}")
-
-
-def _pivot_columns_mod_p(A: list[list[int]], p: int) -> list[int] | None:
-    """Column indices of a full-row-rank square minor, or None."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    m = [[x % p for x in row] for row in A]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            return pivots
-    return None
+        tuple(tuple(r) for r in aug), e.pivots, e.det, f"Z_{p}")
 
 
 def certify_row_independence_rational(rows: RowFamily) -> RowIndependenceCertificate | None:
@@ -445,58 +397,11 @@ def certify_row_independence_rational(rows: RowFamily) -> RowIndependenceCertifi
     if rows.spec.torsion_orders:
         raise ValidationError("rational certification needs a torsion-free group")
     aug = [[augmentation(e) for e in r] for r in rows.rows]
-    if not aug:
-        return RowIndependenceCertificate((), (), 1, "Q")
-    pivots = _pivot_columns_rational(aug)
-    if pivots is None:
+    e = echelon(aug)
+    if e.rank < len(aug):
         return None
-    minor = [[Fraction(aug[i][j]) for j in pivots] for i in range(len(aug))]
-    det = _det_rational(minor)
     return RowIndependenceCertificate(
-        tuple(tuple(r) for r in aug), tuple(pivots), det, "Q")
-
-
-def _pivot_columns_rational(A: list[list[int]]) -> list[int] | None:
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    m = [[Fraction(x) for x in row] for row in A]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            return pivots
-    return None
-
-
-def _det_rational(A: list[list[Fraction]]) -> Fraction:
-    n = len(A)
-    m = [row[:] for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+        tuple(tuple(r) for r in aug), e.pivots, e.det, "Q")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 An equation system is a list of words over declared variables and
 coefficient symbols, optionally bound to a concrete group. Classification
 (non-singular / p-nonsingular / unimodular) reads off the Smith normal
-form of the exponent-sum matrix; ranks over Q and over prime fields are
-implemented independently by elimination so the two routes can be checked
-against each other.
+form of the exponent-sum matrix. Ranks over Q and over prime fields come
+from one exact elimination routine, `echelon`, which also yields the
+pivot columns and minor determinants behind the group-ring certificates.
+The Smith normal form and elimination are independent routes to the same
+verdicts, so each checks the other.
 
 All integer arithmetic is arbitrary precision.
 """
@@ -187,52 +189,73 @@ def _apply_2x2(D: IntMatrix, U: IntMatrix, V: IntMatrix, i: int,
         V[rr][i], V[rr][i + 1] = newVcols[0][rr], newVcols[1][rr]
 
 
-def rank_mod_p(A: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over the p-element field by Gaussian elimination."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    m = [[x % p for x in row] for row in A]
+@dataclass(frozen=True)
+class Echelon:
+    """Outcome of `echelon`: the rank, the pivot column of each pivot row,
+    and the determinant of the minor on those columns (0 when the rows are
+    dependent)."""
+    rank: int
+    pivots: tuple[int, ...]
+    det: int | Fraction
+
+
+def echelon(A: Sequence[Sequence[int]], p: int | None = None) -> Echelon:
+    """Gaussian elimination over the p-element field, or over Q when p is
+    None.
+
+    Stops once every row has a pivot. ``det`` is the sign of the row swaps
+    times the product of the pivot leads (reduced mod p), which is the
+    determinant of the square minor on the pivot columns. Each pivot is
+    a column outside the span of the columns before it.
+    """
+    if p is None:
+        m = [[Fraction(x) for x in row] for row in A]
+        det = Fraction(1)
+    else:
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
+        m = [[x % p for x in row] for row in A]
+        det = 1
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    rank = 0
+    pivots: list[int] = []
     for c in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][c]), None)
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        lead = m[r][c]
+        det *= lead
+        inv = 1 / lead if p is None else pow(lead, -1, p)
+        for i in range(r + 1, rows):
+            if not m[i][c]:
+                continue
+            f = m[i][c] * inv
+            if p is None:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            else:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    if len(pivots) < rows:
+        det = 0
+    elif p is not None:
+        det %= p
+    return Echelon(len(pivots), tuple(pivots), det)
+
+
+def rank_mod_p(A: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over the p-element field."""
+    return echelon(A, p).rank
 
 
 def rank_rational(A: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by exact fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in A]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][c]
-        m[rank] = [x / lead for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over Q."""
+    return echelon(A).rank
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +409,11 @@ def parse_system(text: str, base_dir: str | Path | None = None,
     values = {}
     for sym, elem in pairs:
         if elem.startswith("#"):
-            values[sym] = int(elem[1:])
+            k = elem[1:]
+            if not k.isdecimal() or int(k) >= target.order:
+                raise ParseError(f"bind: {sym}={elem} is not #k with "
+                                 f"0 <= k < {target.order}")
+            values[sym] = int(k)
         else:
             values[sym] = target.index_of(elem)
     return system.bind(target, values)

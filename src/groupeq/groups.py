@@ -869,18 +869,6 @@ def abelian_p_basis(G: FiniteGroup, p: int) -> list[int]:
     return basis
 
 
-def element_vector(G: FiniteGroup, basis: Sequence[int], a: int) -> tuple[int, ...]:
-    """Exponent vector of element a over a direct basis."""
-    orders = [G.element_order(b) for b in basis]
-    for exps in itertools.product(*(range(o) for o in orders)):
-        x = 0
-        for b, e in zip(basis, exps):
-            x = G.table[x][G.power(b, e)]
-        if x == a:
-            return exps
-    raise ValidationError("element is not spanned by the basis")
-
-
 def dlog_table(G: FiniteGroup, basis: Sequence[int]) -> dict[int, tuple[int, ...]]:
     """Exponent vectors of all elements over a direct basis."""
     orders = [G.element_order(b) for b in basis]

@@ -22,9 +22,6 @@ from .errors import CapExceeded, ValidationError
 from .groups import (FiniteGroup, automorphisms, isomorphic, prime_factors,
                      trivial_group)
 
-KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2,
-                10: 2, 11: 1, 12: 5}
-
 
 def _cyclic_extensions(N: FiniteGroup, p: int) -> list[FiniteGroup]:
     """All groups with a normal copy of N of index p, with duplicates."""

@@ -31,10 +31,10 @@ from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
                         evaluate_word)
 from .errors import CapExceeded, GroupEqError, ValidationError
-from .groups import (FiniteGroup, Subgroup, cyclic, direct_product,
-                     is_metabelian, is_normal, is_prime, isomorphic,
-                     load_group_file, normal_subgroups, prime_factors,
-                     quotient, sylow_subgroup)
+from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic,
+                     direct_product, is_metabelian, is_normal, is_prime,
+                     isomorphic, load_group_file, normal_subgroups,
+                     prime_factors, quotient, sylow_subgroup)
 from .words import (COEFF, VAR, Letter, Word, word_conjugate,
                     word_inverse, word_power)
 from .wreath import WreathGroup, wreath_product
@@ -58,13 +58,7 @@ def verify_witness(G: FiniteGroup, w: Witness) -> bool:
     Q, _ = quotient(G, A)
     if Q.order == 1:
         return G.order % w.prime == 0 or G.order == 1
-    return Q.is_abelian and _p_power(Q.order, w.prime)
-
-
-def _p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return Q.is_abelian and _is_p_power(Q.order, w.prime)
 
 
 def abelian_by_abelian_p_witness(G: FiniteGroup,
@@ -497,8 +491,7 @@ def brute_force_solve(system: EquationSystem,
 
     Returns the lexicographically least solution (greatest, if descending)
     or an exhaustive-failure certificate. The reported search count is the
-    scan position of the solution (or the full space size), which does not
-    depend on how the scan was partitioned across workers.
+    scan position of the solution (or the full space size).
     """
     if system.binding is None:
         raise ValidationError("system must be bound to a group")
@@ -512,38 +505,10 @@ def brute_force_solve(system: EquationSystem,
     values = system.binding.values
     words = system.words
     rng = range(order - 1, -1, -1) if descending else range(order)
-
-    def position(combo: tuple[int, ...]) -> int:
-        pos = 0
-        for v in combo:
-            pos = pos * order + (order - 1 - v if descending else v)
-        return pos + 1
-
-    def scan(first_values) -> dict[str, int] | None:
-        for combo in itertools.product(first_values, *([rng] * (nvars - 1))):
-            assignment = dict(zip(system.variables, combo))
-            if all(evaluate_word(w, G, values, assignment) == G.identity
-                   for w in words):
-                return assignment
-        return None
-
-    if nvars == 0:
-        ok = all(evaluate_word(w, G, values, {}) == G.identity for w in words)
-        return BruteForceResult({} if ok else None, 1, not ok)
-
-    if config.jobs > 1:
-        chunks = _split_values(list(rng), config.jobs)
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(scan, chunks))
-        sol = next((s for s in results if s is not None), None)
-    else:
-        sol = scan(rng)
-    if sol is None:
-        return BruteForceResult(None, total, True)
-    combo = tuple(sol[v] for v in system.variables)
-    return BruteForceResult(sol, position(combo), False)
-
-
-def _split_values(items: list[int], k: int) -> list[list[int]]:
-    size = max(1, (len(items) + k - 1) // k)
-    return [items[i:i + size] for i in range(0, len(items), size)]
+    combos = itertools.product(rng, repeat=nvars)
+    for searched, combo in enumerate(combos, start=1):
+        assignment = dict(zip(system.variables, combo))
+        if all(evaluate_word(w, G, values, assignment) == G.identity
+               for w in words):
+            return BruteForceResult(assignment, searched, False)
+    return BruteForceResult(None, total, True)

@@ -68,14 +68,6 @@ def exponent_sum(word: Word, var: str) -> int:
     return sum(l.sign for l in word if l.kind == VAR and l.name == var)
 
 
-def variables_in(word: Word) -> set[str]:
-    return {l.name for l in word if l.kind == VAR}
-
-
-def coefficients_in(word: Word) -> set[str]:
-    return {l.name for l in word if l.kind == COEFF}
-
-
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 

@@ -77,9 +77,6 @@ class WreathGroup:
     def embed_top(self, t: int) -> int:
         return self.encode((0,) * self.top.order, t)
 
-    def base_coordinate(self, x: int, b: int) -> int:
-        return self.decode(x)[0][b]
-
     def top_of(self, x: int) -> int:
         return x % self.top.order
 

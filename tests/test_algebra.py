@@ -14,7 +14,7 @@ from groupeq.algebra import (AbelianGroupSpec, AlgebraElement, AlgebraMatrix,
                              parse_algebra_header, parse_element,
                              parse_row_file, reassemble_expansion,
                              regular_representation)
-from groupeq.equations import rank_mod_p
+from groupeq.equations import det_int, rank_mod_p
 from groupeq.errors import ParseError, ValidationError
 
 Z2C2 = AbelianGroupSpec(2, (1,))
@@ -194,6 +194,46 @@ def test_certified_families_survive_exhaustive_search():
             continue
         checked += 1
         assert find_annihilating_combination(rows) is None
+
+
+def _minor_det(cert):
+    assert len(cert.pivot_columns) == len(cert.augmented)
+    return det_int([[row[j] for j in cert.pivot_columns] for row in cert.augmented])
+
+
+def test_certificates_recheck_by_bareiss():
+    rng = random.Random(23)
+    certified = 0
+    for spec in (Z2C2, Z2C4, Z3C3):
+        p = spec.p
+        pool = list(all_elements(spec))
+        for _ in range(60):
+            n, k = rng.randint(1, 3), rng.randint(1, 4)
+            M = AlgebraMatrix(spec, tuple(
+                tuple(rng.choice(pool) for _ in range(n)) for _ in range(n)))
+            aug = augmentation_matrix(M)
+            cert = certify_non_zero_divisor(M)
+            assert (cert is None) == (det_int(aug) % p == 0)
+            if cert is not None:
+                assert cert.det_mod_p == det_int(aug) % p
+            fam = RowFamily(spec, tuple(
+                tuple(rng.choice(pool) for _ in range(k)) for _ in range(n)))
+            cert = certify_row_independence(fam)
+            if cert is not None:
+                certified += 1
+                assert _minor_det(cert) % p == cert.minor_det != 0
+    free = IntegralGroupSpec((), 1)
+    for _ in range(60):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        fam = RowFamily(free, tuple(tuple(
+            AlgebraElement(free, [(((), (rng.randint(-2, 2),)), rng.randint(-3, 3))
+                                  for _ in range(2)])
+            for _ in range(k)) for _ in range(n)))
+        cert = certify_row_independence_rational(fam)
+        if cert is not None:
+            certified += 1
+            assert _minor_det(cert) == cert.minor_det != 0
+    assert certified > 60
 
 
 def test_rational_certification():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from groupeq.equations import (classify, classify_matrix, det_int,
+from groupeq.equations import (classify, classify_matrix, det_int, echelon,
                                evaluate_word, exponent_matrix, format_system,
                                mat_mul, parse_system, rank_mod_p,
                                rank_rational, satisfies, smith_normal_form,
@@ -99,6 +99,25 @@ def test_rank_errors():
         rank_mod_p([[1]], 4)
 
 
+def test_echelon_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(17)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:   # force a dependent row
+            A[-1] = [a + 2 * b for a, b in zip(A[0], A[-2])]
+        M = sympy.Matrix(A)
+        assert echelon(A).rank == M.rank() == rank_rational(A)
+        assert echelon(A).pivots == M.rref()[1]
+        for p in (2, 3, 5, 7):
+            Ap = DomainMatrix.from_list(A, sympy.GF(p))
+            e = echelon(A, p)
+            assert e.rank == Ap.rank() == rank_mod_p(A, p)
+            assert e.pivots == Ap.rref()[1]
+
+
 def test_system_file_binding_and_format():
     text = "vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1\neq: x^2 = g\n"
     s = parse_system(text)
@@ -115,6 +134,13 @@ def test_system_parse_errors():
         parse_system("vars: x\nbogus: 1\n")
     with pytest.raises(ParseError):
         parse_system("vars: x\nbind: @group g=x\neq: x\n")   # no group given
+
+
+@pytest.mark.parametrize("elem", ["#-1", "#99", "#z"])
+def test_bind_index_out_of_range(elem):
+    with pytest.raises(ParseError):
+        parse_system(f"vars: x\ncoeffs: a\nbind: @catalog/006_s3.grp a={elem}\n"
+                     "eq: x a\n")
 
 
 def test_evaluate_and_satisfies():
