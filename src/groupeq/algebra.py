@@ -525,15 +525,18 @@ def parse_algebra_header(line: str) -> Spec:
             raise ParseError(f"bad header token {tok!r}")
         k, v = tok.split("=", 1)
         fields[k] = v
-    free = int(fields.get("free", "0"))
-    torsion = tuple(int(t) for t in fields.get("torsion", "").split(",") if t)
-    if rational:
-        if torsion:
-            raise ParseError("rational algebras here are torsion-free")
-        return IntegralGroupSpec((), free)
-    if "p" not in fields:
-        raise ParseError("header needs p=<prime> (or 'rational')")
-    return AbelianGroupSpec(int(fields["p"]), torsion, free)
+    try:
+        free = int(fields.get("free", "0"))
+        torsion = tuple(int(t) for t in fields.get("torsion", "").split(",") if t)
+        if rational:
+            if torsion:
+                raise ParseError("rational algebras here are torsion-free")
+            return IntegralGroupSpec((), free)
+        if "p" not in fields:
+            raise ParseError("header needs p=<prime> (or 'rational')")
+        return AbelianGroupSpec(int(fields["p"]), torsion, free)
+    except ValueError as exc:
+        raise ParseError(f"bad algebra header {line!r}: {exc}") from None
 
 
 def parse_element(spec: Spec, text: str) -> AlgebraElement:

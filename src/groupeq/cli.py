@@ -16,14 +16,13 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
 from .algebra import (IntegralGroupSpec, certify_row_independence,
                       certify_row_independence_rational,
                       decide_row_independence, format_element,
                       format_row_file, parse_row_file)
-from .catalog import bundled_catalog_dir
+from .catalog import bundled_catalog_dir, resolve_data_path
 from .config import Config, load_config
 from .equations import (classify, det_int, exponent_matrix, parse_system_file,
                         rank_mod_p)
@@ -47,12 +46,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _resolve_path(token: str) -> Path:
-    """Paths starting with @examples/ or @catalog/ point at bundled data."""
-    from .catalog import resolve_data_path
-    return resolve_data_path(token)
-
-
 def _matrix_lines(M: list[list[int]]) -> list[str]:
     if not M:
         return ["  (no equations)"]
@@ -65,7 +58,7 @@ def _matrix_lines(M: list[list[int]]) -> list[str]:
 # subcommands
 
 def cmd_analyze_system(args, config: Config) -> int:
-    system = parse_system_file(_resolve_path(args.file))
+    system = parse_system_file(resolve_data_path(args.file))
     E = exponent_matrix(system)
     cls = classify(system)
     primes = sorted(set(config.classify_primes) | set(args.prime or []))
@@ -102,7 +95,7 @@ def cmd_analyze_system(args, config: Config) -> int:
 
 
 def cmd_group(args, config: Config) -> int:
-    G = load_group_file(_resolve_path(args.file), config)
+    G = load_group_file(resolve_data_path(args.file), config)
     series = derived_series(G)
     Z = center(G)
     payload = {
@@ -141,7 +134,7 @@ def cmd_group(args, config: Config) -> int:
 
 
 def cmd_classify(args, config: Config) -> int:
-    G = load_group_file(_resolve_path(args.file), config)
+    G = load_group_file(resolve_data_path(args.file), config)
     report = classify_group(G, config)
     lines = [f"group {report.group_id}: order {report.order}",
              f"metabelian: {report.metabelian}"]
@@ -159,7 +152,7 @@ def cmd_classify(args, config: Config) -> int:
 
 
 def cmd_audit_catalog(args, config: Config) -> int:
-    directory = _resolve_path(args.directory) if args.directory else bundled_catalog_dir()
+    directory = resolve_data_path(args.directory) if args.directory else bundled_catalog_dir()
     orders = None
     if args.orders:
         orders = tuple(int(tok) for tok in args.orders.replace(",", " ").split())
@@ -195,10 +188,10 @@ def cmd_audit_catalog(args, config: Config) -> int:
 
 
 def cmd_wreath_transform(args, config: Config) -> int:
-    base = load_group_file(_resolve_path(args.base), config)
-    top = load_group_file(_resolve_path(args.top), config)
+    base = load_group_file(resolve_data_path(args.base), config)
+    top = load_group_file(resolve_data_path(args.top), config)
     W = wreath_product(base, top, config)
-    system = parse_system_file(_resolve_path(args.file), group=W)
+    system = parse_system_file(resolve_data_path(args.file), group=W)
     if system.binding is None:
         raise GroupEqError("the system file must bind its coefficients "
                            "(use 'bind: @group sym=name ...')")
@@ -255,7 +248,7 @@ def cmd_wreath_transform(args, config: Config) -> int:
 
 
 def cmd_certify_rows(args, config: Config) -> int:
-    rows = parse_row_file(_resolve_path(args.file).read_text(encoding="utf-8"))
+    rows = parse_row_file(resolve_data_path(args.file).read_text(encoding="utf-8"))
     if isinstance(rows.spec, IntegralGroupSpec):
         cert = certify_row_independence_rational(rows)
         verdict = "certified" if cert else "unknown"
@@ -320,8 +313,8 @@ def cmd_counterexample(args, config: Config) -> int:
 def cmd_solve(args, config: Config) -> int:
     group = None
     if args.group:
-        group = load_group_file(_resolve_path(args.group), config)
-    system = parse_system_file(_resolve_path(args.file), group=group)
+        group = load_group_file(resolve_data_path(args.group), config)
+    system = parse_system_file(resolve_data_path(args.file), group=group)
     if system.binding is None:
         raise GroupEqError("the system is not bound to a group; pass --group "
                            "and a 'bind: @group ...' line")
@@ -481,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     except GroupEqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

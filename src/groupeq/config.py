@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 CONFIG_ENV_VAR = "GROUPEQ_CONFIG"
 CONFIG_FILE_NAME = "groupeq.conf"
@@ -38,11 +38,11 @@ class Config:
     def __post_init__(self) -> None:
         for f in fields(self):
             if f.name.endswith("_cap") and getattr(self, f.name) <= 0:
-                raise ValueError(f"cap {f.name} must be positive")
+                raise ValidationError(f"cap {f.name} must be positive")
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ValidationError("jobs must be >= 1")
         if self.output_format not in ("text", "structured"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+            raise ValidationError(f"unknown output format {self.output_format!r}")
 
 
 DEFAULT_CONFIG = Config()

@@ -14,10 +14,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import CapExceeded, ParseError, ValidationError
@@ -224,17 +223,26 @@ class FiniteGroup:
         return tuple(sorted(self.element_order(a) for a in self.elements()))
 
     def validate(self) -> None:
-        """Full axiom check; raises ValidationError naming a failing triple."""
-        t = np.array(self.table, dtype=np.int64)
+        """Full axiom check; raises ValidationError naming a failing triple.
+
+        (a*b)*c == a*(b*c) for all c iff row(a*b) is row(a) read at row(b),
+        so each pair (a, b) costs one C-level itemgetter gather; the first
+        failure in row-major (a, b, c) order is the one named.
+        """
+        t = self.table
         n = self.order
-        for a in range(n):
-            left = t[t[a]]          # (b,c) -> (a*b)*c
-            right = t[a][t]         # (b,c) -> a*(b*c)
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise ValidationError(
-                    "associativity fails at triple "
-                    f"({self.names[a]!r}, {self.names[b]!r}, {self.names[c]!r})")
+        if n == 1:      # itemgetter with one index returns a scalar
+            return
+        gathers = [itemgetter(*row) for row in t]
+        for a, row_a in enumerate(t):
+            for b, ab in enumerate(row_a):
+                left = t[ab]                    # c -> (a*b)*c
+                right = gathers[b](row_a)       # c -> a*(b*c)
+                if left != right:
+                    c = next(c for c in range(n) if left[c] != right[c])
+                    raise ValidationError(
+                        "associativity fails at triple "
+                        f"({self.names[a]!r}, {self.names[b]!r}, {self.names[c]!r})")
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"

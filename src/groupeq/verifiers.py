@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -268,9 +267,6 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
     the catalog claims to cover completely, the count is compared against
     the classification count.
     """
-    directory = Path(directory)
-    files = sorted(directory.glob("*.grp"))
-
     def load_one(path: Path) -> tuple[AuditEntry, FiniteGroup | None]:
         try:
             G = load_group_file(path, config)
@@ -280,11 +276,7 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
             return AuditEntry(path.name, None, None), None   # filtered out
         return AuditEntry(path.name, classify_group(G, config), None), G
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(load_one, files))
-    else:
-        results = [load_one(f) for f in files]
+    results = [load_one(f) for f in sorted(Path(directory).glob("*.grp"))]
     entries = [e for e, _ in results if e.report is not None or e.error is not None]
 
     present_orders = sorted({e.report.order for e in entries if e.report})

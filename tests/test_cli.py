@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import groupeq
 from groupeq.cli import main
 from groupeq.config import parse_config_text
 from groupeq.errors import ParseError
@@ -188,3 +194,44 @@ def test_analyze_extra_prime_flag():
                             "--prime", "17"])
     assert code == 0
     assert "p=17 yes" in out
+
+
+S3 = "@catalog/006_s3.grp"
+MALFORMED = {
+    "--jobs 0": (["--jobs", "0", "classify", S3], {}),
+    "jobs = 0": (["--config", "c.conf", "classify", S3], {"c.conf": b"jobs = 0\n"}),
+    "brute_force_cap = 0": (["--config", "c.conf", "classify", S3],
+                            {"c.conf": b"brute_force_cap = 0\n"}),
+    "output_format = xml": (["--config", "c.conf", "classify", S3],
+                            {"c.conf": b"output_format = xml\n"}),
+    "algebra p=x": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=x\nrow: 1\n"}),
+    "torsion=z": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 torsion=z\nrow: 1\n"}),
+    "free=y": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 free=y\nrow: 1\n"}),
+    "non-UTF-8 file": (["group", "g.grp"], {"g.grp": b"group G order 1\ntable:\n\xff\n"}),
+}
+
+
+@pytest.mark.parametrize("argv,files", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_operational_error(tmp_path, monkeypatch, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_runs_without_numpy_or_a_thread_pool():
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None      # any numpy import now fails
+        from groupeq.cli import main
+        assert main(["classify", "@catalog/042_f42.grp"]) == 0
+        assert "concurrent.futures" not in sys.modules
+    """)
+    src = str(Path(groupeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

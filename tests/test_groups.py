@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.errors import CapExceeded, ParseError, ValidationError
 from groupeq.groups import (FiniteGroup, Homomorphism, abelian_p_basis,
@@ -11,10 +13,10 @@ from groupeq.groups import (FiniteGroup, Homomorphism, abelian_p_basis,
                             dihedral, direct_product, dlog_table,
                             format_group_file, from_generators,
                             generated_subgroup, is_metabelian, is_nilpotent,
-                            isomorphic, load_group, normal_subgroups,
-                            parse_cycles, perm_compose, prime_factors,
-                            quaternion_group, quotient, semidirect_product,
-                            sylow_subgroup, trivial_group)
+                            isomorphic, load_group, load_group_file,
+                            normal_subgroups, parse_cycles, perm_compose,
+                            prime_factors, quaternion_group, quotient,
+                            semidirect_product, sylow_subgroup, trivial_group)
 
 # a 6x6 loop: identity, Latin, two-sided inverses, but (2*2)*4 != 2*(2*4)
 NONASSOC_LOOP = [
@@ -37,6 +39,55 @@ def test_nonassociative_table_is_rejected_naming_a_triple():
         " ".join(map(str, row)) for row in NONASSOC_LOOP)
     with pytest.raises(ValidationError, match="associativity"):
         load_group(table_text)
+
+
+def _first_nonassociative_triple(G):
+    t, n = G.table, G.order
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            return a, b, c
+    return None
+
+
+def _intercalate_switches(rng, count):
+    """Catalog tables with one 2x2 Latin subsquare x y / y x, off the
+    identity row and column, switched to y x / x y. Only tables the
+    constructor accepts are kept; intercalates need an involution, so
+    only even orders are drawn."""
+    files = [f for f in sorted(bundled_catalog_dir().glob("*.grp"))
+             if int(f.name.split("_")[0]) % 2 == 0]
+    out = []
+    while len(out) < count:
+        G = load_group_file(rng.choice(files))
+        t = [list(row) for row in G.table]
+        for _ in range(50):
+            r1, r2, c1 = (rng.randrange(1, G.order) for _ in range(3))
+            x, y = t[r1][c1], t[r2][c1]
+            c2 = t[r1].index(y)
+            if r1 != r2 and c2 != 0 and t[r2][c2] == x:
+                t[r1][c1], t[r1][c2], t[r2][c1], t[r2][c2] = y, x, x, y
+                try:
+                    out.append(FiniteGroup(t, G.names))
+                except ValidationError:
+                    pass
+                break
+    return out
+
+
+def test_validate_names_the_row_major_first_failing_triple():
+    tables = [FiniteGroup(NONASSOC_LOOP)] + _intercalate_switches(random.Random(7), 40)
+    failing = 0
+    for G in tables:
+        triple = _first_nonassociative_triple(G)
+        if triple is None:
+            G.validate()
+            continue
+        failing += 1
+        a, b, c = (G.names[i] for i in triple)
+        with pytest.raises(ValidationError) as exc:
+            G.validate()
+        assert str(exc.value) == f"associativity fails at triple ({a!r}, {b!r}, {c!r})"
+    assert failing >= 30
 
 
 def test_light_checks_reject_broken_tables():
