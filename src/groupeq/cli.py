@@ -26,7 +26,7 @@ from .catalog import bundled_catalog_dir, resolve_data_path
 from .config import Config, load_config
 from .equations import (classify, det_int, exponent_matrix, parse_system_file,
                         rank_mod_p)
-from .errors import GroupEqError
+from .errors import GroupEqError, ParseError, read_text_file
 from .groups import (all_subgroups, center, derived_series, is_metabelian,
                      is_nilpotent, load_group_file, normal_subgroups,
                      prime_factors, sylow_subgroup)
@@ -155,7 +155,11 @@ def cmd_audit_catalog(args, config: Config) -> int:
     directory = resolve_data_path(args.directory) if args.directory else bundled_catalog_dir()
     orders = None
     if args.orders:
-        orders = tuple(int(tok) for tok in args.orders.replace(",", " ").split())
+        try:
+            orders = tuple(int(tok) for tok in args.orders.replace(",", " ").split())
+        except ValueError:
+            raise ParseError(f"--orders: expected comma-separated integers, "
+                             f"got {args.orders!r}") from None
     report = audit_catalog(directory, orders, config)
     lines = []
     for e in report.entries:
@@ -248,7 +252,7 @@ def cmd_wreath_transform(args, config: Config) -> int:
 
 
 def cmd_certify_rows(args, config: Config) -> int:
-    rows = parse_row_file(resolve_data_path(args.file).read_text(encoding="utf-8"))
+    rows = parse_row_file(read_text_file(resolve_data_path(args.file)))
     if isinstance(rows.spec, IntegralGroupSpec):
         cert = certify_row_independence_rational(rows)
         verdict = "certified" if cert else "unknown"
@@ -377,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_defaults_epilog())
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="path to a groupeq.conf file")
-    parser.add_argument("--jobs", type=int, help="worker count (default 1); "
-                        "results are independent of this setting")
+    parser.add_argument("--jobs", type=int, help="accepted and validated "
+                        "(must be >= 1); every command runs in one thread, "
+                        "so output is identical for every N")
     parser.add_argument("--seed", type=int, help="seed for randomized checks "
                         "(default 0)")
     parser.add_argument("--format", choices=("text", "structured"),
@@ -474,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except GroupEqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

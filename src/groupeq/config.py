@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text_file
 
 CONFIG_ENV_VAR = "GROUPEQ_CONFIG"
 CONFIG_FILE_NAME = "groupeq.conf"
@@ -92,4 +92,4 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
             path = CONFIG_FILE_NAME
     if path is None:
         return DEFAULT_CONFIG
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(read_text_file(path))

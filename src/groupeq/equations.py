@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text_file
 from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
                      direct_product, dlog_table, is_prime, load_group_file,
                      prime_factors)
@@ -420,8 +420,7 @@ def parse_system(text: str, base_dir: str | Path | None = None,
 
 
 def parse_system_file(path: str | Path, group: object | None = None) -> EquationSystem:
-    p = Path(path)
-    return parse_system(p.read_text(encoding="utf-8"), p.parent, group)
+    return parse_system(read_text_file(path), Path(path).parent, group)
 
 
 def format_system(system: EquationSystem) -> str:

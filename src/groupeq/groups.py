@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import CapExceeded, ParseError, ValidationError
+from .errors import CapExceeded, ParseError, ValidationError, read_text_file
 from .words import strip_comment
 
 Perm = tuple[int, ...]
@@ -940,7 +940,7 @@ def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
 
 
 def load_group_file(path: str | Path, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
-    return load_group(Path(path).read_text(encoding="utf-8"), config)
+    return load_group(read_text_file(path), config)
 
 
 def format_group_file(G: FiniteGroup, style: str = "generators") -> str:

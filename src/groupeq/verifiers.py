@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import and_, eq
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +29,7 @@ from .algebra import (AlgebraElement, IntegralGroupSpec, format_element)
 from .catalog import AUDIT_ORDERS, EXPECTED_COUNTS
 from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
-                        evaluate_word)
+                        satisfies)
 from .errors import CapExceeded, GroupEqError, ValidationError
 from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic,
                      direct_product, is_metabelian, is_normal, is_prime,
@@ -213,11 +214,7 @@ def p_group_equation_check(G: FiniteGroup, trials: int = 100, seed: int = 0) -> 
     rng = random.Random(seed)
     solved = 0
     for _ in range(trials):
-        system = random_unimodular_equation(G, rng)
-        word = system.words[0]
-        values = system.binding.values
-        if any(evaluate_word(word, G, values, {"x": x}) == 0
-               for x in G.elements()):
+        if brute_force_solve(random_unimodular_equation(G, rng)).solution is not None:
             solved += 1
     return PGroupReport(G.name, p, trials, solved, seed)
 
@@ -484,6 +481,11 @@ def brute_force_solve(system: EquationSystem,
     Returns the lexicographically least solution (greatest, if descending)
     or an exhaustive-failure certificate. The reported search count is the
     scan position of the solution (or the full space size).
+
+    The scan runs in blocks: the first n-1 variables (the prefix) are fixed
+    and each word is evaluated for all |G| values of the last variable at
+    once. Coefficients and prefix letters fold into one pending element;
+    each occurrence of the last variable is one ``map`` over the block.
     """
     if system.binding is None:
         raise ValidationError("system must be bound to a group")
@@ -494,13 +496,45 @@ def brute_force_solve(system: EquationSystem,
     if total > config.brute_force_cap:
         raise CapExceeded(f"search space {order}^{nvars} exceeds the cap "
                           f"{config.brute_force_cap}")
+    mul, inv, one = G.mul, G.inv, G.identity
     values = system.binding.values
-    words = system.words
+    position = {v: k for k, v in enumerate(system.variables)}
+    # a letter compiles to (variable position, sign) or (None, element)
+    words = [[(position[name], sign) if kind == VAR else
+              (None, values[name] if sign > 0 else inv(values[name]))
+              for kind, name, sign in w] for w in system.words]
     rng = range(order - 1, -1, -1) if descending else range(order)
-    combos = itertools.product(rng, repeat=nvars)
-    for searched, combo in enumerate(combos, start=1):
-        assignment = dict(zip(system.variables, combo))
-        if all(evaluate_word(w, G, values, assignment) == G.identity
-               for w in words):
-            return BruteForceResult(assignment, searched, False)
+    last = nvars - 1
+    xs = list(rng) if nvars else [one]     # nvars = 0: one block of size 1
+    xinvs = list(map(inv, xs))
+    everywhere = [True] * len(xs)
+    for block, prefix in enumerate(itertools.product(rng, repeat=max(last, 0))):
+        hits = everywhere
+        for word in words:
+            c, acc = one, None
+            for k, v in word:
+                if k is None:
+                    c = mul(c, v)
+                elif k != last:
+                    c = mul(c, prefix[k] if v > 0 else inv(prefix[k]))
+                else:
+                    ys = xs if v > 0 else xinvs
+                    if c != one:
+                        ys = list(map(mul, itertools.repeat(c), ys))
+                    acc = ys if acc is None else list(map(mul, acc, ys))
+                    c = one
+            if acc is None:          # holds for the whole block or for none of it
+                if c != one:
+                    break
+                continue
+            hits = list(map(and_, hits, map(eq, acc, itertools.repeat(inv(c)))))
+            if True not in hits:
+                break
+        else:
+            i = hits.index(True)
+            solution = dict(zip(system.variables, prefix + (xs[i],)))
+            if not satisfies(system, solution):
+                raise ValidationError("internal error: brute-force solution "
+                                      "failed re-verification")
+            return BruteForceResult(solution, block * len(xs) + i + 1, False)
     return BruteForceResult(None, total, True)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import groupeq
+from groupeq.catalog import resolve_data_path
 from groupeq.cli import main
 from groupeq.config import parse_config_text
 from groupeq.errors import ParseError
@@ -235,3 +236,28 @@ def test_cli_runs_without_numpy_or_a_thread_pool():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_audit_reports_a_non_utf8_file_and_goes_on(tmp_path):
+    src = resolve_data_path(S3)
+    (tmp_path / "006_s3.grp").write_text(src.read_text(encoding="utf-8"))
+    (tmp_path / "bad.grp").write_bytes(b"group G order 1\ntable:\n\xff\n")
+    code, out, err = run_cli(["audit-catalog", str(tmp_path)])
+    assert code != 2 and err == ""
+    assert "bad.grp: LOAD ERROR: " in out and "not UTF-8" in out
+    assert "006_s3.grp: order 6, metabelian, witness" in out
+
+
+def test_non_utf8_error_names_the_file(tmp_path):
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(b"group G order 1\ntable:\n\xff\n")
+    code, out, err = run_cli(["group", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+
+
+def test_audit_orders_must_be_integers():
+    code, out, err = run_cli(["audit-catalog", "--orders", "12,x"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--orders" in err

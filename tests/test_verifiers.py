@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 from groupeq.algebra import AlgebraElement, IntegralGroupSpec
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
-from groupeq.equations import parse_system
+from groupeq.equations import EquationSystem, evaluate_word, parse_system
 from groupeq.errors import CapExceeded, ValidationError
 from groupeq.groups import (affine_group_over_prime_field, cyclic, dicyclic,
-                            dihedral, quaternion_group)
+                            dihedral, load_group_file, quaternion_group)
 from groupeq.verifiers import (abelian_by_abelian_p_witness, audit_catalog,
                                brute_force_solve, classify_group,
                                counterexample_build, counterexample_equation,
@@ -16,7 +17,8 @@ from groupeq.verifiers import (abelian_by_abelian_p_witness, audit_catalog,
                                pq_structure_check, obstruction_check,
                                obstruction_s_element, random_unimodular_equation,
                                verify_witness)
-from groupeq.words import exponent_sum, parse_word
+from groupeq.words import COEFF, VAR, Letter, exponent_sum, parse_word
+from groupeq.wreath import wreath_product
 
 
 def build_a4():
@@ -248,3 +250,65 @@ def test_audit_empty_directory(tmp_path):
     report = audit_catalog(tmp_path)
     assert report.entries == ()
     assert report.all_witnessed
+
+
+def reference_scan(system, descending=False):
+    """The per-assignment scan the block scan must reproduce."""
+    G, values = system.binding.group, system.binding.values
+    rng = range(G.order - 1, -1, -1) if descending else range(G.order)
+    combos = itertools.product(rng, repeat=len(system.variables))
+    for searched, combo in enumerate(combos, start=1):
+        assignment = dict(zip(system.variables, combo))
+        if all(evaluate_word(w, G, values, assignment) == G.identity
+               for w in system.words):
+            return assignment, searched, False
+    return None, G.order ** len(system.variables), True
+
+
+def random_bound_system(G, rng):
+    variables = tuple(f"x{i}" for i in range(rng.randint(0, 3)))
+    coeffs, words = {}, []
+    for _ in range(rng.randint(1, 3)):
+        letters = []
+        for _ in range(rng.randint(1, 6)):
+            if variables and rng.random() < 0.6:
+                letters.append(Letter(VAR, rng.choice(variables), rng.choice((1, -1))))
+            else:
+                sym = f"g{len(coeffs)}"
+                coeffs[sym] = rng.randrange(G.order)
+                letters.append(Letter(COEFF, sym, rng.choice((1, -1))))
+        words.append(tuple(letters))
+    return EquationSystem(variables, tuple(coeffs), tuple(words)).bind(G, coeffs)
+
+
+def test_block_scan_matches_reference_scan():
+    rng = random.Random(4)
+    groups = [load_group_file(f) for f in sorted(bundled_catalog_dir().glob("*.grp"))
+              if int(f.name[:3]) <= 12]
+    groups.append(wreath_product(cyclic(2), cyclic(2)))
+    seen = set()
+    for _ in range(150):
+        system = random_bound_system(rng.choice(groups), rng)
+        for descending in (False, True):
+            res = brute_force_solve(system, descending=descending)
+            expected = reference_scan(system, descending)
+            assert (res.solution, res.searched, res.exhaustive) == expected, system
+            seen.add((len(system.variables), res.exhaustive))
+    assert seen == {(n, e) for n in range(4) for e in (False, True)}
+
+
+@pytest.mark.parametrize("text,g,solution,searched", [
+    ("eq: x\neq: y g", 1, {"x": 0, "y": 5}, 6),       # last value of block 1
+    ("eq: x g\neq: y", 5, {"x": 1, "y": 0}, 7),       # first value of block 2
+    # y^2 = 1 holds at y in {0, 3}, but y = x - 1 only at y = 5 when x = 0
+    ("eq: y^2\neq: y x^-1 g", 1, {"x": 1, "y": 0}, 7),
+    ("eq: y^2\neq: y g", 1, None, 36),                # disjoint in every block
+])
+def test_block_scan_boundaries(text, g, solution, searched):
+    system = parse_system("vars: x y\ncoeffs: g\n" + text).bind(cyclic(6), {"g": g})
+    res = brute_force_solve(system)
+    assert (res.solution, res.searched) == (solution, searched)
+    for descending in (False, True):
+        res = brute_force_solve(system, descending=descending)
+        assert (res.solution, res.searched, res.exhaustive) == \
+            reference_scan(system, descending)
