@@ -98,19 +98,20 @@ def cmd_group(args, config: Config) -> int:
     G = load_group_file(resolve_data_path(args.file), config)
     series = derived_series(G)
     Z = center(G)
+    metabelian, nilpotent = is_metabelian(G), is_nilpotent(G)
     payload = {
         "name": G.name,
         "order": G.order,
         "abelian": G.is_abelian,
-        "metabelian": is_metabelian(G),
-        "nilpotent": is_nilpotent(G),
+        "metabelian": metabelian,
+        "nilpotent": nilpotent,
         "center_order": Z.order,
         "derived_series_orders": [S.order for S in series],
         "element_order_multiset": list(G.order_multiset),
     }
     lines = [f"group {G.name}: order {G.order}",
-             f"abelian: {G.is_abelian}, metabelian: {is_metabelian(G)}, "
-             f"nilpotent: {is_nilpotent(G)}",
+             f"abelian: {G.is_abelian}, metabelian: {metabelian}, "
+             f"nilpotent: {nilpotent}",
              f"center order: {Z.order}",
              "derived series orders: " +
              " > ".join(str(S.order) for S in series),

@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import CapExceeded, ParseError, ValidationError, read_text_file
@@ -31,13 +31,6 @@ Perm = tuple[int, ...]
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """Left-to-right composition: apply p, then q."""
     return tuple(q[x] for x in p)
-
-
-def perm_inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def perm_identity(n: int) -> Perm:
@@ -222,6 +215,15 @@ class FiniteGroup:
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self.element_order(a) for a in self.elements()))
 
+    @cached_property
+    def _fingerprint(self) -> tuple:
+        """Isomorphism invariants, compared before any map is tried."""
+        Z = center(self)
+        series = derived_series(self)
+        return (self.order, self.is_abelian, self.order_multiset,
+                tuple(sorted(self.element_order(z) for z in Z.elements)),
+                tuple(S.order for S in series))
+
     def validate(self) -> None:
         """Full axiom check; raises ValidationError naming a failing triple.
 
@@ -285,14 +287,16 @@ def _normalize_identity(rows: list[tuple[int, ...]],
 class Subgroup:
     parent: FiniteGroup
     elements: tuple[int, ...]
+    _set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted(set(self.elements)))
+        eset = frozenset(self.elements)
+        elems = tuple(sorted(eset))
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_set", eset)
         if not elems or elems[0] != 0:
             raise ValidationError("subgroup must contain the identity")
         G = self.parent
-        eset = set(elems)
         for a in elems:
             if G.inverse[a] not in eset:
                 raise ValidationError(f"subgroup not closed under inverse at {G.names[a]!r}")
@@ -307,7 +311,7 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
+        return a in self._set
 
     def is_abelian(self) -> bool:
         t = self.parent.table
@@ -322,21 +326,35 @@ class Subgroup:
         return FiniteGroup(table, names, name or f"{self.parent.name}-sub{self.order}")
 
 
-def closure(G: FiniteGroup, seed: Sequence[int]) -> tuple[int, ...]:
-    """Elements of the subgroup generated by *seed*."""
-    elems = {0}
+def _members(bits: int) -> tuple[int, ...]:
+    """The indices of the set bits of *bits*, ascending."""
+    return tuple(i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")
+
+
+def _close(G: FiniteGroup, bits: int, gens: Sequence[int]) -> int:
+    """Bitset of the subgroup K generated by the subgroup *bits* and *gens*,
+    where *gens* generate K or *bits* is normal in K. K is a union of left
+    cosets x*bits, which left multiplication by a generator permutes, so a
+    breadth-first search over coset representatives adds each coset once."""
+    t, hs = G.table, _members(bits)
     frontier = [0]
-    gens = sorted(set(seed) | {G.inverse[s] for s in seed})
     while frontier:
         nxt = []
-        for a in frontier:
+        for r in frontier:
             for g in gens:
-                x = G.table[a][g]
-                if x not in elems:
-                    elems.add(x)
+                x = t[g][r]
+                if not bits >> x & 1:
+                    row = t[x]
+                    for h in hs:
+                        bits |= 1 << row[h]
                     nxt.append(x)
         frontier = nxt
-    return tuple(sorted(elems))
+    return bits
+
+
+def closure(G: FiniteGroup, seed: Sequence[int]) -> tuple[int, ...]:
+    """Elements of the subgroup generated by *seed*."""
+    return _members(_close(G, 1, seed))
 
 
 def generated_subgroup(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
@@ -344,40 +362,55 @@ def generated_subgroup(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
 
 
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
-    eset = set(S.elements)
-    return all(G.conj(s, g) in eset for g in G.elements() for s in S.elements)
+    return all(G.conj(s, g) in S._set for g in G.elements() for s in S.elements)
 
 
-def all_subgroups(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Subgroup]:
-    """Every subgroup of G, found by joining cyclic subgroups pairwise.
-
-    Every subgroup is a join of cyclic ones and joins are associative, so
-    iterating pairwise joins to a fixed point is complete.
-    """
+def _joins(G: FiniteGroup, config: Config,
+           atoms: Iterable[tuple[int, list[int]]]) -> list[Subgroup]:
+    """Every join of the subgroups in *atoms*, (bitset, generators) pairs
+    read only after the order cap is checked, sorted by (order, elements).
+    Each subgroup found is grown once by each atom it does not contain, and
+    every join of atoms is a chain of such steps."""
     if G.order > config.subgroup_order_cap:
         raise CapExceeded(
             f"subgroup enumeration needs order <= {config.subgroup_order_cap}, "
             f"got {G.order}")
-    found: dict[tuple[int, ...], None] = {}
-    for g in G.elements():
-        found.setdefault(closure(G, [g]), None)
+    atoms = dict(atoms)
+    found = dict(atoms)
     work = list(found)
     while work:
-        new: list[tuple[int, ...]] = []
-        for i, a in enumerate(work):
-            for b in list(found):
-                if a is b:
-                    continue
-                j = closure(G, a + b)
-                if j not in found:
-                    found[j] = None
-                    new.append(j)
+        new = []
+        for bits in work:
+            for atom, atom_gens in atoms.items():
+                if bits & atom != atom:
+                    gens = found[bits] + atom_gens
+                    joined = _close(G, bits, gens)
+                    if joined not in found:
+                        found[joined] = gens
+                        new.append(joined)
         work = new
-    return [Subgroup(G, elems) for elems in sorted(found, key=lambda e: (len(e), e))]
+    return [Subgroup(G, elems)
+            for elems in sorted(map(_members, found), key=lambda e: (len(e), e))]
+
+
+def all_subgroups(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Subgroup]:
+    """Every subgroup of G, sorted by (order, elements).
+
+    Every subgroup of a finite group is a join of cyclic subgroups, so the
+    joins of the distinct cyclic subgroups (cyclic extension) find them all.
+    """
+    return _joins(G, config, ((_close(G, 1, [g]), [g]) for g in G.elements()))
 
 
 def normal_subgroups(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Subgroup]:
-    return [S for S in all_subgroups(G, config) if is_normal(G, S)]
+    """Every normal subgroup of G, sorted by (order, elements).
+
+    A normal subgroup is the join of the normal closures of its elements,
+    each generated by a conjugacy class, so their joins find them all.
+    """
+    t, inv = G.table, G.inverse
+    classes = (sorted({t[t[inv[h]][g]][h] for h in G.elements()}) for g in G.elements())
+    return _joins(G, config, ((_close(G, 1, cls), cls) for cls in classes))
 
 
 def commutator_subgroup(G: FiniteGroup, within: Subgroup | None = None) -> Subgroup:
@@ -440,7 +473,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         n //= p
     current = generated_subgroup(G, [])
     while current.order < target:
-        eset = set(current.elements)
+        eset = current._set
         normalizer = [g for g in G.elements()
                       if all(G.conj(s, g) in eset for s in current.elements)]
         grown = None
@@ -667,8 +700,14 @@ def affine_group_over_prime_field(p: int) -> FiniteGroup:
 
 
 def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG,
-                    name: str = "G") -> FiniteGroup:
-    """Closure of permutations under composition, as a Cayley table."""
+                    name: str = "G", max_order: int | None = None) -> FiniteGroup:
+    """Closure of permutations under composition, as a Cayley table.
+
+    Elements are numbered breadth-first from the identity. The search
+    records right[j][a] = a*g_j and, for each new element b = parent*g_j,
+    (parent, j), so row a follows by integer lookups alone:
+    a*b = (a*parent)*g_j. Passing *max_order* elements raises ParseError.
+    """
     parsed: list[Perm] = []
     for p in perms:
         parsed.append(parse_cycles(p) if isinstance(p, str) else tuple(p))
@@ -682,21 +721,29 @@ def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG
     ident = perm_identity(degree)
     elems: list[Perm] = [ident]
     pos: dict[Perm, int] = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                prod = perm_compose(e, g)
-                if prod not in pos:
-                    if len(elems) >= config.closure_cap:
-                        raise CapExceeded(
-                            f"generator closure exceeds cap {config.closure_cap}")
-                    pos[prod] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    table = [[pos[perm_compose(a, b)] for b in elems] for a in elems]
+    right: list[list[int]] = [[] for _ in gens]
+    steps: list[tuple[int, list[int]]] = []     # (parent, right[j]) of elements 1..n-1
+    for a, e in enumerate(elems):               # appending while iterating: breadth-first
+        for g, right_g in zip(gens, right):
+            prod = perm_compose(e, g)
+            x = pos.get(prod)
+            if x is None:
+                if len(elems) >= config.closure_cap:
+                    raise CapExceeded(
+                        f"generator closure exceeds cap {config.closure_cap}")
+                if max_order is not None and len(elems) >= max_order:
+                    raise ParseError(f"generators produce a group of order more than "
+                                     f"{max_order}, header says {max_order}")
+                x = pos[prod] = len(elems)
+                elems.append(prod)
+                steps.append((a, right_g))
+            right_g.append(x)
+    table = []
+    for a in range(len(elems)):
+        row = [a]
+        for parent, right_g in steps:
+            row.append(right_g[row[parent]])
+        table.append(row)
     names = [cycles_str(e) for e in elems]
     names[0] = "1"
     return FiniteGroup(table, names, name=name)
@@ -735,22 +782,14 @@ def prime_factors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # isomorphism search
 
-def _fingerprint(G: FiniteGroup) -> tuple:
-    Z = center(G)
-    series = derived_series(G)
-    return (G.order, G.is_abelian, G.order_multiset,
-            tuple(sorted(G.element_order(z) for z in Z.elements)),
-            tuple(S.order for S in series))
-
-
 def _generating_sequence(G: FiniteGroup) -> list[int]:
     gens: list[int] = []
-    span: tuple[int, ...] = (0,)
+    span = 1
     for g in sorted(G.elements(), key=lambda x: (-G.element_order(x), x)):
-        if g not in set(span):
+        if not span >> g & 1:
             gens.append(g)
-            span = closure(G, gens)
-            if len(span) == G.order:
+            span = _close(G, span, gens)
+            if span.bit_count() == G.order:
                 break
     return gens
 
@@ -800,7 +839,7 @@ def all_isomorphisms(G: FiniteGroup, H: FiniteGroup,
     if max(G.order, H.order) > config.iso_order_cap:
         raise CapExceeded(
             f"isomorphism search capped at order {config.iso_order_cap}")
-    if _fingerprint(G) != _fingerprint(H):
+    if G._fingerprint != H._fingerprint:
         return
     gens = _generating_sequence(G)
     by_order: dict[int, list[int]] = {}
@@ -856,23 +895,23 @@ def abelian_p_basis(G: FiniteGroup, p: int) -> list[int]:
 
     basis: list[int] = []
 
-    def pick(i: int, span: tuple[int, ...]) -> bool:
+    def pick(i: int, span: int) -> bool:
         if i == len(factor_orders):
-            return len(span) == G.order
+            return span.bit_count() == G.order
         want = factor_orders[i]
-        size = len(span)
+        size = span.bit_count()
         for g in G.elements():
-            if orders[g] != want or g in set(span):
+            if orders[g] != want or span >> g & 1:
                 continue
-            new_span = closure(G, list(basis) + [g])
-            if len(new_span) == size * want:
+            new_span = _close(G, span, [g])     # G is abelian, so span is normal
+            if new_span.bit_count() == size * want:
                 basis.append(g)
                 if pick(i + 1, new_span):
                     return True
                 basis.pop()
         return False
 
-    if not pick(0, (0,)):
+    if not pick(0, 1):
         raise ValidationError("no direct basis found; group is not an abelian p-group")
     return basis
 
@@ -930,7 +969,7 @@ def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
         return G
     if mode == "generators:":
         perms = [parse_cycles(ln) for ln in body]
-        G = from_generators(perms, config, name=name)
+        G = from_generators(perms, config, name=name, max_order=order)
         if G.order != order:
             raise ParseError(
                 f"generators produce a group of order {G.order}, header says {order}")
