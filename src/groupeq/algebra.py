@@ -472,9 +472,10 @@ def find_annihilating_combination(rows: RowFamily,
     k = len(rows.rows)
     if k == 0:
         return None
-    size = spec.p ** len(_finite_monomials(spec))
-    if size ** k > work_cap:
-        raise ValidationError(f"search space {size}^{k} exceeds the work cap")
+    # p^s monomials; p^e >= 2^e > work_cap once e reaches work_cap's bit length
+    s, bits = sum(spec.torsion_exponents), work_cap.bit_length()
+    if s >= bits or spec.p ** s * k >= bits or spec.p ** (spec.p ** s * k) > work_cap:
+        raise ValidationError(f"search space {spec.p}^({spec.p}^{s}*{k}) exceeds the work cap")
     width = len(rows.rows[0])
     zero = AlgebraElement.zero(spec)
     pool = list(all_elements(spec))

@@ -385,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, help="accepted and validated "
                         "(must be >= 1); every command runs in one thread, "
                         "so output is identical for every N")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks "
-                        "(default 0)")
     parser.add_argument("--format", choices=("text", "structured"),
                         default=None,
                         help="text (default) or structured JSON output")
@@ -468,8 +466,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {}
         if args.jobs is not None:
             overrides["jobs"] = args.jobs
-        if args.seed is not None:
-            overrides["seed"] = args.seed
         if args.format is not None:
             overrides["output_format"] = args.format
         if overrides:

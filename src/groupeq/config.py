@@ -1,4 +1,4 @@
-"""Runtime configuration: size caps, seeds, output options.
+"""Runtime configuration: size caps, job count, output options.
 
 Values resolve in three layers: hard-coded defaults, then an optional
 config file (``groupeq.conf`` in the working directory, or the file named
@@ -31,7 +31,6 @@ class Config:
     counterexample_cap: int = 4096     # group realization in obstruction checks
     enumeration_cap: int = 12          # exhaustive small-group enumeration
     classify_primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
-    seed: int = 0
     jobs: int = 1
     output_format: str = "text"        # "text" | "structured"
 

@@ -9,15 +9,21 @@ pivot columns and minor determinants behind the group-ring certificates.
 The Smith normal form and elimination are independent routes to the same
 verdicts, so each checks the other.
 
+Plain, wreath and coordinatewise words compile to one letter form, which
+`evaluate_compiled` evaluates and `scan_solutions`, the one exhaustive
+search behind `solve` and the wreath helpers, solves.
+
 All integer arithmetic is arbitrary precision.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_, eq
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError, read_text_file
 from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
@@ -435,18 +441,76 @@ def format_system(system: EquationSystem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation and exhaustive search
+
+def compile_word(word: Word, group, coeff_values: Mapping[str, int]) -> list[tuple]:
+    """A word as letters (variable name, sign) | (None, element); a
+    coefficient letter is its element, inverted when the sign is -1."""
+    return [(name, sign) if kind == VAR else
+            (None, coeff_values[name] if sign > 0 else group.inv(coeff_values[name]))
+            for kind, name, sign in word]
+
+
+def evaluate_compiled(group, word: Sequence[tuple], values) -> int:
+    """Product of a compiled word, each variable read as values[key]."""
+    mul, inv = group.mul, group.inv
+    acc = group.identity
+    for k, v in word:
+        acc = mul(acc, v if k is None else values[k] if v > 0 else inv(values[k]))
+    return acc
+
 
 def evaluate_word(word: Word, group, coeff_values: Mapping[str, int],
                   var_values: Mapping[str, int]) -> int:
     """Product of a word's letters in a group-like object."""
-    acc = group.identity
-    for kind, name, sign in word:
-        x = coeff_values[name] if kind == COEFF else var_values[name]
-        if sign < 0:
-            x = group.inv(x)
-        acc = group.mul(acc, x)
-    return acc
+    return evaluate_compiled(group, compile_word(word, group, coeff_values), var_values)
+
+
+def scan_solutions(group, words: Sequence[Sequence[tuple]], variables: Sequence,
+                   domain: Sequence[int], descending: bool = False
+                   ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (scan position from 1, values) for every assignment from
+    *domain* to *variables* that makes each compiled word the identity, in
+    lexicographic order of *domain* (reversed when descending).
+
+    The scan runs in blocks: the first n-1 variables (the prefix) are fixed
+    and each word is evaluated for all values of the last variable at once.
+    Coefficients and prefix letters fold into one pending element; each
+    occurrence of the last variable is one ``map`` over the block.
+    """
+    mul, inv, one = group.mul, group.inv, group.identity
+    words = [[(k if k is None else variables.index(k), v) for k, v in w] for w in words]
+    nvars = len(variables)
+    rng = domain[::-1] if descending else domain
+    last = nvars - 1
+    xs = list(rng) if nvars else [one]     # nvars = 0: one block of size 1
+    xinvs = list(map(inv, xs))
+    everywhere = [True] * len(xs)
+    for block, prefix in enumerate(itertools.product(rng, repeat=max(last, 0))):
+        hits = everywhere
+        for word in words:
+            c, acc = one, None
+            for k, v in word:
+                if k is None:
+                    c = mul(c, v)
+                elif k != last:
+                    c = mul(c, prefix[k] if v > 0 else inv(prefix[k]))
+                else:
+                    ys = xs if v > 0 else xinvs
+                    if c != one:
+                        ys = list(map(mul, itertools.repeat(c), ys))
+                    acc = ys if acc is None else list(map(mul, acc, ys))
+                    c = one
+            if acc is None:          # holds for the whole block or for none of it
+                if c != one:
+                    break
+                continue
+            hits = list(map(and_, hits, map(eq, acc, itertools.repeat(inv(c)))))
+            if True not in hits:
+                break
+        else:
+            for i in itertools.compress(range(len(xs)), hits):
+                yield block * len(xs) + i + 1, (prefix + (xs[i],))[:nvars]
 
 
 def satisfies(system: EquationSystem, var_values: Mapping[str, int],
@@ -523,14 +587,10 @@ def solve_abelian_p_system(system: EquationSystem, p: int,
 
     # right-hand side: equation j says sum_i E[j][i] * y_i = -c_j in B'
     rhs_vecs: list[list[int]] = []
+    at_identity = dict.fromkeys(system.variables, B.identity)
     for w in system.words:
-        acc = B.identity
-        for kind, name, sign in w:
-            if kind == COEFF:
-                x = system.binding.values[name]
-                acc = B.mul(acc, B.inv(x) if sign < 0 else x)
-        vec = logB[B.inv(acc)]
-        rhs_vecs.append([e * lift for e in vec])
+        c = evaluate_word(w, B, system.binding.values, at_identity)
+        rhs_vecs.append([e * lift for e in logB[B.inv(c)]])
 
     # solve D z = U b componentwise, then y = V z
     U, V = snf.U, snf.V
@@ -555,9 +615,8 @@ def solve_abelian_p_system(system: EquationSystem, p: int,
 
     coeffs_in_Bp = {c: embedding(system.binding.values[c])
                     for c in system.coefficients}
-    for w in system.words:
-        if evaluate_word(w, Bp, coeffs_in_Bp, assignment) != Bp.identity:
-            raise ValidationError("internal error: abelian solution fails to verify")
+    if not satisfies(system, assignment, Bp, coeffs_in_Bp):
+        raise ValidationError("internal error: abelian solution fails to verify")
     return AbelianSolution(Bp, embedding, assignment, v,
                            tuple(new_basis))
 

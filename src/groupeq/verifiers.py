@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import and_, eq
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .algebra import (AlgebraElement, IntegralGroupSpec, format_element)
 from .catalog import AUDIT_ORDERS, EXPECTED_COUNTS
 from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
-                        satisfies)
+                        compile_word, satisfies, scan_solutions)
 from .errors import CapExceeded, GroupEqError, ValidationError
 from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic,
                      direct_product, is_metabelian, is_normal, is_prime,
@@ -476,16 +475,12 @@ class BruteForceResult:
 def brute_force_solve(system: EquationSystem,
                       config: Config = DEFAULT_CONFIG,
                       descending: bool = False) -> BruteForceResult:
-    """Scan all assignments in lexicographic element-index order.
+    """Scan all assignments in lexicographic element-index order
+    (`equations.scan_solutions` over all of G).
 
     Returns the lexicographically least solution (greatest, if descending)
     or an exhaustive-failure certificate. The reported search count is the
     scan position of the solution (or the full space size).
-
-    The scan runs in blocks: the first n-1 variables (the prefix) are fixed
-    and each word is evaluated for all |G| values of the last variable at
-    once. Coefficients and prefix letters fold into one pending element;
-    each occurrence of the last variable is one ``map`` over the block.
     """
     if system.binding is None:
         raise ValidationError("system must be bound to a group")
@@ -496,45 +491,13 @@ def brute_force_solve(system: EquationSystem,
     if total > config.brute_force_cap:
         raise CapExceeded(f"search space {order}^{nvars} exceeds the cap "
                           f"{config.brute_force_cap}")
-    mul, inv, one = G.mul, G.inv, G.identity
-    values = system.binding.values
-    position = {v: k for k, v in enumerate(system.variables)}
-    # a letter compiles to (variable position, sign) or (None, element)
-    words = [[(position[name], sign) if kind == VAR else
-              (None, values[name] if sign > 0 else inv(values[name]))
-              for kind, name, sign in w] for w in system.words]
-    rng = range(order - 1, -1, -1) if descending else range(order)
-    last = nvars - 1
-    xs = list(rng) if nvars else [one]     # nvars = 0: one block of size 1
-    xinvs = list(map(inv, xs))
-    everywhere = [True] * len(xs)
-    for block, prefix in enumerate(itertools.product(rng, repeat=max(last, 0))):
-        hits = everywhere
-        for word in words:
-            c, acc = one, None
-            for k, v in word:
-                if k is None:
-                    c = mul(c, v)
-                elif k != last:
-                    c = mul(c, prefix[k] if v > 0 else inv(prefix[k]))
-                else:
-                    ys = xs if v > 0 else xinvs
-                    if c != one:
-                        ys = list(map(mul, itertools.repeat(c), ys))
-                    acc = ys if acc is None else list(map(mul, acc, ys))
-                    c = one
-            if acc is None:          # holds for the whole block or for none of it
-                if c != one:
-                    break
-                continue
-            hits = list(map(and_, hits, map(eq, acc, itertools.repeat(inv(c)))))
-            if True not in hits:
-                break
-        else:
-            i = hits.index(True)
-            solution = dict(zip(system.variables, prefix + (xs[i],)))
-            if not satisfies(system, solution):
-                raise ValidationError("internal error: brute-force solution "
-                                      "failed re-verification")
-            return BruteForceResult(solution, block * len(xs) + i + 1, False)
-    return BruteForceResult(None, total, True)
+    words = [compile_word(w, G, system.binding.values) for w in system.words]
+    hit = next(scan_solutions(G, words, system.variables, range(order), descending), None)
+    if hit is None:
+        return BruteForceResult(None, total, True)
+    searched, values = hit
+    solution = dict(zip(system.variables, values))
+    if not satisfies(system, solution):
+        raise ValidationError("internal error: brute-force solution "
+                              "failed re-verification")
+    return BruteForceResult(solution, searched, False)

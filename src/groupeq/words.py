@@ -12,7 +12,8 @@ Grammar for a word (see also the system-file format in `equations`):
 
 Chained '^' is left-associative, so x^2^(a) is (x^2)^(a). Parsing fully
 expands powers, conjugations and commutators; a parsed word is a flat
-sequence of signed letters.
+sequence of signed letters of length at most MAX_WORD_LENGTH (10^7); each
+step computes the length it would reach and raises CapExceeded above it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 
 VAR = "v"
 COEFF = "c"
+MAX_WORD_LENGTH = 10 ** 7
 
 
 def strip_comment(line: str) -> str:
@@ -50,17 +52,25 @@ def word_inverse(word: Word) -> Word:
     return tuple(Letter(l.kind, l.name, -l.sign) for l in reversed(word))
 
 
+def _check_length(length: int) -> None:
+    if length > MAX_WORD_LENGTH:
+        raise CapExceeded(f"word would have {length} letters (limit {MAX_WORD_LENGTH})")
+
+
 def word_power(word: Word, k: int) -> Word:
+    _check_length(len(word) * abs(k))
     if k < 0:
         word, k = word_inverse(word), -k
     return word * k
 
 
 def word_conjugate(word: Word, by: Word) -> Word:
+    _check_length(len(word) + 2 * len(by))
     return word_inverse(by) + word + by
 
 
 def word_commutator(u: Word, v: Word) -> Word:
+    _check_length(2 * (len(u) + len(v)))
     return word_inverse(u) + word_inverse(v) + u + v
 
 
@@ -115,13 +125,15 @@ class _Parser:
                 f"expected {want!r} at column {col + 1} of {self.text!r}, got {tok!r}")
 
     def parse_word(self, stop: tuple[str, ...] = ()) -> Word:
-        parts: list[Word] = []
+        letters: list[Letter] = []
         while True:
             nxt = self.peek()
             if nxt is None or nxt in stop:
                 break
-            parts.append(self.parse_atom())
-        return tuple(l for part in parts for l in part)
+            atom = self.parse_atom()
+            _check_length(len(letters) + len(atom))
+            letters += atom
+        return tuple(letters)
 
     def parse_atom(self) -> Word:
         word = self.parse_item()
@@ -177,6 +189,7 @@ def parse_word(text: str, variables: Iterable[str],
     if parser.peek() == "=":
         parser.next()
         right = parser.parse_word()
+        _check_length(len(left) + len(right))
         word = left + word_inverse(right)
     else:
         word = left

@@ -18,18 +18,21 @@ family of systems over H, one per top element:
    elements over Z_p[B] that controls independence, together with the
    translation relation between the rows for different top elements.
 4. `reconstruct_solution` assembles a wreath solution from a pointwise one.
+
+Wreath and coordinatewise words compile to the letter form of `equations`:
+`equations.evaluate_compiled` evaluates them, and the exhaustive helpers
+list the output of `equations.scan_solutions`, the scan behind `solve`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import AbelianGroupSpec, AlgebraElement, RowFamily, augmentation
 from .config import DEFAULT_CONFIG, Config
-from .equations import (EquationSystem, is_p_nonsingular,
-                        solve_abelian_p_system)
+from .equations import (EquationSystem, evaluate_compiled, is_p_nonsingular,
+                        scan_solutions, solve_abelian_p_system)
 from .errors import CapExceeded, ValidationError
 from .groups import (FiniteGroup, Homomorphism, Subgroup, abelian_p_basis,
                      dlog_table, quotient)
@@ -227,32 +230,29 @@ class WreathSystem:
                    if isinstance(l, WVar) and l.name == var)
 
 
-def evaluate_wreath_word(ws: WreathSystem, word: WWord,
-                         assignment: Mapping[str, int]) -> int:
-    W = ws.wreath
-    acc = W.identity
+def _compile_wreath(W: WreathGroup, word: WWord) -> list[tuple]:
+    """Compiled form: x^(s*d) is the letters d^-1, x^s, d; a WCoeff its element."""
+    out: list[tuple] = []
     for letter in word:
         if isinstance(letter, WCoeff):
-            val = W.embed_base(letter.base)
+            out.append((None, W.embed_base(letter.base)))
         else:
-            val = W.conj(assignment[letter.name], W.embed_top(letter.conj))
-            if letter.sign < 0:
-                val = W.inv(val)
-        acc = W.mul(acc, val)
-    return acc
+            d = W.embed_top(letter.conj)
+            out += [(None, W.inv(d)), (letter.name, letter.sign), (None, d)]
+    return out
+
+
+def evaluate_wreath_word(ws: WreathSystem, word: WWord,
+                         assignment: Mapping[str, int]) -> int:
+    return evaluate_compiled(ws.wreath, _compile_wreath(ws.wreath, word), assignment)
 
 
 def wreath_solutions(ws: WreathSystem, base_only: bool = False) -> list[tuple[int, ...]]:
-    """All solutions of a wreath system by exhaustive search (small W only)."""
+    """All solutions of a wreath system in lexicographic order (small W only)."""
     W = ws.wreath
-    pool = [x for x in W.elements() if not base_only or W.in_base(x)]
-    out = []
-    for combo in itertools.product(pool, repeat=len(ws.variables)):
-        assignment = dict(zip(ws.variables, combo))
-        if all(evaluate_wreath_word(ws, w, assignment) == W.identity
-               for w in ws.words):
-            out.append(combo)
-    return out
+    domain = [x for x in W.elements() if W.in_base(x)] if base_only else W.elements()
+    words = [_compile_wreath(W, w) for w in ws.words]
+    return [values for _, values in scan_solutions(W, words, ws.variables, domain)]
 
 
 @dataclass(frozen=True)
@@ -287,22 +287,17 @@ def normalize_top_component(system: EquationSystem, p: int,
             "solve the top image in an extension instead")
 
     image_values = {c: W.top_of(v) for c, v in system.binding.values.items()}
-    image_system = EquationSystem(system.variables, system.coefficients,
-                                  system.words).bind(top, image_values)
-    sol = solve_abelian_p_system(image_system, p)
+    sol = solve_abelian_p_system(system.bind(top, image_values), p)
 
     if sol.lift_exponent > 0:
         new_top = sol.group
         embed = sol.embedding
         W2 = WreathGroup(W.base, new_top, config)
-        old_positions = {embed(b): b for b in top.elements()}
-
         def lift_coeff(x: int) -> int:
             f, t = W.decode(x)
             g = [0] * new_top.order
-            for b2 in new_top.elements():
-                if b2 in old_positions:
-                    g[b2] = f[old_positions[b2]]
+            for b in top.elements():
+                g[embed(b)] = f[b]
             return W2.encode(tuple(g), embed(t))
 
         values = {c: lift_coeff(v) for c, v in system.binding.values.items()}
@@ -317,29 +312,18 @@ def normalize_top_component(system: EquationSystem, p: int,
 
     new_words = []
     for word in system.words:
-        items: list[tuple] = []
-        for kind, name, sign in word:
-            if kind == VAR:
-                if sign > 0:
-                    items.append(("v", name, +1))
-                    items.append(("t", beta[name]))
-                else:
-                    items.append(("t", topg.inverse[beta[name]]))
-                    items.append(("v", name, -1))
-            else:
-                val = values[name]
-                if sign < 0:
-                    val = W2.inv(val)
-                items.append(("e", val))
+        # x -> x*beta; t is the top part of the prefix read so far
         letters: list = []
         t = 0
-        for item in items:
-            if item[0] == "v":
-                letters.append(WVar(item[1], item[2], topg.inverse[t]))
-            elif item[0] == "t":
-                t = topg.table[t][item[1]]
+        for kind, name, sign in word:
+            if kind == VAR and sign > 0:
+                letters.append(WVar(name, +1, topg.inverse[t]))
+                t = topg.table[t][beta[name]]
+            elif kind == VAR:
+                t = topg.table[t][topg.inverse[beta[name]]]
+                letters.append(WVar(name, -1, topg.inverse[t]))
             else:
-                f, b = W2.decode(item[1])
+                f, b = W2.decode(values[name] if sign > 0 else W2.inv(values[name]))
                 shifted = tuple(f[topg.table[q][t]] for q in range(topg.order))
                 if any(shifted):
                     letters.append(WCoeff(shifted))
@@ -405,49 +389,32 @@ def coordinatewise_transform(ws: WreathSystem) -> TransformedSystem:
     return TransformedSystem(W.base, top, variables, tuple(words_out), ws)
 
 
-def evaluate_transformed_word(ts: TransformedSystem, word: TWord,
-                              pointwise: Mapping[tuple[str, int], int]) -> int:
-    H = ts.base
-    acc = 0
-    for letter in word:
-        if isinstance(letter, TCoeff):
-            acc = H.table[acc][letter.elem]
-        else:
-            v = pointwise[(letter.name, letter.top)]
-            if letter.sign < 0:
-                v = H.inverse[v]
-            acc = H.table[acc][v]
-    return acc
+def _compile_transformed(word: TWord) -> list[tuple]:
+    """A coordinatewise word in compiled form, variables keyed by (i, b)."""
+    return [(None, l.elem) if isinstance(l, TCoeff) else ((l.name, l.top), l.sign)
+            for l in word]
 
 
 def transformed_solutions(ts: TransformedSystem) -> list[dict[tuple[str, int], int]]:
-    """All pointwise solutions by exhaustive search (small cases only)."""
-    H = ts.base
-    out = []
-    for combo in itertools.product(H.elements(), repeat=len(ts.variables)):
-        pointwise = dict(zip(ts.variables, combo))
-        if all(evaluate_transformed_word(ts, w, pointwise) == 0
-               for per_b in ts.words for w in per_b):
-            out.append(pointwise)
-    return out
+    """All pointwise solutions in lexicographic order (small cases only)."""
+    words = [_compile_transformed(w) for per_b in ts.words for w in per_b]
+    return [dict(zip(ts.variables, values)) for _, values in
+            scan_solutions(ts.base, words, ts.variables, ts.base.elements())]
 
 
 def reconstruct_solution(ts: TransformedSystem,
                          pointwise: Mapping[tuple[str, int], int]) -> dict[str, int]:
     """Assemble base-subgroup wreath elements from a pointwise solution and
     verify them against the wreath system."""
-    for per_b in ts.words:
-        for w in per_b:
-            if evaluate_transformed_word(ts, w, pointwise) != 0:
-                raise ValidationError("pointwise assignment fails an equation")
+    if any(evaluate_compiled(ts.base, _compile_transformed(w), pointwise) != 0
+           for per_b in ts.words for w in per_b):
+        raise ValidationError("pointwise assignment fails an equation")
     W = ts.source.wreath
-    assignment = {}
-    for i in ts.source.variables:
-        f = tuple(pointwise[(i, b)] for b in ts.top.elements())
-        assignment[i] = W.embed_base(f)
-    for w in ts.source.words:
-        if evaluate_wreath_word(ts.source, w, assignment) != W.identity:
-            raise ValidationError("internal error: reconstruction fails to verify")
+    assignment = {i: W.embed_base(tuple(pointwise[(i, b)] for b in ts.top.elements()))
+                  for i in ts.source.variables}
+    if any(evaluate_wreath_word(ts.source, w, assignment) != W.identity
+           for w in ts.source.words):
+        raise ValidationError("internal error: reconstruction fails to verify")
     return assignment
 
 

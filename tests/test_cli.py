@@ -1,8 +1,10 @@
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -209,6 +211,9 @@ MALFORMED = {
     "torsion=z": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 torsion=z\nrow: 1\n"}),
     "free=y": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 free=y\nrow: 1\n"}),
     "non-UTF-8 file": (["group", "g.grp"], {"g.grp": b"group G order 1\ntable:\n\xff\n"}),
+    "x^99999999": (["analyze-system", "s.sys"], {"s.sys": b"vars: x\neq: x^99999999\n"}),
+    "(x^100000)^100000": (["analyze-system", "s.sys"],
+                          {"s.sys": b"vars: x\neq: (x^100000)^100000\n"}),
 }
 
 
@@ -261,3 +266,146 @@ def test_audit_orders_must_be_integers():
     code, out, err = run_cli(["audit-catalog", "--orders", "12,x"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "--orders" in err
+
+
+@pytest.mark.parametrize("torsion", [22, 40])
+def test_certify_rows_work_cap_is_checked_before_enumerating(tmp_path, torsion):
+    # C_{2^22} and C_{2^40}: the search space 2^(2^k) is far over the cap
+    alg = tmp_path / "r.alg"
+    alg.write_text(f"algebra p=2 torsion={torsion}\nrow: 0\n")
+    code, out, err = run_cli(["certify-rows", str(alg)])
+    assert (code, err) == (1, "")
+    assert out.endswith("verdict: unknown\n")
+
+
+def _cli_cases(st):
+    """Small generated input files and argv for `test_exit_code_contract`.
+
+    Most generated pieces are well-formed, so that commands get past
+    parsing; the rest are malformed. Groups stay small (tables up to order
+    5, permutations of degree up to 4) and no config value raises a cap, so
+    every example runs in milliseconds."""
+    def words(symbols):
+        ident = st.sampled_from(symbols)
+        return st.recursive(
+            ident | ident | st.sampled_from(["1", "q", "x^", "(x", "[x,", "^2"]),
+            lambda w: st.one_of(
+                st.builds("({})^{}".format, w, st.integers(-3, 3)),
+                st.builds("{}^({})".format, w, w),
+                st.builds("[{},{}]".format, w, w),
+                st.builds("{} {}".format, w, w),
+                st.builds("{} = {}".format, w, w)),
+            max_leaves=6)
+
+    @functools.lru_cache(maxsize=None)     # one strategy per symbol set
+    def system(vs, cs):
+        return st.builds(
+            lambda src, els, eqs, junk: "\n".join(
+                ["vars: " + " ".join(vs), "coeffs: " + " ".join(cs),
+                 f"bind: {src} " + " ".join(f"{c}={e}" for c, e in zip(cs, els))]
+                + ["eq: " + e for e in eqs] + junk) + "\n",
+            st.sampled_from(["g.grp", "@group", "@group", "missing.grp"]),
+            st.lists(element, min_size=2, max_size=2),
+            st.lists(words(list(vs + cs)), min_size=1, max_size=2),
+            st.sampled_from([[], [], [], ["eq"], ["foo: 1"], ["vars x"], ["# note"]]))
+
+    element = st.sampled_from(["#0", "#1", "#2", "#3", "#4", "#-1", "#z", "1", "g1", "x"])
+    sys_text = st.tuples(
+        st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=2, unique=True),
+        st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True)
+    ).flatmap(lambda vc: system(tuple(vc[0]), tuple(vc[1])))
+    n = st.integers(1, 5)
+    table = n.flatmap(lambda k: st.one_of(
+        st.just([[(i + j) % k for j in range(k)] for i in range(k)]),
+        st.lists(st.lists(st.integers(-1, k), min_size=k, max_size=k),
+                 min_size=k, max_size=k)).map(lambda rows: (k, rows)))
+    cycle = st.lists(st.integers(0, 4), min_size=0, max_size=4).map(
+        lambda pts: "(" + " ".join(map(str, pts)) + ")")
+    grp_text = st.one_of(
+        table.map(lambda t: f"group G order {t[0]}\ntable:\n"
+                  + "\n".join(" ".join(map(str, r)) for r in t[1]) + "\n"),
+        st.builds(lambda order, gens: f"group G order {order}\ngenerators:\n"
+                  + "\n".join(gens) + "\n",
+                  st.integers(0, 25), st.lists(cycle, max_size=3)),
+        st.sampled_from(["group S3 order 6\ngenerators:\n(1 2)\n(1 2 3)\n",
+                         "", "group G order x\ntable:\n0\n", "group G\n"]))
+    term = st.sampled_from(["0", "1", "x1", "x1^2", "x2", "t1", "t1^-1", "2*x1",
+                            "1 + x1", "x1 - t1", "y", "*"])
+    row = st.lists(term, min_size=1, max_size=2).map(lambda es: "row: " + " ; ".join(es))
+    header = st.one_of(
+        st.builds("algebra p={} torsion={} free={}".format,
+                  st.sampled_from([2, 3, 4, 0]),
+                  st.sampled_from(["", "1", "2", "1,1", "22", "40", "-1"]),
+                  st.integers(-1, 1)),
+        st.sampled_from(["algebra rational free=1", "algebra rational torsion=2",
+                         "algebra", "ring p=2"]))
+    alg_text = st.builds(lambda h, rows: "\n".join([h] + rows) + "\n",
+                         header, st.lists(row, max_size=2))
+    conf_text = st.lists(st.builds(
+        "{} = {}".format,
+        st.sampled_from(["jobs", "brute_force_cap", "wreath_order_cap",
+                         "enumeration_cap", "subgroup_order_cap", "iso_order_cap",
+                         "closure_cap", "classify_primes", "output_format",
+                         "seed", "colour"]),
+        st.sampled_from(["-1", "0", "1", "2", "12", "2,3", "x", "text",
+                         "structured"])), max_size=2).map(lambda ls: "\n".join(ls) + "\n")
+    small = st.integers(-1, 6)
+    command = st.one_of(
+        st.builds(lambda p: ["analyze-system", "s.sys"] + p,
+                  st.lists(small, max_size=1).map(
+                      lambda ps: [a for p in ps for a in ("--prime", str(p))])),
+        st.builds(lambda s: ["group", "g.grp"] + s, st.sampled_from([[], ["--subgroups"]])),
+        st.just(["classify", "g.grp"]),
+        st.just(["certify-rows", "r.alg"]),
+        st.builds(lambda g, d: ["solve", "s.sys"] + g + d,
+                  st.sampled_from([[], ["--group", "g.grp"], ["--group", "g.grp"]]),
+                  st.sampled_from([[], ["--descending"]])),
+        st.builds(lambda b, t, p: ["wreath-transform", "s.sys", "--base", b,
+                                   "--top", t, "--prime", str(p)],
+                  st.sampled_from(["g.grp", "@catalog/002_c2.grp", "@catalog/001_c1.grp"]),
+                  st.sampled_from(["@catalog/002_c2.grp", "@catalog/003_c3.grp",
+                                   "@catalog/006_s3.grp"]), small),
+        st.builds(lambda p, q, s: ["counterexample", "--p", str(p), "--q", str(q)] + s,
+                  small, small, st.sampled_from([[], ["--symbolic"]])),
+        st.builds(lambda k: ["enumerate", str(k)], small),
+        st.builds(lambda o: ["audit-catalog", "."] + o,
+                  st.sampled_from([[], ["--orders", "1,2"], ["--orders", "x"]])))
+    options = st.builds(
+        lambda j, c, f: j + c + f,
+        st.lists(st.integers(0, 4), max_size=1).map(
+            lambda js: [a for j in js for a in ("--jobs", str(j))]),
+        st.sampled_from([[], [], ["--config", "c.conf"]]),
+        st.sampled_from([[], ["--format", "structured"], ["--format", "text"]]))
+    return st.fixed_dictionaries({
+        "argv": st.builds(lambda o, c: o + c, options, command),
+        "files": st.fixed_dictionaries({
+            "s.sys": sys_text, "g.grp": grp_text, "r.alg": alg_text,
+            "c.conf": conf_text})})
+
+
+def test_exit_code_contract(monkeypatch):
+    """Generated files and flag values: exit 0, 1 or 2 and never an
+    exception; exit 2 prints nothing on stdout and one error line, exit 1
+    prints a verdict."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(_cli_cases(hypothesis.strategies))
+    @hypothesis.example({"argv": ["certify-rows", "r.alg"], "files": {
+        "r.alg": "algebra p=2 torsion=1\nrow: 1 + x1\n"}})       # refuted
+    @hypothesis.example({"argv": ["audit-catalog", "."], "files": {
+        "g.grp": "group C4 order 4\ntable:\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"}})
+    def check(case):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in case["files"].items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
+            monkeypatch.chdir(tmp)
+            code, out, err = run_cli(case["argv"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if code == 1:
+            assert out.strip() and err == ""
+
+    check()

@@ -252,3 +252,46 @@ def test_normalize_with_extension_rebuilds_the_top():
                    for pw in pointwise)
     assert recon == sorted(base_sols)
     assert recon == []
+
+
+def reference_wreath_solutions(ws, base_only):
+    """One assignment at a time, with the wreath group law itself."""
+    W = ws.wreath
+    pool = [x for x in W.elements() if not base_only or W.in_base(x)]
+    out = []
+    for combo in itertools.product(pool, repeat=len(ws.variables)):
+        value = dict(zip(ws.variables, combo))
+        for word in ws.words:
+            acc = W.identity
+            for letter in word:
+                if isinstance(letter, WCoeff):
+                    x = W.embed_base(letter.base)
+                else:
+                    x = W.conj(value[letter.name], W.embed_top(letter.conj))
+                    if letter.sign < 0:
+                        x = W.inv(x)
+                acc = W.mul(acc, x)
+            if acc != W.identity:
+                break
+        else:
+            out.append(combo)
+    return out
+
+
+def test_wreath_solutions_match_reference_scan():
+    # the shared scan over all of W and over the base only (a domain that is
+    # not a range of indices), compared as full ordered lists
+    rng = random.Random(23)
+    several = restricted = 0
+    for W in (c2wrc2(), wreath_product(cyclic(3), cyclic(2))):
+        for _ in range(20):
+            norm = normalize_top_component(random_wreath_system(W, rng), 2)
+            # with one equation fewer than variables, solutions come in families
+            ws = norm.system
+            ws = WreathSystem(ws.wreath, ws.variables, ws.words[1:] or ws.words)
+            for base_only in (False, True):
+                got = wreath_solutions(ws, base_only)
+                assert got == reference_wreath_solutions(ws, base_only)
+                several += len(got) > 1
+            restricted += len(wreath_solutions(ws, True)) < len(wreath_solutions(ws))
+    assert several and restricted
