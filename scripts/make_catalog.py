@@ -2,12 +2,15 @@
 """Regenerate the bundled catalog group files from the builders.
 
 Writes one .grp file per catalog entry (permutation generators from the
-right-regular representation) plus the CITATIONS note, then reloads every
-file and checks it is isomorphic to its builder's output.
+right-regular representation) plus the CITATIONS note, after reloading
+every file and checking it is isomorphic to its builder's output. With
+``--check`` it writes nothing and exits 1, naming each bundled file that
+differs from what the builders produce.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -44,25 +47,51 @@ Per-order counts asserted:
 """ + "\n".join(f"  order {o}: {c}" for o, c in sorted(EXPECTED_COUNTS.items())) + "\n"
 
 
-def main() -> int:
-    out_dir = Path(__file__).resolve().parent.parent / "src" / "groupeq" / "data" / "catalog"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for old in out_dir.glob("*.grp"):
-        old.unlink()
-    written = []
+OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "groupeq" / "data" / "catalog"
+
+
+def expected_files() -> dict[str, str]:
+    """File name -> text of every catalog file and CITATIONS, as built."""
+    files = {}
     for order, name, builder in CATALOG:
         G = builder()
         assert G.order == order, (name, G.order)
         named = FiniteGroup(G.table, G.names, name=name)
         text = format_group_file(named, style="generators")
-        path = out_dir / f"{slug(order, name)}.grp"
-        path.write_text(text, encoding="utf-8")
         reloaded = load_group(text)
         assert reloaded.order == order, (name, reloaded.order)
         assert isomorphic(reloaded, named) is not None, name
-        written.append(path.name)
-    (out_dir / "CITATIONS").write_text(CITATIONS, encoding="utf-8")
-    print(f"wrote {len(written)} group files to {out_dir}")
+        files[f"{slug(order, name)}.grp"] = text
+    files["CITATIONS"] = CITATIONS
+    return files
+
+
+def differing_files(directory: Path, files: dict[str, str]) -> list[str]:
+    """Names of the files in *directory* that are missing, extra or differ."""
+    names = set(files) | {path.name for path in directory.glob("*.grp")}
+    return sorted(name for name in names
+                  if not (directory / name).is_file() or name not in files
+                  or (directory / name).read_text(encoding="utf-8") != files[name])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 naming each bundled file "
+                             "that differs from the builders' output")
+    args = parser.parse_args(argv)
+    files = expected_files()
+    if args.check:
+        stale = differing_files(OUT_DIR, files)
+        for name in stale:
+            print(f"differs: {name}")
+        return 1 if stale else 0
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    for old in OUT_DIR.glob("*.grp"):
+        old.unlink()
+    for name, text in files.items():
+        (OUT_DIR / name).write_text(text, encoding="utf-8")
+    print(f"wrote {len(files) - 1} group files to {OUT_DIR}")
     return 0
 
 

@@ -28,11 +28,14 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .equations import echelon, rank_mod_p
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, int_literal
 from .groups import is_prime
 from .words import strip_comment
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]   # (torsion exps, free exps)
+
+
+MAX_ORDER_DIGITS = 4300    # the interpreter's int-to-str limit; describe() prints p^k
 
 
 def _group_desc(torsion_orders: tuple[int, ...], free_rank: int) -> str:
@@ -55,6 +58,12 @@ class AbelianGroupSpec:
             raise ValidationError(f"{self.p} is not prime")
         if any(k < 1 for k in self.torsion_exponents):
             raise ValidationError("torsion exponents must be >= 1")
+        # p^k >= 2^k, so capping k at the bit length of the limit is exact
+        limit = 10 ** MAX_ORDER_DIGITS
+        for k in self.torsion_exponents:
+            if self.p ** min(k, limit.bit_length()) >= limit:
+                raise ValidationError(f"torsion factor {self.p}^{k} has more "
+                                      f"than {MAX_ORDER_DIGITS} digits")
         if self.free_rank < 0:
             raise ValidationError("free rank must be >= 0")
 
@@ -576,12 +585,13 @@ def parse_element(spec: Spec, text: str) -> AlgebraElement:
             if not factor:
                 raise ParseError(f"empty factor in term {term!r}")
             if re.fullmatch(r"\d+", factor):
-                coeff *= int(factor)
+                coeff *= int_literal(factor)
                 continue
             m = _FACTOR_RE.match(factor)
             if not m:
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
-            kind, idx, exp = m.group(1), int(m.group(2)) - 1, int(m.group(3) or 1)
+            kind, idx = m.group(1), int_literal(m.group(2)) - 1
+            exp = int_literal(m.group(3) or "1")
             if kind == "x":
                 if idx < 0 or idx >= ntors:
                     raise ParseError(f"no torsion generator x{idx + 1}")

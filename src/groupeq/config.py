@@ -28,7 +28,6 @@ class Config:
     wreath_order_cap: int = 10**6      # wreath product element count
     wreath_table_cap: int = 4096       # materializing a wreath Cayley table
     brute_force_cap: int = 10**6       # assignments scanned by brute_force_solve
-    counterexample_cap: int = 4096     # group realization in obstruction checks
     enumeration_cap: int = 12          # exhaustive small-group enumeration
     classify_primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
     jobs: int = 1

@@ -25,7 +25,7 @@ from operator import and_, eq
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ParseError, ValidationError, read_text_file
+from .errors import ParseError, ValidationError, int_literal, read_text_file
 from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
                      direct_product, dlog_table, is_prime, load_group_file,
                      prime_factors)
@@ -416,7 +416,7 @@ def parse_system(text: str, base_dir: str | Path | None = None,
     for sym, elem in pairs:
         if elem.startswith("#"):
             k = elem[1:]
-            if not k.isdecimal() or int(k) >= target.order:
+            if not k.isdecimal() or int_literal(k) >= target.order:
                 raise ParseError(f"bind: {sym}={elem} is not #k with "
                                  f"0 <= k < {target.order}")
             values[sym] = int(k)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the text-file reader
-that turns undecodable bytes into one of them."""
+"""Exception types shared across the package, and the readers that turn
+undecodable bytes and unconvertible integer literals into one of them."""
 
 from __future__ import annotations
 
@@ -21,6 +21,14 @@ class ValidationError(GroupEqError):
 
 class CapExceeded(GroupEqError):
     """A configured size or work cap would be exceeded."""
+
+
+def int_literal(tok: str) -> int:
+    """int(tok) for a matched integer token; past 4,300 digits, a ParseError."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"integer literal {tok[:12]}... is {len(tok)} characters long") from None
 
 
 def read_text_file(path: str | os.PathLike) -> str:

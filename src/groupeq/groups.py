@@ -5,6 +5,10 @@ Groups are stored as validated Cayley tables over element indices
 tables are normalized on construction so this holds for every group that
 leaves this module. All objects are immutable after construction and safe
 to share across threads.
+
+Subgroups are Python-int bitsets; the lattice, normal subgroups, commutator
+subgroups, both central series and Sylow subgroups all grow them with one
+closure, ``_close``.
 """
 
 from __future__ import annotations
@@ -413,36 +417,59 @@ def normal_subgroups(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Su
     return _joins(G, config, ((_close(G, 1, cls), cls) for cls in classes))
 
 
+def _generating_sequence(G: FiniteGroup, within: Subgroup | None = None) -> list[int]:
+    """Generators of *within* (default G), taken greedily by descending
+    element order, then index."""
+    elems = G.elements() if within is None else within.elements
+    gens: list[int] = []
+    span = 1
+    for g in sorted(elems, key=lambda x: (-G.element_order(x), x)):
+        if not span >> g & 1:
+            gens.append(g)
+            span = _close(G, span, gens)
+    return gens
+
+
+def _commutators(G: FiniteGroup, xs: Sequence[int], ys: Sequence[int]) -> Subgroup:
+    """[<xs>, <ys>]: the normal closure in <xs, ys> of the commutators [x, y]
+    of the generators (Robinson, A Course in the Theory of Groups, 5.1.7).
+    Each conjugate of a generator of the closure by a generator of
+    <xs, ys> that falls outside it is added, until none does."""
+    gens: list[int] = []
+    bits = 1
+    todo = [G.comm(x, y) for x in xs for y in ys]
+    while todo:
+        c = todo.pop()
+        if not bits >> c & 1:
+            gens.append(c)
+            bits = _close(G, bits, gens)
+            todo += [G.conj(c, z) for z in (*xs, *ys)]
+    return Subgroup(G, _members(bits))
+
+
+def _series(G: FiniteGroup, step: Callable[[Subgroup], Subgroup]) -> list[Subgroup]:
+    """G, step(G), step(step(G)), ..., stopping once a term repeats."""
+    series = [Subgroup(G, tuple(G.elements()))]
+    while (nxt := step(series[-1])).elements != series[-1].elements:
+        series.append(nxt)
+    return series
+
+
 def commutator_subgroup(G: FiniteGroup, within: Subgroup | None = None) -> Subgroup:
-    elems = within.elements if within is not None else tuple(G.elements())
-    gens = {G.comm(a, b) for a in elems for b in elems}
-    return generated_subgroup(G, sorted(gens))
+    """[S, S] for S = *within* (default G)."""
+    gens = _generating_sequence(G, within)
+    return _commutators(G, gens, gens)
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
     """G >= G' >= G'' >= ..., stopping once the series stabilizes."""
-    series = [Subgroup(G, tuple(G.elements()))]
-    while True:
-        nxt = commutator_subgroup(G, series[-1])
-        if nxt.elements == series[-1].elements:
-            break
-        series.append(nxt)
-        if nxt.order == 1:
-            break
-    return series
+    return _series(G, lambda S: commutator_subgroup(G, S))
 
 
 def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
-    series = [Subgroup(G, tuple(G.elements()))]
-    while True:
-        gens = {G.comm(a, b) for a in series[-1].elements for b in G.elements()}
-        nxt = generated_subgroup(G, sorted(gens))
-        if nxt.elements == series[-1].elements:
-            break
-        series.append(nxt)
-        if nxt.order == 1:
-            break
-    return series
+    """G >= [G, G] >= [[G, G], G] >= ..., stopping once it stabilizes."""
+    top = _generating_sequence(G)
+    return _series(G, lambda S: _commutators(G, _generating_sequence(G, S), top))
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -454,8 +481,8 @@ def center(G: FiniteGroup) -> Subgroup:
 
 def is_metabelian(G: FiniteGroup) -> bool:
     """Second derived subgroup is trivial."""
-    second = commutator_subgroup(G, commutator_subgroup(G))
-    return second.order == 1
+    series = derived_series(G)
+    return len(series) <= 3 and series[-1].order == 1
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
@@ -463,35 +490,20 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A subgroup of order equal to the maximal power of p dividing |G|."""
+    """A subgroup of order equal to the maximal power of p dividing |G|:
+    one pass adds each p-element that keeps the subgroup a p-group, which
+    leaves a maximal p-subgroup, hence (Sylow) a Sylow subgroup."""
     if G.order % p != 0:
         raise ValidationError(f"{p} does not divide the group order {G.order}")
-    target = 1
-    n = G.order
-    while n % p == 0:
-        target *= p
-        n //= p
-    current = generated_subgroup(G, [])
-    while current.order < target:
-        eset = current._set
-        normalizer = [g for g in G.elements()
-                      if all(G.conj(s, g) in eset for s in current.elements)]
-        grown = None
-        for y in normalizer:
-            if y in eset:
-                continue
-            o = G.element_order(y)
-            if o % p == 0 or o == p:
-                while o % p == 0:
-                    o //= p
-                cand = closure(G, list(current.elements) + [G.power(y, o)])
-                if _is_p_power(len(cand), p) and len(cand) > current.order:
-                    grown = cand
-                    break
-        if grown is None:  # cannot happen in a genuine group
-            raise ValidationError("Sylow subgroup construction got stuck")
-        current = Subgroup(G, grown)
-    return current
+    gens: list[int] = []
+    bits = 1
+    for g in G.elements():
+        if not bits >> g & 1 and _is_p_power(G.element_order(g), p):
+            grown = _close(G, bits, gens + [g])
+            if _is_p_power(grown.bit_count(), p):
+                gens.append(g)
+                bits = grown
+    return Subgroup(G, _members(bits))
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -782,55 +794,26 @@ def prime_factors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # isomorphism search
 
-def _generating_sequence(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = 1
-    for g in sorted(G.elements(), key=lambda x: (-G.element_order(x), x)):
-        if not span >> g & 1:
-            gens.append(g)
-            span = _close(G, span, gens)
-            if span.bit_count() == G.order:
-                break
-    return gens
-
-
 def _extend_map(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
                 images: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Extend gens->images multiplicatively; None on conflict."""
-    img = {0: 0}
-    frontier = [0]
-    for g, h in zip(gens, images):
-        if img.setdefault(g, h) != h:
-            return None
-        frontier.append(g)
-    known = list(img)
-    while frontier:
-        nxt = []
-        for a in list(img):
-            for g, h in zip(gens, images):
-                x = G.table[a][g]
-                y = H.table[img[a]][h]
-                if x in img:
-                    if img[x] != y:
-                        return None
-                else:
-                    img[x] = y
-                    nxt.append(x)
-        frontier = nxt
-        if len(img) == G.order:
-            break
-    if len(img) != G.order or len(set(img.values())) != G.order:
-        return None
-    image = tuple(img[a] for a in range(G.order))
-    t, s = G.table, H.table
-    for a in range(G.order):
-        ia = image[a]
-        row = t[a]
-        srow = s[ia]
-        for b in range(G.order):
-            if image[row[b]] != srow[image[b]]:
+    """Extend gens->images to an isomorphism G -> H, or None. Checking
+    img(a*g) = img(a)*h once per element a and generator g -> h makes img
+    multiplicative (induction on word length), so a bijection suffices."""
+    img: list[Optional[int]] = [None] * G.order
+    img[0] = 0
+    reached = [0]
+    for a in reached:                   # appending while iterating: breadth-first
+        row, hrow = G.table[a], H.table[img[a]]
+        for g, h in zip(gens, images):
+            x, y = row[g], hrow[h]
+            if img[x] is None:
+                img[x] = y
+                reached.append(x)
+            elif img[x] != y:
                 return None
-    return image
+    if len(reached) != G.order or len(set(img)) != G.order:
+        return None
+    return tuple(img)
 
 
 def all_isomorphisms(G: FiniteGroup, H: FiniteGroup,

@@ -5,7 +5,8 @@ and if so, does it have an abelian normal subgroup A with G/A an abelian
 p-group? Such a pair (A, p) is called a witness here; groups with a
 witness cannot carry a unimodular equation that is unsolvable in
 metabelian groups, so the audit over the bundled catalog isolates the
-order-42 exception.
+order-42 exception. G/A is abelian exactly when A contains G', so the
+search builds no quotient group; `verify_witness` re-checks through one.
 
 The counterexample side builds, for distinct primes p and q, the group
 C2 wr (Cp x Cq) and the unimodular one-variable equation whose right-hand
@@ -30,9 +31,9 @@ from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
                         compile_word, satisfies, scan_solutions)
 from .errors import CapExceeded, GroupEqError, ValidationError
-from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic,
-                     direct_product, is_metabelian, is_normal, is_prime,
-                     isomorphic, load_group_file, normal_subgroups,
+from .groups import (FiniteGroup, Subgroup, _is_p_power, commutator_subgroup,
+                     cyclic, direct_product, is_metabelian, is_normal,
+                     is_prime, isomorphic, load_group_file, normal_subgroups,
                      prime_factors, quotient, sylow_subgroup)
 from .words import (COEFF, VAR, Letter, Word, word_conjugate,
                     word_inverse, word_power)
@@ -70,20 +71,18 @@ def abelian_by_abelian_p_witness(G: FiniteGroup,
     None certifies that no normal subgroup works.
     """
     normals = normal_subgroups(G, config)
+    derived = commutator_subgroup(G).elements
     examined = 0
     for A in sorted(normals, key=lambda S: (-S.order, S.elements)):
         examined += 1
-        if not A.is_abelian():
+        # G/A is abelian iff A contains G'; the trivial quotient counts
+        # as a p-group for the least prime dividing |G|, or 2 when G = 1
+        if not A.is_abelian() or not all(d in A for d in derived):
             continue
-        Q, _ = quotient(G, A)
-        if Q.order == 1:
-            p = prime_factors(G.order)[0] if G.order > 1 else 2
-            w = Witness(A, p)
-        else:
-            ps = prime_factors(Q.order)
-            if len(ps) != 1 or not Q.is_abelian:
-                continue
-            w = Witness(A, ps[0])
+        ps = prime_factors(G.order // A.order)
+        if len(ps) > 1:
+            continue
+        w = Witness(A, ps[0] if ps else (prime_factors(G.order) + [2])[0])
         if not verify_witness(G, w):
             raise ValidationError("internal error: witness failed re-verification")
         return w, examined
@@ -152,16 +151,12 @@ def pq_structure_check(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> PqOrd
                               "distinct primes")
     p, q = ps
     syl = sylow_subgroup(G, q)
-    unique = is_normal(G, syl)
-    if not unique:
-        # cannot happen for |G| = pq with q > p; re-derive by counting
-        count = len({tuple(sorted(G.conj(s, g) for s in syl.elements))
-                     for g in G.elements()})
-        raise ValidationError(f"Sylow {q}-subgroup is not unique ({count} found)")
+    if not is_normal(G, syl):       # cannot happen for |G| = pq with q > p
+        raise ValidationError(f"Sylow {q}-subgroup is not unique")
     w = Witness(syl, p)
     if not verify_witness(G, w):
         raise ValidationError("internal error: pq witness failed verification")
-    return PqOrderReport(G.name, p, q, unique, w)
+    return PqOrderReport(G.name, p, q, True, w)
 
 
 @dataclass(frozen=True)
@@ -359,7 +354,9 @@ def counterexample_text(p: int, q: int, n: int, m: int) -> str:
 def counterexample_build(p: int, q: int, symbolic: bool = False,
                          config: Config = DEFAULT_CONFIG) -> CounterexampleInstance:
     """The wreath-product instance C2 wr (Cp x Cq) with its unimodular
-    equation; n is the least positive integer with n*p = 1 (mod q)."""
+    equation; n is the least positive integer with n*p = 1 (mod q). The
+    group is packed-index arithmetic with no Cayley table, bounded by
+    ``wreath_order_cap``; symbolic mode builds no group."""
     if not (is_prime(p) and is_prime(q)):
         raise ValidationError(f"{p} and {q} must be prime")
     if p == q:
@@ -373,16 +370,9 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     if not cls.unimodular:
         raise ValidationError("internal error: the equation must be unimodular")
 
-    order = 2 ** (p * q) * p * q
-    realized = order <= config.counterexample_cap
     if symbolic:
         return CounterexampleInstance(p, q, n, m, None, None, None, None,
                                       system, cls, False)
-    if not realized:
-        raise CapExceeded(
-            f"group order {order} exceeds the realization cap "
-            f"{config.counterexample_cap}; use symbolic mode for the ring "
-            "identity alone")
     top = direct_product(cyclic(p), cyclic(q))
     W = wreath_product(cyclic(2, gen_symbol="c"), top, config)
     a = W.embed_top(q)         # (g_p, 1): index 1*q + 0
@@ -436,8 +426,8 @@ def obstruction_check(inst: CounterexampleInstance,
     """Exact check of both halves of the obstruction.
 
     (i)  S*(1+ab) = S*(a+b) in Z[Cp x Cq], by expansion.
-    (ii) (c c^(ab))^(1+ab) != (c c^(ab))^(a+b) in the wreath group, when
-         it is realizable under the cap.
+    (ii) (c c^(ab))^(1+ab) != (c c^(ab))^(a+b) in the wreath group,
+         unless the instance is symbolic.
     """
     spec = IntegralGroupSpec((inst.p, inst.q), 0)
     one = AlgebraElement.one(spec)
@@ -446,7 +436,7 @@ def obstruction_check(inst: CounterexampleInstance,
     S = obstruction_s_element(inst.p, inst.q, inst.n, inst.m)
     ring_ok = (S * (one + a * b)) == (S * (a + b))
 
-    if inst.wreath is None or not inst.realized:
+    if not inst.realized:
         return ObstructionReport(ring_ok, S, S.is_zero(), None, None)
 
     W = inst.wreath

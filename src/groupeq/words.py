@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple
 
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, ParseError, int_literal
 
 VAR = "v"
 COEFF = "c"
@@ -141,7 +141,7 @@ class _Parser:
             self.next()
             tok, col = self.next()
             if re.fullmatch(r"-?\d+", tok):
-                word = word_power(word, int(tok))
+                word = word_power(word, int_literal(tok))
             elif tok == "(":
                 by = self.parse_word(stop=(")",))
                 self.expect(")")

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +96,26 @@ def test_metabelian_census():
     non_metabelian = [name for name, G in build_all(AUDIT_ORDERS)
                       if not is_metabelian(G)]
     assert sorted(non_metabelian) == ["S4", "SL(2,3)"]
+
+
+def _make_catalog_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_catalog.py"
+    spec = importlib.util.spec_from_file_location("make_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_catalog_check_names_differing_files(tmp_path, capsys):
+    make_catalog = _make_catalog_script()
+    assert make_catalog.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    files = make_catalog.expected_files()
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert make_catalog.differing_files(tmp_path, files) == []
+    (tmp_path / "002_c2.grp").write_text("group C2 order 2\ngenerators:\n(1 2)\n")
+    (tmp_path / "CITATIONS").unlink()
+    (tmp_path / "999_extra.grp").write_text("group X order 1\ntable:\n0\n")
+    assert make_catalog.differing_files(tmp_path, files) == [
+        "002_c2.grp", "999_extra.grp", "CITATIONS"]

@@ -214,6 +214,21 @@ MALFORMED = {
     "x^99999999": (["analyze-system", "s.sys"], {"s.sys": b"vars: x\neq: x^99999999\n"}),
     "(x^100000)^100000": (["analyze-system", "s.sys"],
                           {"s.sys": b"vars: x\neq: (x^100000)^100000\n"}),
+    # integer literals past the interpreter's 4,300-digit int-to-str limit
+    "x^<5000 digits>": (["analyze-system", "s.sys"],
+                        {"s.sys": b"vars: x\neq: x^" + b"9" * 5000 + b"\n"}),
+    "#<5000 digits>": (["analyze-system", "s.sys"],
+                       {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#"
+                                 + b"1" * 5000 + b"\neq: x = g\n"}),
+    "row: x1^<5000 digits>": (["certify-rows", "r.alg"],
+                              {"r.alg": b"algebra p=2 torsion=1\nrow: x1^" + b"1" * 5000
+                                        + b"\n"}),
+    "row: <5000 digits>": (["certify-rows", "r.alg"],
+                           {"r.alg": b"algebra p=2 torsion=1\nrow: " + b"1" * 5000 + b"\n"}),
+    "torsion=20000": (["certify-rows", "r.alg"],
+                      {"r.alg": b"algebra p=2 torsion=20000\nrow: 0\n"}),
+    "torsion=1000000000": (["certify-rows", "r.alg"],
+                           {"r.alg": b"algebra p=2 torsion=1000000000\nrow: 0\n"}),
 }
 
 

@@ -3,8 +3,11 @@
 The subgroup lattice is checked against the pairwise-join fixed point of
 cyclic closures (normal subgroups by an explicit conjugation filter), and
 Cayley tables built from generators against n^2 permutation compositions.
-A5 and S5 are not solvable, so they check that the lattice search is
-complete beyond the solvable groups of the catalog.
+Commutator subgroups and both central series are checked against the
+closure of all pairwise commutators, Sylow subgroups against the p-part
+of the order, and automorphism counts against known values.
+A5 and S5 are not solvable, so they check that the searches are complete
+beyond the solvable groups of the catalog.
 """
 
 import io
@@ -17,9 +20,12 @@ from groupeq.catalog import bundled_catalog_dir
 from groupeq.cli import main
 from groupeq.config import Config
 from groupeq.errors import CapExceeded, ParseError
-from groupeq.groups import (all_subgroups, cycles_str, from_generators,
-                            load_group, load_group_file, normal_subgroups,
-                            parse_cycles, perm_compose)
+from groupeq.groups import (all_subgroups, automorphisms, commutator_subgroup,
+                            cycles_str, cyclic, derived_series, direct_product,
+                            from_generators, load_group, load_group_file,
+                            lower_central_series, normal_subgroups, parse_cycles,
+                            perm_compose, prime_factors, sylow_subgroup)
+from groupeq.wreath import wreath_product
 
 CATALOG = sorted(bundled_catalog_dir().glob("*.grp"))
 NON_SOLVABLE = {"A5": ["(1 2 3)", "(3 4 5)"], "S5": ["(1 2)", "(1 2 3 4 5)"]}
@@ -147,3 +153,59 @@ def test_header_order_bounds_the_closure(tmp_path):
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue() == ("error: generators produce a group of order more than 6, "
                               "header says 6\n")
+
+
+def _ref_commutators(G, xs, ys):
+    return _ref_closure(G, [G.comm(x, y) for x in xs for y in ys])
+
+
+def _ref_series(G, step):
+    series = [frozenset(G.elements())]
+    while (nxt := step(series[-1])) != series[-1]:
+        series.append(nxt)
+    return [tuple(sorted(S)) for S in series]
+
+
+def _load(source):
+    if isinstance(source, Path):
+        return load_group_file(source)
+    if source == "C2wrC6":
+        return wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(3))).realize()
+    return from_generators(NON_SOLVABLE[source])
+
+
+STRUCTURE_GROUPS = ([pytest.param(path, id=path.stem) for path in CATALOG]
+                    + [pytest.param(name, id=name) for name in (*NON_SOLVABLE, "C2wrC6")])
+
+
+@pytest.mark.parametrize("source", STRUCTURE_GROUPS)
+def test_series_and_sylow_match_all_pairs_reference(source):
+    G = _load(source)
+    derived = _ref_series(G, lambda S: _ref_commutators(G, S, S))
+    lower = _ref_series(G, lambda S: _ref_commutators(G, S, G.elements()))
+    assert [S.elements for S in derived_series(G)] == derived
+    assert [S.elements for S in lower_central_series(G)] == lower
+    for p in prime_factors(G.order):
+        part = 1
+        while G.order % (part * p) == 0:
+            part *= p
+        assert sylow_subgroup(G, p).order == part
+
+
+SMALL = [path for path in CATALOG if int(path.name.split("_")[0]) <= 24]
+
+
+@pytest.mark.parametrize("path", SMALL, ids=lambda p: p.stem)
+def test_commutator_of_every_subgroup_matches_all_pairs(path):
+    G = load_group_file(path)
+    for S in all_subgroups(G):
+        want = tuple(sorted(_ref_commutators(G, S.elements, S.elements)))
+        assert commutator_subgroup(G, S).elements == want
+
+
+@pytest.mark.parametrize("stem,count", [
+    ("008_d4", 8), ("008_q8", 24), ("008_c23", 168), ("012_a4", 24),
+    ("024_s4", 24), ("009_c32", 48), ("010_d5", 20), ("024_sl23", 24)])
+def test_automorphism_group_orders(stem, count):
+    G = load_group_file(bundled_catalog_dir() / f"{stem}.grp")
+    assert len(automorphisms(G)) == count

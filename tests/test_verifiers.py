@@ -125,7 +125,7 @@ def test_counterexample_rejects_bad_primes():
 
 def test_counterexample_cap_and_symbolic():
     with pytest.raises(CapExceeded):
-        counterexample_build(2, 5)
+        counterexample_build(3, 7)      # order 2^21 * 21 is over wreath_order_cap
     inst = counterexample_build(2, 5, symbolic=True)
     rep = obstruction_check(inst)
     assert rep.ring_identity_holds
