@@ -15,8 +15,10 @@ truncation). Two coefficient settings are used:
   for exact identities in integral group rings.
 
 Certificates are sufficient, never necessary: "not certified" makes no
-claim. For finite algebras the regular representation gives an exact
-zero-divisor oracle, and small row families admit exhaustive refutation.
+claim. For finite algebras the regular representation is the one exact
+oracle: the rank of its images decides zero divisors, and one elimination
+of [images | I] finds an annihilating combination of rows or proves that
+there is none.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Sequence
 
 from .equations import echelon, rank_mod_p
@@ -239,7 +242,7 @@ class AlgebraMatrix:
         width = len(entries[0]) if entries else 0
         for row in entries:
             if len(row) != width:
-                raise ValidationError("matrix rows have unequal lengths")
+                raise ValidationError("rows have unequal lengths")
             for e in row:
                 if e.spec != self.spec:
                     raise ValidationError("matrix entry has a different spec")
@@ -278,33 +281,16 @@ def augmentation_matrix(M: AlgebraMatrix) -> list[list[int]]:
     return [[augmentation(e) for e in row] for row in M.entries]
 
 
-@dataclass(frozen=True)
-class RowFamily:
-    spec: Spec
-    rows: tuple[tuple[AlgebraElement, ...], ...]
+class RowFamily(AlgebraMatrix):
+    """A matrix read as a family of rows over the algebra."""
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        width = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != width:
-                raise ValidationError("row family rows have unequal lengths")
-            for e in r:
-                if e.spec != self.spec:
-                    raise ValidationError("row entry has a different spec")
+    @property
+    def rows(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        return self.entries
 
 
 # ---------------------------------------------------------------------------
 # nilpotent basis expansion
-
-def _binomials(n: int) -> list[list[int]]:
-    rows = [[1]]
-    for i in range(1, n):
-        prev = rows[-1]
-        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, i)] + [1])
-    return rows
-
 
 def nilpotent_basis_expansion(m: AlgebraElement, var: int) -> list[AlgebraElement]:
     """Coefficients M_0..M_{P-1} with m = sum M_t (x-1)^t, x the var-th
@@ -316,7 +302,6 @@ def nilpotent_basis_expansion(m: AlgebraElement, var: int) -> list[AlgebraElemen
     if var < 0 or var >= len(spec.torsion_orders):
         raise ValidationError(f"no torsion generator with index {var}")
     P = spec.torsion_orders[var]
-    comb = _binomials(P)
     out_terms: list[dict] = [dict() for _ in range(P)]
     char = spec.characteristic
     for (tv, fv), c in m.terms:
@@ -325,7 +310,7 @@ def nilpotent_basis_expansion(m: AlgebraElement, var: int) -> list[AlgebraElemen
         key = (tv0, fv)
         for t in range(d + 1):
             acc = out_terms[t]
-            val = acc.get(key, 0) + comb[d][t] * c
+            val = acc.get(key, 0) + comb(d, t) * c
             acc[key] = val % char if char else val
     return [AlgebraElement(spec, terms) for terms in out_terms]
 
@@ -382,6 +367,15 @@ class RowIndependenceCertificate:
     field: str          # "Z_p" or "Q"
 
 
+def _augmented_independence(rows: RowFamily, p: int | None,
+                            field: str) -> RowIndependenceCertificate | None:
+    aug = augmentation_matrix(rows)
+    e = echelon(aug, p)
+    if e.rank < len(aug):
+        return None
+    return RowIndependenceCertificate(tuple(map(tuple, aug)), e.pivots, e.det, field)
+
+
 def certify_row_independence(rows: RowFamily) -> RowIndependenceCertificate | None:
     """Independence of rows over Z_p[P x Z^r] via augmentation to Z_p.
 
@@ -390,13 +384,7 @@ def certify_row_independence(rows: RowFamily) -> RowIndependenceCertificate | No
     """
     if not isinstance(rows.spec, AbelianGroupSpec):
         raise ValidationError("this certificate needs the prime-field setting")
-    p = rows.spec.p
-    aug = [[augmentation(e) for e in r] for r in rows.rows]
-    e = echelon(aug, p)
-    if e.rank < len(aug):
-        return None
-    return RowIndependenceCertificate(
-        tuple(tuple(r) for r in aug), e.pivots, e.det, f"Z_{p}")
+    return _augmented_independence(rows, rows.spec.p, f"Z_{rows.spec.p}")
 
 
 def certify_row_independence_rational(rows: RowFamily) -> RowIndependenceCertificate | None:
@@ -405,12 +393,7 @@ def certify_row_independence_rational(rows: RowFamily) -> RowIndependenceCertifi
         raise ValidationError("rational certification needs integer coefficients")
     if rows.spec.torsion_orders:
         raise ValidationError("rational certification needs a torsion-free group")
-    aug = [[augmentation(e) for e in r] for r in rows.rows]
-    e = echelon(aug)
-    if e.rank < len(aug):
-        return None
-    return RowIndependenceCertificate(
-        tuple(tuple(r) for r in aug), e.pivots, e.det, "Q")
+    return _augmented_independence(rows, None, "Q")
 
 
 # ---------------------------------------------------------------------------
@@ -432,76 +415,80 @@ def all_elements(spec: Spec) -> Iterator[AlgebraElement]:
         yield AlgebraElement(spec, list(zip(monos, coeffs)))
 
 
+def _images(spec: Spec, rows: Sequence[Sequence[AlgebraElement]]) -> list[list[int]]:
+    """Row (i, m) is the monomial m times ``rows[i]`` in Z_p coordinates over
+    (column, monomial): the matrix of c -> c*R on A^k, for finite specs."""
+    if not isinstance(spec, AbelianGroupSpec):
+        raise ValidationError("the regular representation needs the prime-field setting")
+    monos = _finite_monomials(spec)
+    pos = {tv: i for i, (tv, _) in enumerate(monos)}
+    nm, orders = len(monos), spec.torsion_orders
+    out = []
+    for row in rows:
+        for tv, _ in monos:
+            image = [0] * (nm * len(row))
+            for j, entry in enumerate(row):
+                for (tv2, _), c in entry.terms:   # m permutes the monomials
+                    image[j * nm + pos[tuple((a + b) % o for a, b, o
+                                             in zip(tv, tv2, orders))]] = c
+            out.append(image)
+    return out
+
+
+def _side_images(M: AlgebraMatrix, side: str) -> list[list[int]]:
+    if side not in ("left", "right"):
+        raise ValidationError("side must be 'left' or 'right'")
+    return _images(M.spec, M.entries if side == "right" else tuple(zip(*M.entries)))
+
+
 def regular_representation(M: AlgebraMatrix, side: str = "left") -> list[list[int]]:
-    """The Z_p-matrix of (left/right) multiplication by M on the free module.
+    """The Z_p-matrix of multiplication by M on the free module: v -> M*v on
+    columns (left) or v -> v*M on rows (right), for any shape.
 
     Only defined for finite algebras. M is a left (right) zero divisor
     exactly when the corresponding operator is singular.
     """
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'")
-    if not isinstance(M.spec, AbelianGroupSpec):
-        raise ValidationError("regular representation needs the prime-field setting")
-    monos = _finite_monomials(M.spec)
-    mono_pos = {m: i for i, m in enumerate(monos)}
-    nm = len(monos)
-    n = M.ncols if side == "left" else M.nrows
-    dim = n * nm
-    p = M.spec.p
-    op = [[0] * dim for _ in range(dim)]
-    orders = M.spec.torsion_orders
-    for slot in range(n):
-        for mi, (tv, fv) in enumerate(monos):
-            col = slot * nm + mi
-            # image of basis vector e_slot * monomial
-            for other in range(M.nrows if side == "left" else M.ncols):
-                entry = (M.entries[other][slot] if side == "left"
-                         else M.entries[slot][other])
-                for (tv2, fv2), c in entry.terms:
-                    tv3 = tuple((a + b) % o for a, b, o in zip(tv, tv2, orders))
-                    row = other * nm + mono_pos[(tv3, ())]
-                    op[row][col] = (op[row][col] + c) % p
-    return op
+    return [list(col) for col in zip(*_side_images(M, side))]
 
 
 def is_zero_divisor(M: AlgebraMatrix, side: str = "left") -> bool:
-    """Exact decision via the regular representation (finite specs)."""
-    op = regular_representation(M, side)
-    dim = len(op)
-    return rank_mod_p(op, M.spec.p) < dim
+    """Exact decision: the operator's rank is below its column count."""
+    images = _side_images(M, side)
+    return rank_mod_p(images, M.spec.p) < len(images)
 
 
 def find_annihilating_combination(rows: RowFamily,
                                   work_cap: int = 10 ** 6
                                   ) -> tuple[AlgebraElement, ...] | None:
-    """Exhaustive search for nonzero coefficients with sum c_i * row_i = 0."""
-    if not isinstance(rows.spec, AbelianGroupSpec):
-        raise ValidationError("exhaustive refutation needs a finite prime-field algebra")
+    """Nonzero coefficients with sum c_i * row_i = 0, or None when there are
+    none: one elimination of [images | I], where a reduced row whose pivot
+    lies in the identity block carries such c. ``work_cap`` bounds the
+    entries of that matrix before it is built."""
     spec = rows.spec
-    k = len(rows.rows)
+    if not isinstance(spec, AbelianGroupSpec):
+        raise ValidationError("the row oracle needs a finite prime-field algebra")
+    k, width = rows.nrows, rows.ncols
     if k == 0:
         return None
-    # p^s monomials; p^e >= 2^e > work_cap once e reaches work_cap's bit length
-    s, bits = sum(spec.torsion_exponents), work_cap.bit_length()
-    if s >= bits or spec.p ** s * k >= bits or spec.p ** (spec.p ** s * k) > work_cap:
-        raise ValidationError(f"search space {spec.p}^({spec.p}^{s}*{k}) exceeds the work cap")
-    width = len(rows.rows[0])
-    zero = AlgebraElement.zero(spec)
-    pool = list(all_elements(spec))
-    for combo in itertools.product(pool, repeat=k):
-        if all(c.is_zero() for c in combo):
-            continue
-        ok = True
-        for j in range(width):
-            acc = zero
-            for c, row in zip(combo, rows.rows):
-                acc = acc + c * row[j]
-            if not acc.is_zero():
-                ok = False
-                break
-        if ok:
-            return combo
-    return None
+    # p^s monomials; p^s >= 2^s > work_cap once s reaches work_cap's bit length
+    s = sum(spec.torsion_exponents)
+    if s >= work_cap.bit_length() or k * (width + k) * spec.p ** (2 * s) > work_cap:
+        raise ValidationError(f"the row oracle's matrix over {spec.p}^{s} "
+                              f"monomials exceeds the work cap {work_cap}")
+    monos = _finite_monomials(spec)
+    nm = len(monos)
+    ech = echelon([img + [int(i == r) for i in range(k * nm)]
+                   for r, img in enumerate(_images(spec, rows.entries))], spec.p)
+    c = next((row[width * nm:] for row, piv in zip(ech.rows, ech.pivots)
+              if piv >= width * nm), None)
+    if c is None:
+        return None
+    combo = tuple(AlgebraElement(spec, zip(monos, c[i * nm:(i + 1) * nm]))
+                  for i in range(k))
+    if not (AlgebraMatrix(spec, (combo,)) * rows).is_zero():
+        raise ValidationError("internal error: the annihilating combination "
+                              "failed re-verification")
+    return combo
 
 
 def decide_row_independence(rows: RowFamily, work_cap: int = 10 ** 6) -> str:

@@ -198,11 +198,12 @@ def _apply_2x2(D: IntMatrix, U: IntMatrix, V: IntMatrix, i: int,
 @dataclass(frozen=True)
 class Echelon:
     """Outcome of `echelon`: the rank, the pivot column of each pivot row,
-    and the determinant of the minor on those columns (0 when the rows are
-    dependent)."""
+    the determinant of the minor on those columns (0 when the rows are
+    dependent), and the reduced rows, pivot rows first in pivot order."""
     rank: int
     pivots: tuple[int, ...]
     det: int | Fraction
+    rows: list[list[int | Fraction]]
 
 
 def echelon(A: Sequence[Sequence[int]], p: int | None = None) -> Echelon:
@@ -251,7 +252,7 @@ def echelon(A: Sequence[Sequence[int]], p: int | None = None) -> Echelon:
         det = 0
     elif p is not None:
         det %= p
-    return Echelon(len(pivots), tuple(pivots), det)
+    return Echelon(len(pivots), tuple(pivots), det, m)
 
 
 def rank_mod_p(A: Sequence[Sequence[int]], p: int) -> int:

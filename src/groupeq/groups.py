@@ -27,6 +27,7 @@ from .errors import CapExceeded, ParseError, ValidationError, read_text_file
 from .words import strip_comment
 
 Perm = tuple[int, ...]
+MAX_TABLE_ORDER = 4096     # largest order a group file may declare (order^2 table)
 
 
 # ---------------------------------------------------------------------------
@@ -761,18 +762,25 @@ def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG
     return FiniteGroup(table, names, name=name)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981   # Sorenson and Webster 2015
+_SMALL_PRIMES = frozenset(n for n in range(2, 43 * 43)   # composites have a factor <= 41
+                          if all(n % b for b in _MR_BASES if b < n))
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """A set lookup below 43^2; above, Miller-Rabin to the 13 prime bases up
+    to 41 (a base sharing a factor with n is a witness), exact below
+    ``_MR_EXACT_BELOW`` and CapExceeded from there on."""
+    if n < 43 * 43:
+        return n in _SMALL_PRIMES
+    if n >= _MR_EXACT_BELOW:
+        raise CapExceeded(f"cannot decide whether {n} is prime (exact below {_MR_EXACT_BELOW})")
+    s = ((n - 1) & (1 - n)).bit_length() - 1       # n - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -933,6 +941,8 @@ def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
         raise ParseError(f"bad order in header: {header[3]!r}") from exc
     if order < 1:
         raise ParseError("order must be positive")
+    if order > MAX_TABLE_ORDER:
+        raise CapExceeded(f"group order {order} exceeds the table cap {MAX_TABLE_ORDER}")
     if len(lines) < 2:
         raise ParseError("missing body (table: or generators:)")
     mode = lines[1].strip()

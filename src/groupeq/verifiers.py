@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import (AlgebraElement, IntegralGroupSpec, format_element)
+from .algebra import (MAX_ORDER_DIGITS, AlgebraElement, IntegralGroupSpec,
+                      format_element)
 from .catalog import AUDIT_ORDERS, EXPECTED_COUNTS
 from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
@@ -35,9 +36,9 @@ from .groups import (FiniteGroup, Subgroup, _is_p_power, commutator_subgroup,
                      cyclic, direct_product, is_metabelian, is_normal,
                      is_prime, isomorphic, load_group_file, normal_subgroups,
                      prime_factors, quotient, sylow_subgroup)
-from .words import (COEFF, VAR, Letter, Word, word_conjugate,
+from .words import (COEFF, VAR, Letter, Word, _check_length, word_conjugate,
                     word_inverse, word_power)
-from .wreath import WreathGroup, wreath_product
+from .wreath import WreathGroup, wreath_order, wreath_product
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +334,13 @@ def counterexample_equation(p: int, q: int, n: int, m: int) -> Word:
     a = (Letter(COEFF, "a", +1),)
     b = (Letter(COEFF, "b", +1),)
     c = (Letter(COEFF, "c", +1),)
-    lhs: Word = ()
-    for k in range(p):
-        lhs += word_conjugate(word_power(x, n), word_power(a, k))
+    lhs: list[Letter] = []
+    for k in range(p):       # x^(n a^k) = a^-k x^n a^k
+        lhs += word_power(a, -k) + word_power(x, n) + word_power(a, k)
     for k in range(q):
-        lhs += word_conjugate(word_power(x, m), word_power(b, k))
+        lhs += word_power(b, -k) + word_power(x, m) + word_power(b, k)
     rhs = c + word_conjugate(c, a + b)
-    return lhs + word_inverse(rhs)
+    return tuple(lhs) + word_inverse(rhs)
 
 
 def counterexample_text(p: int, q: int, n: int, m: int) -> str:
@@ -356,7 +357,8 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     """The wreath-product instance C2 wr (Cp x Cq) with its unimodular
     equation; n is the least positive integer with n*p = 1 (mod q). The
     group is packed-index arithmetic with no Cayley table, bounded by
-    ``wreath_order_cap``; symbolic mode builds no group."""
+    ``wreath_order_cap``; symbolic mode builds no group. The order's digit
+    count, that cap and the word length are checked before anything is built."""
     if not (is_prime(p) and is_prime(q)):
         raise ValidationError(f"{p} and {q} must be prime")
     if p == q:
@@ -364,6 +366,13 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     n = pow(p, -1, q)
     m = (1 - n * p) // q
     assert n * p + m * q == 1
+    limit = 10 ** MAX_ORDER_DIGITS      # 2^e >= limit once e reaches its bit length
+    if 2 ** min(p * q, limit.bit_length()) * p * q >= limit:
+        raise CapExceeded(f"group order 2^{p * q} * {p * q} has more than "
+                          f"{MAX_ORDER_DIGITS} digits")
+    if not symbolic:
+        wreath_order(2, p * q, config)
+    _check_length(p * abs(n) + p * (p - 1) + q * abs(m) + q * (q - 1) + 6)
     word = counterexample_equation(p, q, n, m)
     system = EquationSystem(("x",), ("a", "b", "c"), (word,))
     cls = classify(system)
@@ -411,12 +420,8 @@ def obstruction_s_element(p: int, q: int, n: int, m: int) -> AlgebraElement:
     one = AlgebraElement.one(spec)
     a = AlgebraElement.monomial(spec, (1, 0))
     b = AlgebraElement.monomial(spec, (0, 1))
-    sum_a = AlgebraElement.zero(spec)
-    for k in range(p):
-        sum_a = sum_a + AlgebraElement.monomial(spec, (k, 0))
-    sum_b = AlgebraElement.zero(spec)
-    for k in range(q):
-        sum_b = sum_b + AlgebraElement.monomial(spec, (0, k))
+    sum_a = AlgebraElement(spec, [(((k, 0), ()), 1) for k in range(p)])
+    sum_b = AlgebraElement(spec, [(((0, k), ()), 1) for k in range(q)])
     return (one + b) * sum_a * AlgebraElement.scalar(spec, n) + \
            (one + a) * sum_b * AlgebraElement.scalar(spec, m)
 

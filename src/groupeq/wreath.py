@@ -39,19 +39,24 @@ from .groups import (FiniteGroup, Homomorphism, Subgroup, abelian_p_basis,
 from .words import VAR
 
 
+def wreath_order(base_order: int, top_order: int, config: Config = DEFAULT_CONFIG) -> int:
+    """|H|^|B| * |B|, or CapExceeded over ``wreath_order_cap`` (no power past its bit length)."""
+    cap = config.wreath_order_cap
+    order = base_order ** min(top_order, cap.bit_length()) * top_order
+    if order > cap:
+        raise CapExceeded(f"wreath product order {base_order}^{top_order} * "
+                          f"{top_order} exceeds cap {cap}")
+    return order
+
+
 class WreathGroup:
     """H wr B on packed element indices; identity is index 0."""
 
     def __init__(self, base: FiniteGroup, top: FiniteGroup,
                  config: Config = DEFAULT_CONFIG) -> None:
-        order = base.order ** top.order * top.order
-        if order > config.wreath_order_cap:
-            raise CapExceeded(
-                f"wreath product order {base.order}^{top.order} * {top.order} "
-                f"exceeds cap {config.wreath_order_cap}")
+        self.order = wreath_order(base.order, top.order, config)
         self.base = base
         self.top = top
-        self.order = order
         self._config = config
         self._group: FiniteGroup | None = None
 

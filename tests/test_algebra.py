@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -294,3 +295,111 @@ def test_text_format_errors():
         parse_element(Z2C2, "t1")
     with pytest.raises(ParseError):
         parse_row_file("row: 1\n")
+
+
+# -- the row oracle against exhaustive search ---------------------------------
+
+ORACLE_SPECS = (AbelianGroupSpec(2, ()), Z2C2, Z2C4, Z3C3,
+                AbelianGroupSpec(2, (1, 1)), AbelianGroupSpec(5, ()))
+
+
+def _exhaustive_annihilator(fam):
+    """The first nonzero coefficient tuple c with sum c_i * row_i = 0 in
+    lexicographic order over `all_elements`, or None."""
+    pool = list(all_elements(fam.spec))
+    zero = AlgebraElement.zero(fam.spec)
+    for combo in itertools.product(pool, repeat=len(fam.rows)):
+        if any(not c.is_zero() for c in combo) and all(
+                sum((c * row[j] for c, row in zip(combo, fam.rows)), zero).is_zero()
+                for j in range(fam.ncols)):
+            return combo
+    return None
+
+
+def _random_family(rng, spec, k, width):
+    pool = list(all_elements(spec))
+    return RowFamily(spec, tuple(tuple(rng.choice(pool) for _ in range(width))
+                                 for _ in range(k)))
+
+
+def test_annihilator_oracle_matches_exhaustive_search():
+    rng = random.Random(8)
+    refuted = decided = 0
+    for spec in ORACLE_SPECS:
+        for _ in range(12):
+            # keep p^(monomials * k) small enough for the reference scan
+            k = rng.randint(1, 2 if spec is Z3C3 else 3)
+            fam = _random_family(rng, spec, k, rng.randint(1, 3))
+            witness = find_annihilating_combination(fam)
+            assert (witness is None) == (_exhaustive_annihilator(fam) is None)
+            decided += 1
+            if witness is not None:
+                refuted += 1
+                assert len(witness) == k and any(not c.is_zero() for c in witness)
+                product = AlgebraMatrix(spec, (witness,)) * fam
+                assert product.is_zero()
+            # Z_p[P] is local: augmentation independence is exact
+            assert (certify_row_independence(fam) is None) == (witness is not None)
+    assert decided == 72 and 10 < refuted < 62
+
+
+def test_annihilator_oracle_on_families_of_any_shape():
+    rng = random.Random(9)
+    for spec in ORACLE_SPECS:
+        for k, width in ((1, 1), (2, 1), (1, 3), (4, 2), (3, 0)):
+            fam = _random_family(rng, spec, k, width)
+            witness = find_annihilating_combination(fam)
+            assert (certify_row_independence(fam) is None) == (witness is not None)
+            if witness is not None:
+                assert (AlgebraMatrix(spec, (witness,)) * fam).is_zero()
+    assert find_annihilating_combination(RowFamily(Z2C2, ())) is None
+
+
+def test_annihilator_oracle_cap_bounds_the_augmented_matrix():
+    # 2 rows of width 3 over Z_2[C2]: (2*2) x ((3+2)*2) = 40 entries
+    fam = RowFamily(Z2C2, ((one(Z2C2), x(Z2C2), one(Z2C2)),
+                           (x(Z2C2), one(Z2C2), x(Z2C2))))
+    assert find_annihilating_combination(fam, work_cap=40) is not None
+    assert decide_row_independence(fam, 40) == "refuted"
+    with pytest.raises(ValidationError):
+        find_annihilating_combination(fam, work_cap=39)
+    assert decide_row_independence(fam, 39) == "unknown"
+    huge = RowFamily(AbelianGroupSpec(2, (40,)),
+                     ((AlgebraElement.zero(AbelianGroupSpec(2, (40,))),),))
+    with pytest.raises(ValidationError):
+        find_annihilating_combination(huge)
+
+
+def _coordinates(e, monos):
+    coeffs = dict(e.terms)
+    return [coeffs.get(m, 0) for m in monos]
+
+
+@pytest.mark.parametrize("shape,side,zero_divisor", [
+    ((1, 3), "left", True), ((1, 3), "right", False),
+    ((3, 1), "left", False), ((3, 1), "right", True),
+    ((2, 2), "left", False), ((2, 2), "right", False)])
+def test_regular_representation_of_any_shape(shape, side, zero_divisor):
+    spec = Z2C2
+    e1, ex = one(spec), x(spec)
+    entries = {(1, 3): ((e1, ex, e1 + ex),), (3, 1): ((e1,), (ex,), (e1 + ex,)),
+               (2, 2): ((e1, e1 + ex), (AlgebraElement.zero(spec), ex))}[shape]
+    M = AlgebraMatrix(spec, entries)
+    monos = [((i,), ()) for i in range(2)]
+    nrows, ncols = shape
+    op = regular_representation(M, side)
+    dom, cod = (ncols, nrows) if side == "left" else (nrows, ncols)
+    assert len(op) == cod * 2 and all(len(r) == dom * 2 for r in op)
+    zero = AlgebraElement.zero(spec)
+    for slot in range(dom):
+        for mi, mono in enumerate(monos):
+            basis = [zero] * dom
+            basis[slot] = AlgebraElement(spec, [(mono, 1)])
+            if side == "left":
+                image = (M * AlgebraMatrix(spec, tuple((b,) for b in basis))).entries
+                image = [row[0] for row in image]
+            else:
+                image = (AlgebraMatrix(spec, (tuple(basis),)) * M).entries[0]
+            expected = [c for e in image for c in _coordinates(e, monos)]
+            assert [row[slot * 2 + mi] for row in op] == expected
+    assert (rank_mod_p(op, 2) < dom * 2) == zero_divisor == is_zero_divisor(M, side)

@@ -293,6 +293,55 @@ def test_certify_rows_work_cap_is_checked_before_enumerating(tmp_path, torsion):
     assert out.endswith("verdict: unknown\n")
 
 
+def test_certify_rows_decides_families_past_the_old_search_space(tmp_path):
+    # 5 rows over Z_2[C4]: p^(4*5) = 2^20 coefficient tuples, a 20 x 40 matrix
+    rows = ["1 + x1 ; 0 ; 0 ; 0 ; 0"] + [
+        " ; ".join("1" if j == i else "0" for j in range(5)) for i in range(1, 5)]
+    alg = tmp_path / "r.alg"
+    alg.write_text("algebra p=2 torsion=2\n" + "".join(f"row: {r}\n" for r in rows))
+    code, out, err = run_cli(["certify-rows", str(alg)])
+    assert (code, err) == (1, "")
+    assert out.endswith("verdict: refuted\n")
+
+
+def test_ragged_row_file_is_one_error_line(tmp_path):
+    alg = tmp_path / "r.alg"
+    alg.write_text("algebra p=2 torsion=1\nrow: 1 ; x1\nrow: 1\n")
+    assert run_cli(["certify-rows", str(alg)]) == (
+        2, "", "error: rows have unequal lengths\n")
+
+
+def test_huge_primes_are_decided_at_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.sys").write_text("vars: x y\neq: x^2 y\neq: x y^3\n")
+    code, out, err = run_cli(["analyze-system", "s.sys", "--prime", "1000000000000000003"])
+    assert (code, err) == (0, "") and "p=1000000000000000003 yes" in out
+    (tmp_path / "r.alg").write_text("algebra p=1000000016000000063\nrow: 1\n")
+    code, out, err = run_cli(["certify-rows", "r.alg"])
+    assert (code, out, err) == (2, "", "error: 1000000016000000063 is not prime\n")
+    code, out, err = run_cli(["counterexample", "--p", str(10 ** 30 + 57), "--q", "2"])
+    assert (code, out) == (2, "") and err.startswith("error: cannot decide whether ")
+
+
+def test_group_file_over_the_table_cap_is_refused_before_its_body(tmp_path):
+    # without the cap this file builds a 40,320 x 40,320 table (about 13 GB),
+    # so it runs in a child process whose address space is capped at 600 MB
+    resource = pytest.importorskip("resource")
+    grp = tmp_path / "s8.grp"
+    grp.write_text("group S8 order 40320\ngenerators:\n(1 2)\n(1 2 3 4 5 6 7 8)\n")
+    script = "import sys; from groupeq.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(groupeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = 600_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "group", str(grp)], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: group order 40320 exceeds the table cap 4096\n"
+
+
 def _cli_cases(st):
     """Small generated input files and argv for `test_exit_code_contract`.
 
@@ -411,6 +460,15 @@ def test_exit_code_contract(monkeypatch):
         "r.alg": "algebra p=2 torsion=1\nrow: 1 + x1\n"}})       # refuted
     @hypothesis.example({"argv": ["audit-catalog", "."], "files": {
         "g.grp": "group C4 order 4\ntable:\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"}})
+    @hypothesis.example({"argv": ["counterexample", "--p", "113", "--q", "127",
+                                  "--symbolic"], "files": {}})   # 4,324-digit order
+    @hypothesis.example({"argv": ["analyze-system", "s.sys", "--prime",
+                                  "1000000000000000003"],
+                         "files": {"s.sys": "vars: x\neq: x^2\n"}})
+    @hypothesis.example({"argv": ["certify-rows", "r.alg"], "files": {   # (1e9+7)(1e9+9)
+        "r.alg": "algebra p=1000000016000000063\nrow: 1\n"}})
+    @hypothesis.example({"argv": ["certify-rows", "r.alg"], "files": {   # ragged rows
+        "r.alg": "algebra p=2 torsion=1\nrow: 1 ; x1\nrow: 1\n"}})
     def check(case):
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in case["files"].items():

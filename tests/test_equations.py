@@ -212,3 +212,18 @@ def test_abelian_solver_rejects_singular_and_nonabelian():
     s2 = parse_system("vars: x\neq: x").bind(dihedral(3), {})
     with pytest.raises(ValidationError):
         solve_abelian_p_system(s2, 3)
+
+
+def test_echelon_returns_reduced_rows_in_pivot_order():
+    rng = random.Random(18)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        A = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        for p in (None, 2, 5):
+            e = echelon(A, p)
+            assert len(e.rows) == rows
+            assert e.rank == (rank_rational(e.rows) if p is None else rank_mod_p(e.rows, p))
+            for r, c in enumerate(e.pivots):
+                assert e.rows[r][c] != 0 and not any(e.rows[r][:c])
+                assert not any(row[c] for row in e.rows[r + 1:])
+            assert not any(any(row) for row in e.rows[e.rank:])

@@ -323,3 +323,29 @@ def test_bundled_s3_and_affine7_examples():
     aff = load_group_file(d / "affine7.grp")
     assert aff.order == 42
     assert isomorphic(aff, affine_group_over_prime_field(7)) is not None
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from groupeq.groups import is_prime
+    assert [n for n in range(10 ** 5) if is_prime(n)] == list(sympy.primerange(10 ** 5))
+    assert not any(is_prime(n) for n in range(-50, 2))
+    rng = random.Random(64)
+    for _ in range(3000):
+        n = rng.getrandbits(64) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to the first 7, 9 and 12 prime bases
+    for n in (341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+    assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+    with pytest.raises(CapExceeded):
+        is_prime(3_317_044_064_679_887_385_961_981)
+
+
+def test_group_file_order_is_bounded_before_the_body_is_read():
+    from groupeq.groups import MAX_TABLE_ORDER
+    with pytest.raises(CapExceeded):
+        load_group(f"group G order {MAX_TABLE_ORDER + 1}\ntable:\n")
+    with pytest.raises(ParseError):      # at the cap the body is read and checked
+        load_group(f"group G order {MAX_TABLE_ORDER}\ntable:\n0\n")

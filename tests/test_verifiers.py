@@ -312,3 +312,42 @@ def test_block_scan_boundaries(text, g, solution, searched):
         res = brute_force_solve(system, descending=descending)
         assert (res.solution, res.searched, res.exhaustive) == \
             reference_scan(system, descending)
+
+
+def test_counterexample_caps_are_checked_before_building(monkeypatch):
+    from groupeq import verifiers
+    from groupeq.algebra import MAX_ORDER_DIGITS
+    from groupeq.words import MAX_WORD_LENGTH
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a Cayley table was built before the caps were checked")
+    monkeypatch.setattr(verifiers, "direct_product", no_table)
+    # 2^14351 * 14351 has 4,324 digits
+    with pytest.raises(CapExceeded, match=f"more than {MAX_ORDER_DIGITS} digits"):
+        counterexample_build(113, 127, symbolic=True)
+    with pytest.raises(CapExceeded, match="digits"):
+        counterexample_build(1009, 1013)
+    # order 2^2018 * 2018: refused before the order-2018 top group is built
+    with pytest.raises(CapExceeded, match=r"wreath product order 2\^2018 \* 2018"):
+        counterexample_build(2, 1009)
+    # pq = 14002 is under the digit bound, the word has about 7001^2 letters
+    with pytest.raises(CapExceeded, match=f"limit {MAX_WORD_LENGTH}"):
+        counterexample_build(2, 7001, symbolic=True)
+
+
+def test_counterexample_word_and_s_element_for_larger_primes():
+    inst = counterexample_build(2, 211, symbolic=True)
+    word = inst.system.words[0]
+    assert len(word) == 2 * inst.n + 2 + 211 * abs(inst.m) + 211 * 210 + 6
+    assert exponent_sum(word, "x") == 1 and inst.classification.unimodular
+    spec = IntegralGroupSpec((2, 211), 0)
+    mono = lambda i, j: AlgebraElement.monomial(spec, (i, j))
+    sum_a, sum_b = mono(0, 0) + mono(1, 0), mono(0, 0)
+    for k in range(1, 211):
+        sum_b = sum_b + mono(0, k)
+    one, a, b = mono(0, 0), mono(1, 0), mono(0, 1)
+    expected = ((one + b) * sum_a * AlgebraElement.scalar(spec, inst.n)
+                + (one + a) * sum_b * AlgebraElement.scalar(spec, inst.m))
+    assert obstruction_s_element(2, 211, inst.n, inst.m) == expected
+    rep = obstruction_check(inst)
+    assert rep.ring_identity_holds and not rep.s_is_zero
