@@ -457,6 +457,15 @@ def is_zero_divisor(M: AlgebraMatrix, side: str = "left") -> bool:
     return rank_mod_p(images, M.spec.p) < len(images)
 
 
+def _exceeds_work_cap(rows: RowFamily, work_cap: int) -> bool:
+    """Whether [images | I] for *rows* has more than ``work_cap`` entries:
+    k*p^s rows and (width+k)*p^s columns over the p^s monomials."""
+    k, s = rows.nrows, sum(rows.spec.torsion_exponents)
+    # p^s >= 2^s > work_cap once s reaches work_cap's bit length
+    return (s >= work_cap.bit_length()
+            or k * (rows.ncols + k) * rows.spec.p ** (2 * s) > work_cap)
+
+
 def find_annihilating_combination(rows: RowFamily,
                                   work_cap: int = 10 ** 6
                                   ) -> tuple[AlgebraElement, ...] | None:
@@ -470,11 +479,10 @@ def find_annihilating_combination(rows: RowFamily,
     k, width = rows.nrows, rows.ncols
     if k == 0:
         return None
-    # p^s monomials; p^s >= 2^s > work_cap once s reaches work_cap's bit length
-    s = sum(spec.torsion_exponents)
-    if s >= work_cap.bit_length() or k * (width + k) * spec.p ** (2 * s) > work_cap:
-        raise ValidationError(f"the row oracle's matrix over {spec.p}^{s} "
-                              f"monomials exceeds the work cap {work_cap}")
+    if _exceeds_work_cap(rows, work_cap):
+        raise ValidationError(f"the row oracle's matrix over {spec.p}^"
+                              f"{sum(spec.torsion_exponents)} monomials "
+                              f"exceeds the work cap {work_cap}")
     monos = _finite_monomials(spec)
     nm = len(monos)
     ech = echelon([img + [int(i == r) for i in range(k * nm)]
@@ -492,13 +500,14 @@ def find_annihilating_combination(rows: RowFamily,
 
 
 def decide_row_independence(rows: RowFamily, work_cap: int = 10 ** 6) -> str:
-    """Three-valued verdict: 'certified', 'refuted', or 'unknown'."""
+    """Verdict 'certified', 'refuted', 'certified-by-search' or 'unknown'.
+    'unknown' means only that the row oracle cannot run (a free part, or a
+    matrix over ``work_cap``); any other error of the oracle propagates."""
     if certify_row_independence(rows) is not None:
         return "certified"
-    try:
-        witness = find_annihilating_combination(rows, work_cap)
-    except ValidationError:
+    if rows.spec.free_rank or _exceeds_work_cap(rows, work_cap):
         return "unknown"
+    witness = find_annihilating_combination(rows, work_cap)
     return "refuted" if witness is not None else "certified-by-search"
 
 

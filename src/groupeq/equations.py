@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import and_, eq
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -29,8 +30,8 @@ from .errors import ParseError, ValidationError, int_literal, read_text_file
 from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
                      direct_product, dlog_table, is_prime, load_group_file,
                      prime_factors)
-from .words import (COEFF, VAR, Word, exponent_sum, format_word,
-                    parse_word, strip_comment)
+from .words import (VAR, Word, exponent_sum, format_word, parse_word,
+                    strip_comment)
 
 IntMatrix = list[list[int]]
 
@@ -282,17 +283,16 @@ class EquationSystem:
     binding: Binding | None = None
 
     def __post_init__(self) -> None:
-        declared = set(self.variables) | set(self.coefficients)
+        variables = set(self.variables)
+        declared = variables | set(self.coefficients)
         if len(declared) != len(self.variables) + len(self.coefficients):
             raise ValidationError("variable/coefficient names overlap")
-        for w in self.words:
-            for letter in w:
-                if letter.name not in declared:
-                    raise ValidationError(f"undeclared symbol {letter.name!r} in word")
-                want = VAR if letter.kind == VAR else COEFF
-                have = VAR if letter.name in set(self.variables) else COEFF
-                if want != have:
-                    raise ValidationError(f"symbol {letter.name!r} used as wrong kind")
+        # each distinct letter once, in order of first occurrence
+        for letter in dict.fromkeys(itertools.chain.from_iterable(self.words)):
+            if letter.name not in declared:
+                raise ValidationError(f"undeclared symbol {letter.name!r} in word")
+            if (letter.kind == VAR) != (letter.name in variables):
+                raise ValidationError(f"symbol {letter.name!r} used as wrong kind")
         if self.binding is not None:
             for c in self.coefficients:
                 if c not in self.binding.values:
@@ -530,21 +530,25 @@ def satisfies(system: EquationSystem, var_values: Mapping[str, int],
 
 @dataclass(frozen=True)
 class AbelianSolution:
-    group: FiniteGroup                 # extension B' >= B
-    embedding: Homomorphism            # B -> B'
-    assignment: dict[str, int]         # variable -> element index of B'
+    group: FiniteGroup                 # B itself, or an extension B' >= B
+    embedding: Homomorphism            # B -> group
+    assignment: dict[str, int]         # variable -> element index of group
     lift_exponent: int                 # every cyclic factor grew by p**this
-    basis: tuple[int, ...]             # direct basis of B' (element indices)
+    basis: tuple[int, ...]             # direct basis of group (element indices)
 
 
 def solve_abelian_p_system(system: EquationSystem, p: int,
                            basis: Sequence[int] | None = None) -> AbelianSolution:
     """Solve a non-singular system over a finite abelian p-group B.
 
-    Returns an extension B' of B (each cyclic factor's exponent raised by
-    the p-valuation of the last invariant factor of the exponent matrix)
-    together with a satisfying assignment in B'. A p-nonsingular system
-    solves inside B itself.
+    One Smith form U*E*V = D of the exponent matrix E does all the work:
+    the system is non-singular when D has a nonzero entry per equation, and
+    with b the right-hand sides over the basis of B, D*z = U*b is solved
+    componentwise and y = V*z. The lift exponent v is the p-valuation of
+    the last invariant factor. A p-nonsingular system has v = 0 and solves
+    in B itself: the group is B, the embedding the identity and the basis
+    B's. Otherwise each cyclic factor grows by p^v in a new direct product
+    B', into which B embeds by h -> h^(p^v).
     """
     if system.binding is None:
         raise ValidationError("system must be bound to a group")
@@ -558,74 +562,50 @@ def solve_abelian_p_system(system: EquationSystem, p: int,
     if B.order > 1 and not basis:
         raise ValidationError("no decomposition for the bound group")
 
-    E = exponent_matrix(system)
-    nvars = len(system.variables)
-    neqs = len(system.words)
-    if rank_rational(E) != neqs:
+    snf = smith_normal_form(exponent_matrix(system))
+    factors = snf.invariant_factors
+    if len(factors) != len(system.words):
         raise ValidationError("system is not non-singular; the abelian solver "
                               "needs independent exponent rows")
-
-    snf = smith_normal_form(E)
-    factors = snf.invariant_factors
     last = factors[-1] if factors else 1
     v = 0
     while last % p == 0:
         last //= p
         v += 1
 
-    # extension group B' and the embedding h -> h^(p^v)
-    new_orders = [o * p ** v for o in cyc_orders]
-    Bp = _direct_of_cyclics(new_orders, name=f"{B.name}-ext" if v else B.name)
-    new_basis = _canonical_basis(Bp, new_orders)
     logB = dlog_table(B, basis)
     lift = p ** v
+    if v:
+        # extension group B' and the embedding h -> h^(p^v)
+        orders = [o * lift for o in cyc_orders]
+        group = _direct_of_cyclics(orders, name=f"{B.name}-ext")
+        basis = _canonical_basis(group, orders)
+        embedding = Homomorphism(B, group, tuple(
+            _from_vector(group, basis, [e * lift for e in logB[g]])
+            for g in B.elements()))
+    else:
+        orders, group = cyc_orders, B
+        embedding = Homomorphism(B, B, tuple(B.elements()))
 
-    def embed_vec(vec: Sequence[int]) -> int:
-        return _from_vector(Bp, new_basis, [e * lift for e in vec])
+    # right-hand side: equation j says sum_i E[j][i] * y_i = -c_j
+    values, at_identity = system.binding.values, dict.fromkeys(system.variables, 0)
+    rhs = [[e * lift for e in logB[B.inv(evaluate_word(w, B, values, at_identity))]]
+           for w in system.words]
+    z = [[_solve_congruence(snf.D[j][j], x % n, n) for x, n in zip(row, orders)]
+         for j, row in enumerate(mat_mul(snf.U, rhs))]
+    z += [[0] * len(orders) for _ in range(len(system.variables) - len(z))]
+    assignment = {var: _from_vector(group, basis, [x % n for x, n in zip(y, orders)])
+                  for var, y in zip(system.variables, mat_mul(snf.V, z))}
 
-    embedding = Homomorphism(
-        B, Bp, tuple(embed_vec(logB[g]) for g in B.elements()))
-
-    # right-hand side: equation j says sum_i E[j][i] * y_i = -c_j in B'
-    rhs_vecs: list[list[int]] = []
-    at_identity = dict.fromkeys(system.variables, B.identity)
-    for w in system.words:
-        c = evaluate_word(w, B, system.binding.values, at_identity)
-        rhs_vecs.append([e * lift for e in logB[B.inv(c)]])
-
-    # solve D z = U b componentwise, then y = V z
-    U, V = snf.U, snf.V
-    ncomp = len(new_orders)
-    z = [[0] * ncomp for _ in range(nvars)]
-    for j in range(neqs):
-        d = snf.D[j][j]
-        target = [0] * ncomp
-        for k in range(neqs):
-            for t in range(ncomp):
-                target[t] = (target[t] + U[j][k] * rhs_vecs[k][t]) % new_orders[t]
-        for t in range(ncomp):
-            z[j][t] = _solve_congruence(d, target[t], new_orders[t])
-    y_vec = [[0] * ncomp for _ in range(nvars)]
-    for i in range(nvars):
-        for j in range(nvars):
-            for t in range(ncomp):
-                y_vec[i][t] = (y_vec[i][t] + V[i][j] * z[j][t]) % new_orders[t]
-
-    assignment = {var: _from_vector(Bp, new_basis, y_vec[i])
-                  for i, var in enumerate(system.variables)}
-
-    coeffs_in_Bp = {c: embedding(system.binding.values[c])
-                    for c in system.coefficients}
-    if not satisfies(system, assignment, Bp, coeffs_in_Bp):
+    coeffs = {c: embedding(values[c]) for c in system.coefficients}
+    if not satisfies(system, assignment, group, coeffs):
         raise ValidationError("internal error: abelian solution fails to verify")
-    return AbelianSolution(Bp, embedding, assignment, v,
-                           tuple(new_basis))
+    return AbelianSolution(group, embedding, assignment, v, tuple(basis))
 
 
 def _solve_congruence(d: int, a: int, n: int) -> int:
     """Some z with d*z = a (mod n); raises if insoluble."""
-    import math as _math
-    g = _math.gcd(d, n)
+    g = gcd(d, n)
     if a % g != 0:
         raise ValidationError(f"congruence {d}*z = {a} (mod {n}) has no solution")
     if n == 1:

@@ -7,14 +7,13 @@ leaves this module. All objects are immutable after construction and safe
 to share across threads.
 
 Subgroups are Python-int bitsets; the lattice, normal subgroups, commutator
-subgroups, both central series and Sylow subgroups all grow them with one
-closure, ``_close``.
+subgroups, both central series, Sylow subgroups and the direct basis of an
+abelian p-group all grow them with one closure, ``_close``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -857,53 +856,35 @@ def automorphisms(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Homom
 # abelian p-group decomposition
 
 def abelian_p_basis(G: FiniteGroup, p: int) -> list[int]:
-    """Indices b_1..b_l with G = <b_1> x ... x <b_l>, orders p^k1 >= ... >= p^kl."""
+    """Indices b_1..b_l with G = <b_1> x ... x <b_l>, orders p^k1 >= ... >= p^kl.
+
+    One greedy pass over the elements sorted by (-order, index): g is kept
+    when g^(ord(g)/p) lies outside the span S of the elements kept so far,
+    and S grows by <g>. Every nontrivial subgroup of the p-group <g>
+    contains that element of order p, so the test holds exactly when <g>
+    meets S trivially.
+
+    Each S is a direct summand, G = S x C, by induction. A nontrivial c in
+    C meets S trivially, so it also meets the smaller span of its own turn
+    trivially; had c come before g, it would have been kept and would lie
+    in S. So no element of C has order above ord(g). When g is kept, its
+    projection to C has the order of g and generates a cyclic subgroup of
+    maximal order, which is a direct summand of C, so S x <g> is again a
+    summand of G. The same argument shows that the pass ends with S = G.
+    """
     if not G.is_abelian:
         raise ValidationError("group is not abelian")
-    if not _is_p_power(G.order, p) and G.order != 1:
+    if not _is_p_power(G.order, p):
         raise ValidationError(f"group order {G.order} is not a power of {p}")
-    if G.order == 1:
-        return []
-    orders = {g: G.element_order(g) for g in G.elements()}
-    exponent = max(orders.values())
-    # number of cyclic factors of order >= p^j follows from counting
-    # elements of order dividing p^j
-    le = {1: 1}
-    pj = p
-    while pj <= exponent:
-        le[pj] = sum(1 for o in orders.values() if pj % o == 0)
-        pj *= p
-    lam = []
-    pj = p
-    while pj <= exponent:
-        lam.append(round(math.log(le[pj] // le[pj // p], p)))
-        pj *= p
-    factor_orders: list[int] = []
-    for j, ge in enumerate(lam, start=1):
-        count_exactly_j = ge - (lam[j] if j < len(lam) else 0)
-        factor_orders.extend([p ** j] * count_exactly_j)
-    factor_orders.sort(reverse=True)
-
+    orders = [G.element_order(g) for g in G.elements()]
     basis: list[int] = []
-
-    def pick(i: int, span: int) -> bool:
-        if i == len(factor_orders):
-            return span.bit_count() == G.order
-        want = factor_orders[i]
-        size = span.bit_count()
-        for g in G.elements():
-            if orders[g] != want or span >> g & 1:
-                continue
-            new_span = _close(G, span, [g])     # G is abelian, so span is normal
-            if new_span.bit_count() == size * want:
-                basis.append(g)
-                if pick(i + 1, new_span):
-                    return True
-                basis.pop()
-        return False
-
-    if not pick(0, 1):
-        raise ValidationError("no direct basis found; group is not an abelian p-group")
+    span = 1
+    for g in sorted(G.elements(), key=lambda g: (-orders[g], g)):
+        if span.bit_count() == G.order:
+            break
+        if not span >> G.power(g, orders[g] // p) & 1:
+            basis.append(g)
+            span = _close(G, span, [g])     # G is abelian, so span is normal
     return basis
 
 

@@ -219,13 +219,14 @@ class WreathSystem:
     words: tuple[WWord, ...]
 
     def __post_init__(self) -> None:
+        variables = set(self.variables)
         for w in self.words:
             for letter in w:
                 if isinstance(letter, WCoeff):
                     if len(letter.base) != self.wreath.top.order:
                         raise ValidationError("coefficient tuple has wrong length")
                 elif isinstance(letter, WVar):
-                    if letter.name not in set(self.variables):
+                    if letter.name not in variables:
                         raise ValidationError(f"undeclared variable {letter.name!r}")
                 else:
                     raise ValidationError(f"bad letter {letter!r}")
@@ -275,10 +276,13 @@ def normalize_top_component(system: EquationSystem, p: int,
 
     beta solves the image system over the abelian top. By default the
     system must be p-nonsingular, in which case the image solves inside
-    the top itself. With allow_extension=True any non-singular system is
-    accepted: the image may then solve only in a p-group extension of the
-    top, and the wreath product is rebuilt over the extended top with the
-    original coefficients embedded coordinatewise.
+    the top itself and the wreath product is kept. With
+    allow_extension=True any non-singular system is accepted: the image
+    may then solve only in a p-group extension of the top, and the wreath
+    product is rebuilt over the extended top. Either way the coefficients
+    are carried coordinatewise along the solver's embedding of the top,
+    which is the identity when the top did not grow; ``top_embedding`` is
+    set only when it grew.
     """
     if system.binding is None or not isinstance(system.binding.group, WreathGroup):
         raise ValidationError("system must be bound to a wreath product")
@@ -293,27 +297,17 @@ def normalize_top_component(system: EquationSystem, p: int,
 
     image_values = {c: W.top_of(v) for c, v in system.binding.values.items()}
     sol = solve_abelian_p_system(system.bind(top, image_values), p)
+    topg, embed, beta = sol.group, sol.embedding, sol.assignment
+    W2 = W if topg is top else WreathGroup(W.base, topg, config)
 
-    if sol.lift_exponent > 0:
-        new_top = sol.group
-        embed = sol.embedding
-        W2 = WreathGroup(W.base, new_top, config)
-        def lift_coeff(x: int) -> int:
-            f, t = W.decode(x)
-            g = [0] * new_top.order
-            for b in top.elements():
-                g[embed(b)] = f[b]
-            return W2.encode(tuple(g), embed(t))
+    def lift_coeff(x: int) -> int:
+        f, t = W.decode(x)
+        g = [0] * topg.order
+        for b in top.elements():
+            g[embed(b)] = f[b]
+        return W2.encode(tuple(g), embed(t))
 
-        values = {c: lift_coeff(v) for c, v in system.binding.values.items()}
-        top_embedding = embed
-        beta = dict(sol.assignment)
-    else:
-        # no extension: map the solver's canonical group back onto the top
-        W2, values, top_embedding = W, dict(system.binding.values), None
-        unembed = {sol.embedding(b): b for b in top.elements()}
-        beta = {v: unembed[x] for v, x in sol.assignment.items()}
-    topg = W2.top
+    values = {c: lift_coeff(v) for c, v in system.binding.values.items()}
 
     new_words = []
     for word in system.words:
@@ -339,7 +333,7 @@ def normalize_top_component(system: EquationSystem, p: int,
                 "variable change")
         new_words.append(tuple(letters))
     ws = WreathSystem(W2, system.variables, tuple(new_words))
-    return NormalizedSystem(ws, W2, dict(beta), top_embedding)
+    return NormalizedSystem(ws, W2, dict(beta), None if topg is top else embed)
 
 
 # ---------------------------------------------------------------------------

@@ -403,3 +403,17 @@ def test_regular_representation_of_any_shape(shape, side, zero_divisor):
             expected = [c for e in image for c in _coordinates(e, monos)]
             assert [row[slot * 2 + mi] for row in op] == expected
     assert (rank_mod_p(op, 2) < dom * 2) == zero_divisor == is_zero_divisor(M, side)
+
+
+def test_row_verdict_is_unknown_only_when_the_oracle_cannot_run(monkeypatch):
+    # a free part or a matrix over the cap gives 'unknown' before any search
+    free = AbelianGroupSpec(2, (1,), 1)
+    t_plus_one = one(free) + AlgebraElement.free_gen(free, 0)
+    assert decide_row_independence(RowFamily(free, ((t_plus_one,),))) == "unknown"
+    fam = RowFamily(Z2C2, ((one(Z2C2), one(Z2C2)), (x(Z2C2), x(Z2C2))))
+    assert decide_row_independence(fam, work_cap=31) == "unknown"
+    assert decide_row_independence(fam, work_cap=32) == "refuted"
+    # an annihilator that fails its re-verification is a fault, not 'unknown'
+    monkeypatch.setattr(AlgebraMatrix, "is_zero", lambda self: False)
+    with pytest.raises(ValidationError, match="internal error"):
+        decide_row_independence(fam)

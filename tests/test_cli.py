@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import groupeq
+from groupeq.algebra import AlgebraMatrix
 from groupeq.catalog import resolve_data_path
 from groupeq.cli import main
 from groupeq.config import parse_config_text
@@ -482,3 +483,14 @@ def test_exit_code_contract(monkeypatch):
             assert out.strip() and err == ""
 
     check()
+
+
+def test_certify_rows_exits_2_on_an_internal_fault(tmp_path, monkeypatch):
+    rows = tmp_path / "r.alg"
+    rows.write_text("algebra p=2 torsion=1\nrow: 1 ; 1\nrow: x1 ; x1\n")
+    assert run_cli(["certify-rows", str(rows)])[:2] == (1, "algebra: Z_2[C2]\n"
+                                                          "rows: 2\nverdict: refuted\n")
+    monkeypatch.setattr(AlgebraMatrix, "is_zero", lambda self: False)
+    code, out, err = run_cli(["certify-rows", str(rows)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: internal error") and err.count("\n") == 1

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from groupeq.equations import (classify, classify_matrix, det_int, echelon,
-                               evaluate_word, exponent_matrix, format_system,
-                               mat_mul, parse_system, rank_mod_p,
-                               rank_rational, satisfies, smith_normal_form,
+import groupeq.equations as equations
+from groupeq.equations import (EquationSystem, classify, classify_matrix,
+                               det_int, echelon, evaluate_word,
+                               exponent_matrix, format_system, mat_mul,
+                               parse_system, rank_mod_p, rank_rational,
+                               satisfies, smith_normal_form,
                                solve_abelian_p_system)
 from groupeq.errors import ParseError, ValidationError
-from groupeq.groups import cyclic, dihedral, direct_product
+from groupeq.groups import abelian_p_basis, cyclic, dihedral, direct_product
+from groupeq.words import COEFF, VAR, Letter
 
 EXAMPLE0 = """
 vars: x y z
@@ -227,3 +230,37 @@ def test_echelon_returns_reduced_rows_in_pivot_order():
                 assert e.rows[r][c] != 0 and not any(e.rows[r][:c])
                 assert not any(row[c] for row in e.rows[r + 1:])
             assert not any(any(row) for row in e.rows[e.rank:])
+
+
+def test_abelian_solver_p_nonsingular_solves_in_b_itself(monkeypatch):
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the solver rebuilt B")
+    monkeypatch.setattr(equations, "_direct_of_cyclics", rebuilt)
+    rng = random.Random(19)
+    for B, p in ((direct_product(cyclic(2), cyclic(2)), 2),
+                 (direct_product(cyclic(4), cyclic(2)), 2),
+                 (direct_product(cyclic(3), cyclic(9)), 3), (cyclic(5), 5)):
+        basis = abelian_p_basis(B, p)
+        for _ in range(12):
+            e = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
+            if rank_mod_p(e, p) < 2:
+                continue
+            words = [" ".join(f"{v}^{k}" for v, k in zip("xy", row) if k) + f" g{j}"
+                     for j, row in enumerate(e)]
+            text = "vars: x y\ncoeffs: g0 g1\n" + "".join(f"eq: {w}\n" for w in words)
+            values = {"g0": rng.randrange(B.order), "g1": rng.randrange(B.order)}
+            s = parse_system(text).bind(B, values)
+            sol = solve_abelian_p_system(s, p)
+            assert sol.group is B and sol.lift_exponent == 0
+            assert sol.embedding.image == tuple(B.elements())
+            assert list(sol.basis) == basis
+            assert satisfies(s, sol.assignment)
+
+
+def test_system_reports_its_first_bad_letter():
+    x, g = Letter(VAR, "x", 1), Letter(COEFF, "g", 1)
+    undeclared, misused = Letter(COEFF, "q", 1), Letter(VAR, "g", -1)
+    for word, message in (((x, g, x, undeclared, misused), "undeclared symbol 'q'"),
+                          ((x, misused, g, undeclared), "symbol 'g' used as wrong kind")):
+        with pytest.raises(ValidationError, match=message):
+            EquationSystem(("x",), ("g",), (word[:2], word))

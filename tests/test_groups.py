@@ -6,7 +6,7 @@ import pytest
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.errors import CapExceeded, ParseError, ValidationError
-from groupeq.groups import (FiniteGroup, Homomorphism, abelian_p_basis,
+from groupeq.groups import (FiniteGroup, Homomorphism, _close, abelian_p_basis,
                             affine_group_over_prime_field, all_subgroups,
                             automorphisms, closure, commutator_subgroup,
                             cyclic, cyclic_action, derived_series, dicyclic,
@@ -349,3 +349,98 @@ def test_group_file_order_is_bounded_before_the_body_is_read():
         load_group(f"group G order {MAX_TABLE_ORDER + 1}\ntable:\n")
     with pytest.raises(ParseError):      # at the cap the body is read and checked
         load_group(f"group G order {MAX_TABLE_ORDER}\ntable:\n0\n")
+
+
+def _counting_basis(G, p):
+    """Reference for `abelian_p_basis`: factor orders from counting elements
+    of order dividing p^j, then a backtracking search for the first element
+    of each order whose cyclic group meets the span so far trivially."""
+    orders = {g: G.element_order(g) for g in G.elements()}
+    exponent = max(orders.values())
+    le = {1: 1}
+    pj = p
+    while pj <= exponent:
+        le[pj] = sum(1 for o in orders.values() if pj % o == 0)
+        pj *= p
+    lam = []
+    pj = p
+    while pj <= exponent:
+        ratio, j = le[pj] // le[pj // p], 0
+        while ratio > 1:
+            ratio //= p
+            j += 1
+        lam.append(j)
+        pj *= p
+    factor_orders = []
+    for j, ge in enumerate(lam, start=1):
+        factor_orders += [p ** j] * (ge - (lam[j] if j < len(lam) else 0))
+    factor_orders.sort(reverse=True)
+    basis = []
+
+    def pick(i, span):
+        if i == len(factor_orders):
+            return span.bit_count() == G.order
+        want, size = factor_orders[i], span.bit_count()
+        for g in G.elements():
+            if orders[g] != want or span >> g & 1:
+                continue
+            grown = _close(G, span, [g])
+            if grown.bit_count() == size * want:
+                basis.append(g)
+                if pick(i + 1, grown):
+                    return True
+                basis.pop()
+        return False
+
+    assert pick(0, 1)
+    return basis
+
+
+def _relabel(G, rng):
+    """G with its non-identity elements renumbered at random."""
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    table = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return FiniteGroup(table, None, name=f"{G.name}-relabelled")
+
+
+def _cyclic_p_products(p, max_order):
+    """C_{p^k1} x ... x C_{p^kl}, k1 >= ... >= kl, of order at most
+    max_order, one per partition of the exponent, on mixed-radix indices."""
+    def partitions(n, top):
+        if n == 0:
+            yield []
+        for k in range(min(n, top), 0, -1):
+            for rest in partitions(n - k, k):
+                yield [k] + rest
+    s = 1
+    while p ** s <= max_order:
+        for ks in partitions(s, s):
+            radix = [p ** k for k in ks]
+            vecs = list(itertools.product(*(range(r) for r in radix)))
+            index = {v: i for i, v in enumerate(vecs)}
+            table = [[index[tuple((x + y) % r for x, y, r in zip(u, v, radix))]
+                      for v in vecs] for u in vecs]
+            yield FiniteGroup(table, None, name="x".join(f"C{r}" for r in radix))
+        s += 1
+
+
+def test_abelian_p_basis_is_the_first_path_of_the_counting_search():
+    groups = []
+    for path in sorted(bundled_catalog_dir().glob("*.grp")):
+        G = load_group_file(path)
+        ps = prime_factors(G.order)
+        if G.is_abelian and len(ps) == 1:
+            groups.append((G, ps[0]))
+    assert len(groups) == 18
+    for p, max_order in ((2, 128), (3, 81), (5, 125)):
+        groups += [(G, p) for G in _cyclic_p_products(p, max_order)]
+    rng = random.Random(12)
+    groups += [(_relabel(G, rng), p) for G, p in groups]
+    for G, p in groups:
+        basis = abelian_p_basis(G, p)
+        assert basis == _counting_basis(G, p), G.name
+        assert len(dlog_table(G, basis)) == G.order
+    assert abelian_p_basis(trivial_group(), 2) == []

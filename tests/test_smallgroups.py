@@ -1,9 +1,10 @@
 import pytest
 
-from groupeq.catalog import EXPECTED_COUNTS
+from groupeq.catalog import EXPECTED_COUNTS, bundled_catalog_dir
+from groupeq.config import Config
 from groupeq.errors import ValidationError
 from groupeq.groups import (cyclic, dihedral, dicyclic, direct_product,
-                            is_nilpotent, isomorphic)
+                            is_nilpotent, isomorphic, load_group_file)
 from groupeq.smallgroups import enumerate_groups
 
 
@@ -42,3 +43,19 @@ def test_order_12_contains_a4():
 def test_bad_input():
     with pytest.raises(ValidationError):
         enumerate_groups(0)
+
+
+def test_enumeration_is_a_bijection_with_the_catalog():
+    catalog: dict[int, list] = {}
+    for path in sorted(bundled_catalog_dir().glob("*.grp")):
+        G = load_group_file(path)
+        catalog.setdefault(G.order, []).append(G)
+    config = Config(enumeration_cap=42)
+    assert sorted(catalog) == sorted(EXPECTED_COUNTS)
+    for n, expected in EXPECTED_COUNTS.items():
+        groups = enumerate_groups(n, config)
+        assert len(groups) == len(catalog[n]) == expected, n
+        matches = [[i for i, H in enumerate(catalog[n]) if isomorphic(G, H) is not None]
+                   for G in groups]
+        assert all(len(m) == 1 for m in matches), n
+        assert len({m[0] for m in matches}) == expected, n

@@ -351,3 +351,18 @@ def test_counterexample_word_and_s_element_for_larger_primes():
     assert obstruction_s_element(2, 211, inst.n, inst.m) == expected
     rep = obstruction_check(inst)
     assert rep.ring_identity_holds and not rep.s_is_zero
+
+
+def test_obstruction_confirmed_for_all_prime_pairs_up_to_13():
+    primes = (2, 3, 5, 7, 11, 13)
+    config = Config(wreath_order_cap=2 ** (11 * 13) * 11 * 13)
+    pairs = [(p, q) for p in primes for q in primes if p != q]
+    assert len(pairs) == 30
+    for p, q in pairs:
+        inst = counterexample_build(p, q, config=config)
+        rep = obstruction_check(inst, config)
+        assert rep.ring_identity_holds and rep.group_inequality_holds, (p, q)
+        assert rep.confirmed, (p, q)
+        text = counterexample_text(p, q, inst.n, inst.m)
+        assert parse_word(text, ["x"], ["a", "b", "c"]) == \
+            counterexample_equation(p, q, inst.n, inst.m), (p, q)

@@ -295,3 +295,21 @@ def test_wreath_solutions_match_reference_scan():
                 several += len(got) > 1
             restricted += len(wreath_solutions(ws, True)) < len(wreath_solutions(ws))
     assert several and restricted
+
+
+def test_normalize_keeps_the_wreath_product_unless_the_top_grows():
+    rng = random.Random(20)
+    W = wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(2)))
+    for _ in range(10):
+        norm = normalize_top_component(random_wreath_system(W, rng), 2)
+        assert norm.wreath is W and norm.system.wreath is W
+        assert norm.top_embedding is None
+    # x^2 c is 2-singular: the top grows from C2 to C4 along the embedding
+    W = c2wrc2()
+    system = EquationSystem(("x",), ("c",), (
+        (Letter(VAR, "x", 1), Letter(VAR, "x", 1), Letter(COEFF, "c", 1)),
+    )).bind(W, {"c": W.encode((1, 0), 1)})
+    norm = normalize_top_component(system, 2, allow_extension=True)
+    emb = norm.top_embedding
+    assert emb.source is W.top and emb.target is norm.wreath.top
+    assert emb.is_injective() and norm.wreath.top.order == 4
