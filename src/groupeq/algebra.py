@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
@@ -33,6 +32,7 @@ from typing import Iterator, Sequence
 from .equations import echelon, rank_mod_p
 from .errors import ParseError, ValidationError, int_literal
 from .groups import is_prime
+from .record import Record
 from .words import strip_comment
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]   # (torsion exps, free exps)
@@ -48,8 +48,7 @@ def _group_desc(torsion_orders: tuple[int, ...], free_rank: int) -> str:
     return " x ".join(parts) or "1"
 
 
-@dataclass(frozen=True)
-class AbelianGroupSpec:
+class AbelianGroupSpec(Record):
     """C_{p^k1} x ... x C_{p^kl} x Z^r with coefficients in Z_p."""
     p: int
     torsion_exponents: tuple[int, ...]
@@ -69,21 +68,17 @@ class AbelianGroupSpec:
                                       f"than {MAX_ORDER_DIGITS} digits")
         if self.free_rank < 0:
             raise ValidationError("free rank must be >= 0")
+        object.__setattr__(self, "torsion_orders", tuple(self.p ** k for k in self.torsion_exponents))
 
     @property
     def characteristic(self) -> int:
         return self.p
 
-    @property
-    def torsion_orders(self) -> tuple[int, ...]:
-        return tuple(self.p ** k for k in self.torsion_exponents)
-
     def describe(self) -> str:
         return f"Z_{self.p}[{_group_desc(self.torsion_orders, self.free_rank)}]"
 
 
-@dataclass(frozen=True)
-class IntegralGroupSpec:
+class IntegralGroupSpec(Record):
     """Prod C_{n_i} x Z^r with integer coefficients."""
     torsion_orders: tuple[int, ...] = ()
     free_rank: int = 0
@@ -231,8 +226,7 @@ def augmentation(m: AlgebraElement) -> int:
     return s % char if char else s
 
 
-@dataclass(frozen=True)
-class AlgebraMatrix:
+class AlgebraMatrix(Record):
     spec: Spec
     entries: tuple[tuple[AlgebraElement, ...], ...]
 
@@ -331,8 +325,7 @@ def reassemble_expansion(coeffs: Sequence[AlgebraElement], var: int) -> AlgebraE
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class NonZeroDivisorCertificate:
+class NonZeroDivisorCertificate(Record):
     """Witness that a square matrix over Z_p[P x Z^r] is not a zero divisor:
     its augmentation matrix is nonsingular over Z_p."""
     augmented: tuple[tuple[int, ...], ...]
@@ -357,8 +350,7 @@ def certify_non_zero_divisor(M: AlgebraMatrix) -> NonZeroDivisorCertificate | No
     return NonZeroDivisorCertificate(tuple(tuple(r) for r in aug), d, p)
 
 
-@dataclass(frozen=True)
-class RowIndependenceCertificate:
+class RowIndependenceCertificate(Record):
     """Witness of independence over the group algebra: a nonsingular square
     minor of the augmented rows over the base field."""
     augmented: tuple[tuple[int, ...], ...]

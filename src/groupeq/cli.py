@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .algebra import (IntegralGroupSpec, certify_row_independence,
@@ -23,7 +22,7 @@ from .algebra import (IntegralGroupSpec, certify_row_independence,
                       decide_row_independence, format_element,
                       format_row_file, parse_row_file)
 from .catalog import bundled_catalog_dir, resolve_data_path
-from .config import Config, load_config
+from .config import DEFAULT_CONFIG, Config, load_config
 from .equations import (classify, det_int, exponent_matrix, parse_system_file,
                         rank_mod_p)
 from .errors import GroupEqError, ParseError, read_text_file
@@ -364,10 +363,7 @@ def cmd_enumerate(args, config: Config) -> int:
 # ---------------------------------------------------------------------------
 
 def _defaults_epilog() -> str:
-    from dataclasses import fields
-    from .config import DEFAULT_CONFIG
-    pairs = ", ".join(f"{f.name}={getattr(DEFAULT_CONFIG, f.name)}"
-                      for f in fields(DEFAULT_CONFIG))
+    pairs = ", ".join(f"{name}={getattr(DEFAULT_CONFIG, name)}" for name in DEFAULT_CONFIG._fields)
     return ("configuration defaults (override via groupeq.conf, the "
             f"GROUPEQ_CONFIG environment variable, or flags): {pairs}")
 
@@ -469,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format is not None:
             overrides["output_format"] = args.format
         if overrides:
-            config = replace(config, **overrides)
+            config = config.replace(**overrides)
         if args.format is None:
             args.format = config.output_format
         return args.func(args, config)

@@ -10,17 +10,16 @@ The file format is one ``key = value`` pair per line; blank lines and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ParseError, ValidationError, read_text_file
+from .record import Record
 
 CONFIG_ENV_VAR = "GROUPEQ_CONFIG"
 CONFIG_FILE_NAME = "groupeq.conf"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     # caps: exceeding any of them raises CapExceeded, never truncates
     subgroup_order_cap: int = 512      # all_subgroups / normal_subgroups
     iso_order_cap: int = 128           # isomorphism search
@@ -34,9 +33,9 @@ class Config:
     output_format: str = "text"        # "text" | "structured"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name.endswith("_cap") and getattr(self, f.name) <= 0:
-                raise ValidationError(f"cap {f.name} must be positive")
+        for name in self._fields:
+            if name.endswith("_cap") and getattr(self, name) <= 0:
+                raise ValidationError(f"cap {name} must be positive")
         if self.jobs < 1:
             raise ValidationError("jobs must be >= 1")
         if self.output_format not in ("text", "structured"):
@@ -45,9 +44,7 @@ class Config:
 
 DEFAULT_CONFIG = Config()
 
-_INT_KEYS = {
-    f.name for f in fields(Config) if f.type in ("int", int)
-}
+_INT_KEYS = {name for name, kind in Config.__annotations__.items() if kind == "int"}
 
 
 def _parse_value(key: str, raw: str):
@@ -62,7 +59,6 @@ def _parse_value(key: str, raw: str):
 def parse_config_text(text: str, base: Config = DEFAULT_CONFIG) -> Config:
     """Parse ``key = value`` lines into a Config derived from *base*."""
     updates = {}
-    known = {f.name for f in fields(Config)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -71,13 +67,13 @@ def parse_config_text(text: str, base: Config = DEFAULT_CONFIG) -> Config:
             raise ParseError(f"config line {lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in Config._fields:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
         try:
             updates[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ParseError(f"config line {lineno}: bad value for {key}: {exc}") from exc
-    return replace(base, **updates)
+    return base.replace(**updates)
 
 
 def load_config(path: str | os.PathLike | None = None) -> Config:

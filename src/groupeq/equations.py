@@ -19,7 +19,6 @@ All integer arithmetic is arbitrary precision.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import and_, eq
@@ -30,6 +29,7 @@ from .errors import ParseError, ValidationError, int_literal, read_text_file
 from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
                      direct_product, dlog_table, is_prime, load_group_file,
                      prime_factors)
+from .record import Record
 from .words import (VAR, Word, exponent_sum, format_word, parse_word,
                     strip_comment)
 
@@ -78,8 +78,7 @@ def det_int(A: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
     U: IntMatrix
     D: IntMatrix
@@ -196,8 +195,7 @@ def _apply_2x2(D: IntMatrix, U: IntMatrix, V: IntMatrix, i: int,
         V[rr][i], V[rr][i + 1] = newVcols[0][rr], newVcols[1][rr]
 
 
-@dataclass(frozen=True)
-class Echelon:
+class Echelon(Record):
     """Outcome of `echelon`: the rank, the pivot column of each pivot row,
     the determinant of the minor on those columns (0 when the rows are
     dependent), and the reduced rows, pivot rows first in pivot order."""
@@ -269,14 +267,12 @@ def rank_rational(A: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 # equation systems
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Record):
     group: object                      # FiniteGroup or any group-like
     values: Mapping[str, int]          # coefficient symbol -> element index
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(Record):
     variables: tuple[str, ...]
     coefficients: tuple[str, ...]
     words: tuple[Word, ...]
@@ -308,8 +304,7 @@ def exponent_matrix(system: EquationSystem) -> IntMatrix:
     return [[exponent_sum(w, v) for v in system.variables] for w in system.words]
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     nonsingular: bool
     singular_primes: tuple[int, ...] | str   # finite set, or "all"
     unimodular: bool
@@ -528,8 +523,7 @@ def satisfies(system: EquationSystem, var_values: Mapping[str, int],
 # ---------------------------------------------------------------------------
 # abelian p-group solver (base case of the solvability machinery)
 
-@dataclass(frozen=True)
-class AbelianSolution:
+class AbelianSolution(Record):
     group: FiniteGroup                 # B itself, or an extension B' >= B
     embedding: Homomorphism            # B -> group
     assignment: dict[str, int]         # variable -> element index of group

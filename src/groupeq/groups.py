@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
@@ -23,6 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import CapExceeded, ParseError, ValidationError, read_text_file
+from .record import Record
 from .words import strip_comment
 
 Perm = tuple[int, ...]
@@ -287,11 +287,9 @@ def _normalize_identity(rows: list[tuple[int, ...]],
 # ---------------------------------------------------------------------------
 # subgroups and homomorphisms
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     parent: FiniteGroup
     elements: tuple[int, ...]
-    _set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         eset = frozenset(self.elements)
@@ -493,6 +491,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """A subgroup of order equal to the maximal power of p dividing |G|:
     one pass adds each p-element that keeps the subgroup a p-group, which
     leaves a maximal p-subgroup, hence (Sylow) a Sylow subgroup."""
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     if G.order % p != 0:
         raise ValidationError(f"{p} does not divide the group order {G.order}")
     gens: list[int] = []
@@ -512,8 +512,7 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     source: FiniteGroup
     target: FiniteGroup
     image: tuple[int, ...]
@@ -763,8 +762,8 @@ def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981   # Sorenson and Webster 2015
-_SMALL_PRIMES = frozenset(n for n in range(2, 43 * 43)   # composites have a factor <= 41
-                          if all(n % b for b in _MR_BASES if b < n))
+_SMALL_PRIMES = frozenset(range(2, 43 * 43)).difference(   # a composite n has a factor
+    *(range(b * b, 43 * 43, b) for b in _MR_BASES))         # b <= 41 with b * b <= n
 
 
 def is_prime(n: int) -> bool:
@@ -872,6 +871,8 @@ def abelian_p_basis(G: FiniteGroup, p: int) -> list[int]:
     maximal order, which is a direct summand of C, so S x <g> is again a
     summand of G. The same argument shows that the pass ends with S = G.
     """
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     if not G.is_abelian:
         raise ValidationError("group is not abelian")
     if not _is_p_power(G.order, p):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -36,6 +35,7 @@ from .groups import (FiniteGroup, Subgroup, _is_p_power, commutator_subgroup,
                      cyclic, direct_product, is_metabelian, is_normal,
                      is_prime, isomorphic, load_group_file, normal_subgroups,
                      prime_factors, quotient, sylow_subgroup)
+from .record import Record
 from .words import (COEFF, VAR, Letter, Word, _check_length, word_conjugate,
                     word_inverse, word_power)
 from .wreath import WreathGroup, wreath_order, wreath_product
@@ -44,8 +44,7 @@ from .wreath import WreathGroup, wreath_order, wreath_product
 # ---------------------------------------------------------------------------
 # witnesses
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     subgroup: Subgroup
     prime: int
 
@@ -90,8 +89,7 @@ def abelian_by_abelian_p_witness(G: FiniteGroup,
     return None, examined
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     group_id: str
     order: int
     metabelian: bool
@@ -134,8 +132,7 @@ def classify_group(G: FiniteGroup, config: Config = DEFAULT_CONFIG
 # ---------------------------------------------------------------------------
 # the two order-reduction arguments, as checkable reports
 
-@dataclass(frozen=True)
-class PqOrderReport:
+class PqOrderReport(Record):
     group_id: str
     p: int
     q: int
@@ -160,8 +157,7 @@ def pq_structure_check(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> PqOrd
     return PqOrderReport(G.name, p, q, True, w)
 
 
-@dataclass(frozen=True)
-class PGroupReport:
+class PGroupReport(Record):
     group_id: str
     p: int
     trials: int
@@ -217,15 +213,13 @@ def p_group_equation_check(G: FiniteGroup, trials: int = 100, seed: int = 0) -> 
 # ---------------------------------------------------------------------------
 # catalog audit
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(Record):
     file: str
     report: ClassificationReport | None
     error: str | None
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     entries: tuple[AuditEntry, ...]
     orders: tuple[int, ...]
     deviations: tuple[str, ...]          # metabelian audit-order groups without witness
@@ -308,8 +302,7 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
 # ---------------------------------------------------------------------------
 # the counterexample family
 
-@dataclass(frozen=True)
-class CounterexampleInstance:
+class CounterexampleInstance(Record):
     p: int
     q: int
     n: int
@@ -391,8 +384,7 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     return CounterexampleInstance(p, q, n, m, W, a, b, c, bound, cls, True)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     ring_identity_holds: bool
     s_element: AlgebraElement
     s_is_zero: bool
@@ -456,8 +448,7 @@ def obstruction_check(inst: CounterexampleInstance,
 # ---------------------------------------------------------------------------
 # brute-force equation solving
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(Record):
     solution: dict[str, int] | None
     searched: int
     exhaustive: bool

@@ -26,7 +26,6 @@ list the output of `equations.scan_solutions`, the scan behind `solve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import AbelianGroupSpec, AlgebraElement, RowFamily, augmentation
@@ -36,6 +35,7 @@ from .equations import (EquationSystem, evaluate_compiled, is_p_nonsingular,
 from .errors import CapExceeded, ValidationError
 from .groups import (FiniteGroup, Homomorphism, Subgroup, abelian_p_basis,
                      dlog_table, quotient)
+from .record import Record
 from .words import VAR
 
 
@@ -210,8 +210,7 @@ class WCoeff(NamedTuple):
 WWord = tuple            # of WVar | WCoeff
 
 
-@dataclass(frozen=True)
-class WreathSystem:
+class WreathSystem(Record):
     """A system over H wr B whose coefficients all lie in the base subgroup
     and whose variables carry explicit top conjugators."""
     wreath: WreathGroup
@@ -261,8 +260,7 @@ def wreath_solutions(ws: WreathSystem, base_only: bool = False) -> list[tuple[in
     return [values for _, values in scan_solutions(W, words, ws.variables, domain)]
 
 
-@dataclass(frozen=True)
-class NormalizedSystem:
+class NormalizedSystem(Record):
     system: WreathSystem
     wreath: WreathGroup              # possibly rebuilt over an extended top
     beta: dict[str, int]             # top solution used for the variable change
@@ -352,8 +350,7 @@ class TCoeff(NamedTuple):
 TWord = tuple
 
 
-@dataclass(frozen=True)
-class TransformedSystem:
+class TransformedSystem(Record):
     """Equations f[j,b] over the base group H, variables y[i,b]."""
     base: FiniteGroup
     top: FiniteGroup
@@ -420,8 +417,7 @@ def reconstruct_solution(ts: TransformedSystem,
 # ---------------------------------------------------------------------------
 # group-ring rows
 
-@dataclass(frozen=True)
-class ExtractedRows:
+class ExtractedRows(Record):
     spec: AbelianGroupSpec
     rows: RowFamily                                   # the rows m[j,1]
     all_rows: dict[tuple[int, int], tuple[AlgebraElement, ...]]   # (j, b)

@@ -1,7 +1,22 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import groupeq
 from groupeq.equations import EquationSystem, exponent_matrix, rank_mod_p
 from groupeq.words import COEFF, VAR, Letter
+
+
+def run_python(script: str, *args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run *script* in a fresh interpreter that imports this checkout's
+    groupeq; a child still running after *timeout* seconds fails the test."""
+    src = str(Path(groupeq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def random_wreath_system(W, rng: random.Random, max_vars: int = 2,

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 import groupeq
 from groupeq.algebra import AlgebraMatrix
@@ -256,6 +257,27 @@ def test_cli_runs_without_numpy_or_a_thread_pool():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    script = textwrap.dedent("""
+        import json, sys
+        before = set(sys.modules)
+        from groupeq.cli import build_parser, main
+        build_parser()
+        loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+        assert not loaded, f"starting the CLI loaded {sorted(loaded)}"
+        sys.modules["dataclasses"] = None      # any dataclasses import now fails
+        for argv, expected in json.loads(sys.argv[1]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == expected, (argv, code)
+    """)
+    runs = SCENARIOS + [(["--help"], 0)]
+    proc = run_python(script, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
 
 

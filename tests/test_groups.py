@@ -1,7 +1,9 @@
 import itertools
 import random
+import textwrap
 
 import pytest
+from conftest import run_python
 
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
@@ -222,6 +224,28 @@ def test_sylow_subgroups():
         assert sylow_subgroup(G, p).order == want
     with pytest.raises(ValidationError):
         sylow_subgroup(cyclic(6), 5)
+
+
+NON_PRIME_P = textwrap.dedent("""
+    import sys
+    from groupeq.errors import ValidationError
+    from groupeq.groups import abelian_p_basis, cyclic, sylow_subgroup
+    p = int(sys.argv[1])
+    for call in (lambda: abelian_p_basis(cyclic(4), p), lambda: sylow_subgroup(cyclic(12), p)):
+        try:
+            call()
+        except ValidationError as exc:
+            assert str(exc) == f"{p} is not prime", exc
+        else:
+            raise SystemExit(f"p = {p} was accepted")
+""")
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_non_prime_p_is_refused(p):
+    # _is_p_power(n, 1) never returns, so each p runs in a child under a timeout
+    proc = run_python(NON_PRIME_P, str(p), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_isomorphic_basics():

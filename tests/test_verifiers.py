@@ -162,9 +162,8 @@ def test_obstruction_ring_identity_many_prime_pairs():
 
 
 def test_obstruction_s_zero_is_flagged_anomalous():
-    from dataclasses import replace
     inst = counterexample_build(2, 3)
-    forced = replace(inst, n=0, m=0)
+    forced = inst.replace(n=0, m=0)
     rep = obstruction_check(forced)
     assert rep.s_is_zero
     assert rep.ring_identity_holds          # trivially
