@@ -39,6 +39,7 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]   # (torsion exps, free exps)
 
 
 MAX_ORDER_DIGITS = 4300    # the interpreter's int-to-str limit; describe() prints p^k
+ORDER_LIMIT = 10 ** MAX_ORDER_DIGITS   # least order with more digits than that
 
 
 def _group_desc(torsion_orders: tuple[int, ...], free_rank: int) -> str:
@@ -61,9 +62,8 @@ class AbelianGroupSpec(Record):
         if any(k < 1 for k in self.torsion_exponents):
             raise ValidationError("torsion exponents must be >= 1")
         # p^k >= 2^k, so capping k at the bit length of the limit is exact
-        limit = 10 ** MAX_ORDER_DIGITS
         for k in self.torsion_exponents:
-            if self.p ** min(k, limit.bit_length()) >= limit:
+            if self.p ** min(k, ORDER_LIMIT.bit_length()) >= ORDER_LIMIT:
                 raise ValidationError(f"torsion factor {self.p}^{k} has more "
                                       f"than {MAX_ORDER_DIGITS} digits")
         if self.free_rank < 0:

@@ -411,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "check the catalog invariants")
     p.add_argument("directory", nargs="?",
                    help="directory of .grp files (default: bundled catalog)")
-    p.add_argument("--orders", help="comma-separated order filter")
+    p.add_argument("--orders", help="comma-separated filter on the order a file's header "
+                   "declares; other files are not parsed past the header")
     p.set_defaults(func=cmd_audit_catalog)
 
     p = sub.add_parser("wreath-transform",

@@ -544,6 +544,8 @@ def solve_abelian_p_system(system: EquationSystem, p: int,
     B's. Otherwise each cyclic factor grows by p^v in a new direct product
     B', into which B embeds by h -> h^(p^v).
     """
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     if system.binding is None:
         raise ValidationError("system must be bound to a group")
     B = system.binding.group

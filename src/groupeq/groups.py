@@ -906,17 +906,16 @@ def dlog_table(G: FiniteGroup, basis: Sequence[int]) -> dict[int, tuple[int, ...
 # ---------------------------------------------------------------------------
 # group file format
 
-def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
-    """Parse and fully validate a group file (see package docs for the format)."""
-    lines = [strip_comment(ln).rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+def group_header(text: str) -> tuple[str, int]:
+    """The name and declared order of a group file, from its header alone."""
+    lines = (strip_comment(ln).rstrip() for ln in text.splitlines())
+    first = next((ln for ln in lines if ln.strip()), None)
+    if first is None:
         raise ParseError("empty group file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 4 or header[0] != "group" or header[2] != "order":
-        raise ParseError(f"bad header: {lines[0]!r} "
+        raise ParseError(f"bad header: {first!r} "
                          "(expected: group <name> order <n>)")
-    name = header[1]
     try:
         order = int(header[3])
     except ValueError as exc:
@@ -925,6 +924,14 @@ def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
         raise ParseError("order must be positive")
     if order > MAX_TABLE_ORDER:
         raise CapExceeded(f"group order {order} exceeds the table cap {MAX_TABLE_ORDER}")
+    return header[1], order
+
+
+def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
+    """Parse and fully validate a group file (see package docs for the format)."""
+    name, order = group_header(text)
+    lines = [strip_comment(ln).rstrip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln.strip()]
     if len(lines) < 2:
         raise ParseError("missing body (table: or generators:)")
     mode = lines[1].strip()

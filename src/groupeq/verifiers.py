@@ -24,16 +24,16 @@ import random
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import (MAX_ORDER_DIGITS, AlgebraElement, IntegralGroupSpec,
-                      format_element)
+from .algebra import (MAX_ORDER_DIGITS, ORDER_LIMIT, AlgebraElement,
+                      IntegralGroupSpec, format_element)
 from .catalog import AUDIT_ORDERS, EXPECTED_COUNTS
 from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
                         compile_word, satisfies, scan_solutions)
-from .errors import CapExceeded, GroupEqError, ValidationError
+from .errors import CapExceeded, GroupEqError, ValidationError, read_text_file
 from .groups import (FiniteGroup, Subgroup, _is_p_power, commutator_subgroup,
-                     cyclic, direct_product, is_metabelian, is_normal,
-                     is_prime, isomorphic, load_group_file, normal_subgroups,
+                     cyclic, direct_product, group_header, is_metabelian,
+                     is_normal, is_prime, isomorphic, load_group, normal_subgroups,
                      prime_factors, quotient, sylow_subgroup)
 from .record import Record
 from .words import (COEFF, VAR, Letter, Word, _check_length, word_conjugate,
@@ -248,22 +248,26 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
                   config: Config = DEFAULT_CONFIG) -> AuditReport:
     """Classify every group file in a directory and check catalog hygiene.
 
-    Per-file load errors are collected, not fatal. Within each order the
-    groups are checked pairwise non-isomorphic and, when the order is one
-    the catalog claims to cover completely, the count is compared against
-    the classification count.
+    Files are selected by the order their header declares: one declaring an
+    order outside ``orders`` is not parsed past its header. Per-file load
+    errors, bad headers included, are collected, not fatal. Within each
+    order the groups are checked pairwise non-isomorphic and, when the order
+    is one the catalog claims to cover completely, the count is compared
+    against the classification count.
     """
-    def load_one(path: Path) -> tuple[AuditEntry, FiniteGroup | None]:
+    entries: list[AuditEntry] = []
+    loaded: dict[int, list[FiniteGroup]] = {}
+    for path in sorted(Path(directory).glob("*.grp")):
         try:
-            G = load_group_file(path, config)
+            text = read_text_file(path)
+            if orders is not None and group_header(text)[1] not in orders:
+                continue
+            G = load_group(text, config)
         except GroupEqError as exc:
-            return AuditEntry(path.name, None, str(exc)), None
-        if orders is not None and G.order not in orders:
-            return AuditEntry(path.name, None, None), None   # filtered out
-        return AuditEntry(path.name, classify_group(G, config), None), G
-
-    results = [load_one(f) for f in sorted(Path(directory).glob("*.grp"))]
-    entries = [e for e, _ in results if e.report is not None or e.error is not None]
+            entries.append(AuditEntry(path.name, None, str(exc)))
+            continue
+        entries.append(AuditEntry(path.name, classify_group(G, config), None))
+        loaded.setdefault(G.order, []).append(G)
 
     present_orders = sorted({e.report.order for e in entries if e.report})
     deviations = []
@@ -285,10 +289,6 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
             counts_ok = False
 
     pairwise = True
-    loaded: dict[int, list[FiniteGroup]] = {}
-    for (e, G) in results:
-        if e.report is not None and G is not None:
-            loaded.setdefault(G.order, []).append(G)
     for lst in loaded.values():
         for g1, g2 in itertools.combinations(lst, 2):
             if isomorphic(g1, g2, config) is not None:
@@ -359,8 +359,8 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     n = pow(p, -1, q)
     m = (1 - n * p) // q
     assert n * p + m * q == 1
-    limit = 10 ** MAX_ORDER_DIGITS      # 2^e >= limit once e reaches its bit length
-    if 2 ** min(p * q, limit.bit_length()) * p * q >= limit:
+    # 2^e >= ORDER_LIMIT once e reaches its bit length
+    if 2 ** min(p * q, ORDER_LIMIT.bit_length()) * p * q >= ORDER_LIMIT:
         raise CapExceeded(f"group order 2^{p * q} * {p * q} has more than "
                           f"{MAX_ORDER_DIGITS} digits")
     if not symbolic:

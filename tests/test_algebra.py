@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from groupeq.algebra import (AbelianGroupSpec, AlgebraElement, AlgebraMatrix,
+from groupeq.algebra import (MAX_ORDER_DIGITS, AbelianGroupSpec, AlgebraElement, AlgebraMatrix,
                              IntegralGroupSpec, RowFamily, all_elements,
                              augmentation, augmentation_matrix,
                              certify_non_zero_divisor,
@@ -38,6 +39,23 @@ def test_spec_validation():
         AbelianGroupSpec(2, (0,))
     with pytest.raises(ValidationError):
         IntegralGroupSpec((1,), 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_spec_order_digit_bound(p):
+    limit = 10 ** MAX_ORDER_DIGITS
+    k = int(MAX_ORDER_DIGITS / math.log10(p))
+    while p ** k >= limit:
+        k -= 1
+    while p ** (k + 1) < limit:
+        k += 1
+    spec = AbelianGroupSpec(p, (1, k))          # the largest printable factor
+    assert spec.describe() == f"Z_{p}[C{p} x C{p ** k}]"
+    assert len(str(p ** k)) == MAX_ORDER_DIGITS
+    with pytest.raises(ValidationError) as exc:
+        AbelianGroupSpec(p, (1, k + 1))
+    assert str(exc.value) == (f"torsion factor {p}^{k + 1} has more than "
+                              f"{MAX_ORDER_DIGITS} digits")
 
 
 def test_identity_monomial_is_neutral():

@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import textwrap
 
 import pytest
+from conftest import run_python
 
 import groupeq.equations as equations
 from groupeq.equations import (EquationSystem, classify, classify_matrix,
@@ -206,6 +208,28 @@ def test_abelian_solver_p_nonsingular_stays_inside():
         assert sol.lift_exponent == 0
         lifted = s.bind(sol.group, {"g": sol.embedding(g)})
         assert satisfies(lifted, sol.assignment)
+
+
+NON_PRIME_BASIS = textwrap.dedent("""
+    from groupeq.equations import parse_system, solve_abelian_p_system
+    from groupeq.errors import ValidationError
+    from groupeq.groups import abelian_p_basis, cyclic
+    G = cyclic(4)
+    s = parse_system("vars: x\\ncoeffs: g\\neq: x^2 g").bind(G, {"g": 2})
+    for p in (1, 0, 4):
+        try:
+            solve_abelian_p_system(s, p, basis=abelian_p_basis(G, 2))
+        except ValidationError as exc:
+            assert str(exc) == f"{p} is not prime", exc
+        else:
+            raise SystemExit(f"p = {p} was accepted")
+""")
+
+
+def test_abelian_solver_refuses_non_prime_p_with_explicit_basis():
+    # with p = 1 the lift-exponent loop never ends, so this runs in a child
+    proc = run_python(NON_PRIME_BASIS, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_abelian_solver_rejects_singular_and_nonabelian():

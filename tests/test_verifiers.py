@@ -7,11 +7,13 @@ from groupeq.algebra import AlgebraElement, IntegralGroupSpec
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.equations import EquationSystem, evaluate_word, parse_system
-from groupeq.errors import CapExceeded, ValidationError
-from groupeq.groups import (affine_group_over_prime_field, cyclic, dicyclic,
-                            dihedral, load_group_file, quaternion_group)
-from groupeq.verifiers import (abelian_by_abelian_p_witness, audit_catalog,
-                               brute_force_solve, classify_group,
+from groupeq.errors import CapExceeded, GroupEqError, ValidationError
+from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup,
+                            affine_group_over_prime_field, cyclic, dicyclic,
+                            dihedral, load_group, load_group_file,
+                            prime_factors, quaternion_group)
+from groupeq.verifiers import (AuditEntry, abelian_by_abelian_p_witness,
+                               audit_catalog, brute_force_solve, classify_group,
                                counterexample_build, counterexample_equation,
                                counterexample_text, p_group_equation_check,
                                pq_structure_check, obstruction_check,
@@ -245,6 +247,83 @@ def test_audit_collects_load_errors(tmp_path):
     assert len([e for e in report.entries if e.report]) == 1
 
 
+def _restricted(full, orders):
+    """The full audit's verdicts on the groups of the given orders."""
+    def keep(entry_text):
+        return any(entry_text.endswith(f"(order {o})") for o in orders)
+    return (tuple(e for e in full.entries if e.report.order in orders),
+            tuple(o for o in full.orders if o in orders),
+            full.counts_ok, full.pairwise_distinct,
+            tuple(filter(keep, full.deviations)),
+            tuple(filter(keep, full.expected_without_witness)))
+
+
+def test_subset_audit_is_the_restricted_full_audit(monkeypatch):
+    full = audit_catalog(bundled_catalog_dir())
+    assert full.counts_ok and full.pairwise_distinct
+    assert not any(e.error for e in full.entries)
+    validated = []
+    real_validate = FiniteGroup.validate
+
+    def counting_validate(G):
+        validated.append(G.order)
+        return real_validate(G)
+    monkeypatch.setattr(FiniteGroup, "validate", counting_validate)
+    subsets = [(o,) for o in full.orders] + [(12, 42), (24, 36), (30, 40)]
+    for orders in subsets:
+        validated.clear()
+        sub = audit_catalog(bundled_catalog_dir(), orders)
+        assert (sub.entries, sub.orders, sub.counts_ok, sub.pairwise_distinct,
+                sub.deviations, sub.expected_without_witness) == \
+            _restricted(full, orders)
+        # one validated build per file of the audited orders, none for the rest
+        assert len(validated) == len(sub.entries) > 0
+        assert set(validated) == set(orders)
+
+
+GOOD_C2 = "group C2 order 2\ntable:\n0 1\n1 0\n"
+BROKEN_BODY = "group X order 2\ntable:\n0 1\n1 1\n"   # not a Latin square
+
+
+@pytest.mark.parametrize("text", [
+    "# only a comment\n",
+    "grp X order 2\ntable:\n0\n",
+    "group X order two\ntable:\n0\n",
+    "group X order 0\ntable:\n",
+    f"group X order {MAX_TABLE_ORDER + 1}\ntable:\n",
+])
+def test_audit_reports_bad_headers_under_any_filter(tmp_path, text):
+    (tmp_path / "a_bad.grp").write_text(text)
+    (tmp_path / "good.grp").write_text(GOOD_C2)
+    with pytest.raises(GroupEqError) as exc:
+        load_group(text)
+    for orders in (None, (2,), (3,)):
+        report = audit_catalog(tmp_path, orders)
+        assert report.entries[0] == AuditEntry("a_bad.grp", None, str(exc.value))
+        assert [e.file for e in report.entries[1:]] == \
+            ([] if orders == (3,) else ["good.grp"])
+
+
+def test_audit_filters_broken_bodies_by_declared_order(tmp_path):
+    (tmp_path / "broken.grp").write_text(BROKEN_BODY)
+    (tmp_path / "c3.grp").write_text(
+        "group C3 order 3\ngenerators:\n(1,2,3)\n")
+    (tmp_path / "latin1.grp").write_bytes(b"group X order 3\n\xff\n")
+    with pytest.raises(GroupEqError) as exc:
+        load_group(BROKEN_BODY)
+    broken = AuditEntry("broken.grp", None, str(exc.value))
+    for orders in (None, (2,), (2, 3)):
+        assert broken in audit_catalog(tmp_path, orders).entries
+    report = audit_catalog(tmp_path, (3,))
+    assert [e.file for e in report.entries] == ["c3.grp", "latin1.grp"]
+    assert report.entries[0].report.order == 3
+    # undecodable files are reported whatever the filter
+    for orders in (None, (2,), (5,)):
+        errors = [e for e in audit_catalog(tmp_path, orders).entries
+                  if e.file == "latin1.grp"]
+        assert len(errors) == 1 and "not UTF-8 text" in errors[0].error
+
+
 def test_audit_empty_directory(tmp_path):
     report = audit_catalog(tmp_path)
     assert report.entries == ()
@@ -332,6 +411,23 @@ def test_counterexample_caps_are_checked_before_building(monkeypatch):
     # pq = 14002 is under the digit bound, the word has about 7001^2 letters
     with pytest.raises(CapExceeded, match=f"limit {MAX_WORD_LENGTH}"):
         counterexample_build(2, 7001, symbolic=True)
+
+
+def test_counterexample_order_digit_bound():
+    from groupeq.algebra import MAX_ORDER_DIGITS
+    # 19 * 751 = 14269 and 7 * 2039 = 14273 are the neighbouring products of
+    # two distinct primes on either side of the bound
+    pq = [n for n in range(14269, 14274)
+          if len(f := prime_factors(n)) == 2 and f[0] * f[1] == n]
+    assert pq == [14269, 14273]
+    for p, q in ((19, 751), (751, 19)):
+        inst = counterexample_build(p, q, symbolic=True)
+        assert len(str(inst.order)) == MAX_ORDER_DIGITS
+    for p, q in ((7, 2039), (2039, 7)):
+        with pytest.raises(CapExceeded) as exc:
+            counterexample_build(p, q, symbolic=True)
+        assert str(exc.value) == (f"group order 2^14273 * 14273 has more than "
+                                  f"{MAX_ORDER_DIGITS} digits")
 
 
 def test_counterexample_word_and_s_element_for_larger_primes():
