@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 

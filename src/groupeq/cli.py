@@ -13,7 +13,6 @@ and re-serializing it is the identity, which keeps reports scriptable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -25,7 +24,7 @@ from .catalog import bundled_catalog_dir, resolve_data_path
 from .config import DEFAULT_CONFIG, Config, load_config
 from .equations import (classify, det_int, exponent_matrix, parse_system_file,
                         rank_mod_p)
-from .errors import GroupEqError, ParseError, read_text_file
+from .errors import GroupEqError, ParseError, ValidationError, read_text_file
 from .groups import (all_subgroups, center, derived_series, is_metabelian,
                      is_nilpotent, load_group_file, normal_subgroups,
                      prime_factors, sylow_subgroup)
@@ -39,6 +38,7 @@ from .wreath import (extract_rows, coordinatewise_transform, normalize_top_compo
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "structured":
+        import json                  # only structured output needs it
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -158,9 +158,13 @@ def cmd_audit_catalog(args, config: Config) -> int:
         try:
             orders = tuple(int(tok) for tok in args.orders.replace(",", " ").split())
         except ValueError:
+            orders = ()
+        if not orders:
             raise ParseError(f"--orders: expected comma-separated integers, "
-                             f"got {args.orders!r}") from None
+                             f"got {args.orders!r}")
     report = audit_catalog(directory, orders, config)
+    if orders and not report.entries:
+        raise ValidationError(f"--orders {args.orders}: no group file has one of these orders")
     lines = []
     for e in report.entries:
         if e.error:

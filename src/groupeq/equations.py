@@ -19,9 +19,7 @@ All integer arithmetic is arbitrary precision.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
-from operator import and_, eq
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -215,6 +213,7 @@ def echelon(A: Sequence[Sequence[int]], p: int | None = None) -> Echelon:
     a column outside the span of the columns before it.
     """
     if p is None:
+        from fractions import Fraction      # only elimination over Q needs it
         m = [[Fraction(x) for x in row] for row in A]
         det = Fraction(1)
     else:
@@ -469,21 +468,22 @@ def scan_solutions(group, words: Sequence[Sequence[tuple]], variables: Sequence,
     *domain* to *variables* that makes each compiled word the identity, in
     lexicographic order of *domain* (reversed when descending).
 
-    The scan runs in blocks: the first n-1 variables (the prefix) are fixed
-    and each word is evaluated for all values of the last variable at once.
-    Coefficients and prefix letters fold into one pending element; each
-    occurrence of the last variable is one ``map`` over the block.
+    The first n-1 variables are fixed per block and each word is evaluated
+    for all values x of the last variable at once. Coefficients and fixed
+    letters fold into an element c; each occurrence of x but the first
+    costs one `mul_all` gather with the shifted block c*x^(+-1), cached by
+    (c, sign) when n >= 2 (at most 2|G| blocks of len(domain) entries). A
+    word holds where its block equals the inverse of the c after the last x.
     """
-    mul, inv, one = group.mul, group.inv, group.identity
+    mul, inv, one, mul_all = group.mul, group.inv, group.identity, group.mul_all
     words = [[(k if k is None else variables.index(k), v) for k, v in w] for w in words]
     nvars = len(variables)
     rng = domain[::-1] if descending else domain
     last = nvars - 1
     xs = list(rng) if nvars else [one]     # nvars = 0: one block of size 1
-    xinvs = list(map(inv, xs))
-    everywhere = [True] * len(xs)
+    shifted = {(one, 1): xs, (one, -1): list(map(inv, xs))}
     for block, prefix in enumerate(itertools.product(rng, repeat=max(last, 0))):
-        hits = everywhere
+        hits = range(len(xs))
         for word in words:
             c, acc = one, None
             for k, v in word:
@@ -492,20 +492,23 @@ def scan_solutions(group, words: Sequence[Sequence[tuple]], variables: Sequence,
                 elif k != last:
                     c = mul(c, prefix[k] if v > 0 else inv(prefix[k]))
                 else:
-                    ys = xs if v > 0 else xinvs
-                    if c != one:
-                        ys = list(map(mul, itertools.repeat(c), ys))
-                    acc = ys if acc is None else list(map(mul, acc, ys))
+                    ys = shifted.get((c, v))
+                    if ys is None:
+                        ys = mul_all([c] * len(xs), shifted[one, v])
+                        if nvars > 1:       # more than one block
+                            shifted[c, v] = ys
+                    acc = ys if acc is None else mul_all(acc, ys)
                     c = one
             if acc is None:          # holds for the whole block or for none of it
                 if c != one:
                     break
                 continue
-            hits = list(map(and_, hits, map(eq, acc, itertools.repeat(inv(c)))))
-            if True not in hits:
+            target = inv(c)
+            hits = [i for i in hits if acc[i] == target] if target in acc else ()
+            if not hits:
                 break
         else:
-            for i in itertools.compress(range(len(xs)), hits):
+            for i in hits:
                 yield block * len(xs) + i + 1, (prefix + (xs[i],))[:nvars]
 
 

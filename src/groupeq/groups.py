@@ -165,6 +165,11 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def mul_all(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[x*y for x, y in zip(xs, ys)] as one gather over the table."""
+        t = self.table
+        return [t[x][y] for x, y in zip(xs, ys)]
+
     def inv(self, a: int) -> int:
         return self.inverse[a]
 

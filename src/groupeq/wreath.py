@@ -101,6 +101,10 @@ class WreathGroup:
         prod = tuple(bm[f[b]][g[tm[b][t]]] for b in range(self.top.order))
         return self.encode(prod, tm[t][u])
 
+    def mul_all(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[x*y for x, y in zip(xs, ys)], without realizing the table."""
+        return list(map(self.mul, xs, ys))
+
     def inv(self, x: int) -> int:
         f, t = self.decode(x)
         tinv = self.top.inverse[t]

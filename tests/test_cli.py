@@ -281,6 +281,27 @@ def test_cli_starts_without_dataclasses_or_inspect():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_imports_fractions_and_json_only_where_used(tmp_path):
+    (tmp_path / "r.alg").write_text("algebra rational free=1\nrow: 1 ; 2\nrow: t1 ; 3\n")
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        before = set(sys.modules)
+        from groupeq.cli import main
+        loaded = {"fractions", "decimal", "json"} & (set(sys.modules) - before)
+        assert not loaded, f"importing the CLI loaded {sorted(loaded)}"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["certify-rows", sys.argv[1]]) == 0
+            assert main(["--format", "structured", "classify", "@catalog/012_a4.grp"]) == 0
+        rational, structured = out.getvalue().splitlines()[-2:]
+        assert rational == "verdict: certified", out.getvalue()
+        import json
+        assert json.loads(structured)["metabelian"] is True, structured
+    """)
+    proc = run_python(script, str(tmp_path / "r.alg"))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_audit_reports_a_non_utf8_file_and_goes_on(tmp_path):
     src = resolve_data_path(S3)
     (tmp_path / "006_s3.grp").write_text(src.read_text(encoding="utf-8"))
@@ -304,6 +325,19 @@ def test_audit_orders_must_be_integers():
     code, out, err = run_cli(["audit-catalog", "--orders", "12,x"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "--orders" in err
+
+
+@pytest.mark.parametrize("orders", ["9999", "9999,10000", ",", " "])
+def test_audit_orders_that_select_no_file_are_operational_errors(orders):
+    code, out, err = run_cli(["audit-catalog", "--orders", orders])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--orders" in err
+
+
+def test_audit_empty_orders_audits_everything():
+    code, out, err = run_cli(["audit-catalog", "--orders", ""])
+    assert (code, out, err) == run_cli(["audit-catalog"])
+    assert code == 0 and "orders audited: 1, 2, 3," in out
 
 
 @pytest.mark.parametrize("torsion", [22, 40])

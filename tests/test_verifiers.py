@@ -6,12 +6,13 @@ import pytest
 from groupeq.algebra import AlgebraElement, IntegralGroupSpec
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
-from groupeq.equations import EquationSystem, evaluate_word, parse_system
+from groupeq.equations import (EquationSystem, compile_word, evaluate_compiled,
+                               evaluate_word, parse_system, scan_solutions)
 from groupeq.errors import CapExceeded, GroupEqError, ValidationError
 from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup,
                             affine_group_over_prime_field, cyclic, dicyclic,
                             dihedral, load_group, load_group_file,
-                            prime_factors, quaternion_group)
+                            prime_factors, quaternion_group, trivial_group)
 from groupeq.verifiers import (AuditEntry, abelian_by_abelian_p_witness,
                                audit_catalog, brute_force_solve, classify_group,
                                counterexample_build, counterexample_equation,
@@ -20,7 +21,7 @@ from groupeq.verifiers import (AuditEntry, abelian_by_abelian_p_witness,
                                obstruction_s_element, random_unimodular_equation,
                                verify_witness)
 from groupeq.words import COEFF, VAR, Letter, exponent_sum, parse_word
-from groupeq.wreath import wreath_product
+from groupeq.wreath import WreathGroup, wreath_product
 
 
 def build_a4():
@@ -390,6 +391,95 @@ def test_block_scan_boundaries(text, g, solution, searched):
         res = brute_force_solve(system, descending=descending)
         assert (res.solution, res.searched, res.exhaustive) == \
             reference_scan(system, descending)
+
+
+def shifted_block_system(G, nvars, rng):
+    """1-3 random words over two coefficients, each with the same
+    coefficient before two occurrences of the last variable, so the scan
+    looks up a shifted block it has already built."""
+    variables = tuple(f"x{i}" for i in range(nvars))
+
+    def coeff(name):
+        return Letter(COEFF, name, rng.choice((1, -1)))
+
+    words = []
+    for _ in range(rng.randint(1, 3)):
+        letters = [Letter(VAR, rng.choice(variables), rng.choice((1, -1)))
+                   if variables and rng.random() < 0.5 else coeff(rng.choice("ab"))
+                   for _ in range(rng.randint(1, 5))]
+        if variables:
+            a, x = coeff("a"), Letter(VAR, variables[-1], rng.choice((1, -1)))
+            at = rng.randrange(len(letters) + 1)
+            letters[at:at] = [a, x, a, x]
+        words.append(tuple(letters))
+    values = {"a": rng.randrange(G.order), "b": rng.randrange(G.order)}
+    return EquationSystem(variables, ("a", "b"), tuple(words)).bind(G, values)
+
+
+def reference_solutions(G, words, variables, descending):
+    """Every (scan position, values) of the per-assignment scan."""
+    rng = range(G.order - 1, -1, -1) if descending else range(G.order)
+    combos = itertools.product(rng, repeat=len(variables))
+    return [(searched, combo) for searched, combo in enumerate(combos, start=1)
+            if all(evaluate_compiled(G, w, dict(zip(variables, combo))) == G.identity
+                   for w in words)]
+
+
+def test_block_scan_yields_every_solution_of_the_reference_scan():
+    rng = random.Random(12)
+    groups = [load_group_file(f) for f in sorted(bundled_catalog_dir().glob("*.grp"))
+              if int(f.name[:3]) <= 24]
+    groups += [trivial_group(), wreath_product(cyclic(2), cyclic(2))]
+    seen = set()
+    for G in groups:
+        for nvars in range(4):
+            if G.order ** nvars > 1000:
+                break
+            system = shifted_block_system(G, nvars, rng)
+            words = [compile_word(w, G, system.binding.values) for w in system.words]
+            for descending in (False, True):
+                got = list(scan_solutions(G, words, system.variables, G.elements(),
+                                          descending))
+                assert got == reference_solutions(G, words, system.variables,
+                                                  descending), (G.name, system)
+                seen.add((nvars, min(len(got), 2)))
+    assert seen == {(0, 0), (0, 1)} | {(n, k) for n in range(1, 4) for k in range(3)}
+
+
+class GatherCounter:
+    """A group that counts the scan's gathers."""
+
+    def __init__(self, G):
+        self.G, self.gathers = G, 0
+        self.mul, self.inv, self.identity = G.mul, G.inv, G.identity
+
+    def mul_all(self, xs, ys):
+        self.gathers += 1
+        return self.G.mul_all(xs, ys)
+
+
+@pytest.mark.parametrize("variables,gathers", [
+    # the word 5 y 5 y (x) y^-1 over C12, 2 products per block
+    # one block, no cache: each 5 y shifts the block
+    (("y",), 2 + 2),
+    # 12 blocks: (5, 1) is shifted once, (x, -1) once for each x but the
+    # identity, within the cache bound of 2|G| shifted blocks
+    (("x", "y"), 12 * 2 + 1 + 11),
+])
+def test_block_scan_gathers_and_shifted_block_cache(variables, gathers):
+    G = GatherCounter(cyclic(12))
+    word = [(None, 5), ("y", 1), (None, 5), ("y", 1)] + \
+        [(v, 1) for v in variables[:-1]] + [("y", -1)]
+    list(scan_solutions(G, [word], variables, range(12)))
+    assert G.gathers == gathers
+
+
+def test_wreath_scan_never_realizes_the_table(monkeypatch):
+    def no_table(self):
+        raise AssertionError("the scan realized the wreath product's table")
+    monkeypatch.setattr(WreathGroup, "realize", no_table)
+    res = brute_force_solve(counterexample_build(2, 3).system)
+    assert (res.solution, res.searched, res.exhaustive) == (None, 384, True)
 
 
 def test_counterexample_caps_are_checked_before_building(monkeypatch):
