@@ -47,8 +47,9 @@ from .verifiers import (AuditReport, BruteForceResult, ClassificationReport,
                         PGroupReport, PqOrderReport, Witness,
                         abelian_by_abelian_p_witness, audit_catalog,
                         brute_force_solve, classify_group,
-                        counterexample_build, obstruction_check,
-                        p_group_equation_check, pq_structure_check)
+                        counterexample_build, group_obstruction,
+                        obstruction_check, p_group_equation_check,
+                        pq_structure_check)
 from .words import Letter, Word, exponent_sum, format_word, parse_word
 from .wreath import (TransformedSystem, WreathGroup, WreathSystem,
                      extract_rows, kaloujnine_krasner, coordinatewise_transform,

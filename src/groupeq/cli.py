@@ -163,8 +163,9 @@ def cmd_audit_catalog(args, config: Config) -> int:
             raise ParseError(f"--orders: expected comma-separated integers, "
                              f"got {args.orders!r}")
     report = audit_catalog(directory, orders, config)
-    if orders and not report.entries:
-        raise ValidationError(f"--orders {args.orders}: no group file has one of these orders")
+    if not report.entries:      # an audit of nothing would read as a pass
+        raise ValidationError(f"--orders {args.orders}: no group file has one of these orders"
+                              if orders else f"{directory} is not a directory with a .grp file")
     lines = []
     for e in report.entries:
         if e.error:
@@ -208,32 +209,18 @@ def cmd_wreath_transform(args, config: Config) -> int:
     ex = extract_rows(ts, args.prime)
     cert = certify_row_independence(ex.rows)
 
-    topg = norm.wreath.top
-    var_names = {(i, b): f"y_{i}_{b}" for (i, b) in ts.variables}
-    coeff_syms: dict[int, str] = {}
-    eq_lines = []
-    for j, per_b in enumerate(ts.words):
-        for b, word in enumerate(per_b):
-            toks = []
-            for letter in word:
-                if hasattr(letter, "elem"):
-                    sym = coeff_syms.setdefault(letter.elem,
-                                                f"c{len(coeff_syms) + 1}")
-                    toks.append(sym)
-                else:
-                    tok = var_names[(letter.name, letter.top)]
-                    toks.append(tok if letter.sign > 0 else tok + "^-1")
-            eq_lines.append(("eq: " + " ".join(toks)).rstrip())
+    out = ts.system
     sys_lines = ["# transformed system over the base group " + base.name,
-                 "vars: " + " ".join(var_names[v] for v in ts.variables)]
-    if coeff_syms:
-        sys_lines.append("coeffs: " + " ".join(coeff_syms.values()))
+                 "vars: " + " ".join(out.variables)]
+    if out.coefficients:
+        sys_lines.append("coeffs: " + " ".join(out.coefficients))
         sys_lines.append("bind: " + str(args.base) + " " + " ".join(
-            f"{sym}={base.names[e]}" for e, sym in coeff_syms.items()))
-    sys_lines += eq_lines
+            f"{c}={base.names[e]}" for c, e in out.binding.values.items()))
+    sys_lines += [" ".join(["eq:"] + [l.name if l.sign > 0 else l.name + "^-1"
+                                      for l in word]) for word in out.words]
     row_lines = ["# rows m[j,1] over the top-group algebra",
                  format_row_file(ex.rows).rstrip()]
-    beta_desc = {i: topg.names[t] for i, t in norm.beta.items()}
+    beta_desc = {i: norm.wreath.top.names[t] for i, t in norm.beta.items()}
     payload = {
         "beta": beta_desc,
         "translation_identity_holds": ex.translation_holds,

@@ -25,7 +25,7 @@ class Config(Record):
     iso_order_cap: int = 128           # isomorphism search
     closure_cap: int = 10**6           # from_generators closure
     wreath_order_cap: int = 10**6      # wreath product element count
-    wreath_table_cap: int = 4096       # materializing a wreath Cayley table
+    wreath_table_cap: int = 4096       # WreathGroup.realize only; no command calls it
     brute_force_cap: int = 10**6       # assignments scanned by brute_force_solve
     enumeration_cap: int = 12          # exhaustive small-group enumeration
     classify_primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)

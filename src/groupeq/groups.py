@@ -518,26 +518,32 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 class Homomorphism(Record):
+    """A checked map from a FiniteGroup into any group with ``order`` and
+    ``mul_all`` (a FiniteGroup or a packed WreathGroup); the check costs one
+    ``mul_all`` gather per source row and names the first failing pair."""
     source: FiniteGroup
-    target: FiniteGroup
+    target: object
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
         img = tuple(int(x) for x in self.image)
         object.__setattr__(self, "image", img)
-        if len(img) != self.source.order:
+        n = self.source.order
+        if len(img) != n:
             raise ValidationError("homomorphism image has wrong length")
         if any(x < 0 or x >= self.target.order for x in img):
             raise ValidationError("homomorphism image out of range")
         if img[0] != 0:
             raise ValidationError("homomorphism must send identity to identity")
-        s, t = self.source.table, self.target.table
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                if img[s[a][b]] != t[img[a]][img[b]]:
-                    raise ValidationError(
-                        f"not multiplicative at ({self.source.names[a]!r}, "
-                        f"{self.source.names[b]!r})")
+        mul_all = self.target.mul_all
+        for a, row in enumerate(self.source.table):
+            got = mul_all([img[a]] * n, img)              # img(a) * img(b)
+            want = [img[ab] for ab in row]                # img(a * b)
+            if got != want:
+                b = next(b for b in range(n) if got[b] != want[b])
+                raise ValidationError(
+                    f"not multiplicative at ({self.source.names[a]!r}, "
+                    f"{self.source.names[b]!r})")
 
     def __call__(self, a: int) -> int:
         return self.image[a]

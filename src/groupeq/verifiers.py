@@ -418,13 +418,29 @@ def obstruction_s_element(p: int, q: int, n: int, m: int) -> AlgebraElement:
            (one + a) * sum_b * AlgebraElement.scalar(spec, m)
 
 
+def group_obstruction(G, a: int, b: int, c: int) -> tuple[int, int]:
+    """(w^(1+ab), w^(a+b)) for w = c c^(ab), in any group object with
+    ``mul`` and ``conj``: w^(1+ab) is w w^(ab), w^(a+b) is w^a w^b.
+
+    The group half of the obstruction is that the two differ. The argument
+    needs that a and b commute and have orders p and q (distinct primes), so
+    that <a, b> is Cp x Cq, and that w lies in an abelian normal subgroup,
+    on which Z[Cp x Cq] then acts by conjugation; none of this is checked
+    here.
+    """
+    mul, conj = G.mul, G.conj
+    ab = mul(a, b)
+    w = mul(c, conj(c, ab))
+    return mul(w, conj(w, ab)), mul(conj(w, a), conj(w, b))
+
+
 def obstruction_check(inst: CounterexampleInstance,
                       config: Config = DEFAULT_CONFIG) -> ObstructionReport:
     """Exact check of both halves of the obstruction.
 
     (i)  S*(1+ab) = S*(a+b) in Z[Cp x Cq], by expansion.
-    (ii) (c c^(ab))^(1+ab) != (c c^(ab))^(a+b) in the wreath group,
-         unless the instance is symbolic.
+    (ii) `group_obstruction` in the wreath group, unless the instance is
+         symbolic.
     """
     spec = IntegralGroupSpec((inst.p, inst.q), 0)
     one = AlgebraElement.one(spec)
@@ -437,10 +453,7 @@ def obstruction_check(inst: CounterexampleInstance,
         return ObstructionReport(ring_ok, S, S.is_zero(), None, None)
 
     W = inst.wreath
-    ab = W.mul(inst.a, inst.b)
-    w = W.mul(inst.c, W.conj(inst.c, ab))
-    lhs = W.mul(w, W.conj(w, ab))                      # w^(1+ab)
-    rhs = W.mul(W.conj(w, inst.a), W.conj(w, inst.b))  # w^(a+b)
+    lhs, rhs = group_obstruction(W, inst.a, inst.b, inst.c)
     return ObstructionReport(ring_ok, S, S.is_zero(), lhs != rhs,
                              (W.element_name(lhs), W.element_name(rhs)))
 

@@ -3,8 +3,11 @@
 A wreath product H wr B is the set of pairs (f, t) with f: B -> H and
 t in B; the top group acts on tuples by index translation, so conjugating
 a base element by d moves coordinate b to coordinate b*d^-1. Elements are
-packed into integers, which keeps groups like C2 wr (C2 x C3) (order 384)
-cheap to work with; a full Cayley table is only materialized on demand.
+packed into integers and multiplied without a Cayley table, which keeps
+groups like C2 wr (C2 x C3) (order 384) cheap to work with and bounds them
+by ``wreath_order_cap`` alone; ``realize`` builds the table on request.
+`kaloujnine_krasner` embeds G into N wr (G/N) as a `Homomorphism` checked
+on the packed product.
 
 The transformation pipeline turns a system over H wr B into an equivalent
 family of systems over H, one per top element:
@@ -12,16 +15,17 @@ family of systems over H, one per top element:
 1. `normalize_top_component` changes variables so every coefficient lies
    in the base (the image system over the abelian top is solved first,
    extending the top p-group if needed).
-2. `coordinatewise_transform` rewrites each equation into |B| equations over H in
-   the doubled variable set y[i,b].
+2. `coordinatewise_transform` rewrites each equation into |B| equations
+   over H in the variables y_<i>_<b>, as an `EquationSystem` bound to H,
+   so `solve`'s scan, `satisfies` and `brute_force_solve` read it as is.
 3. `extract_rows` produces, per original equation, the row of group-ring
    elements over Z_p[B] that controls independence, together with the
    translation relation between the rows for different top elements.
 4. `reconstruct_solution` assembles a wreath solution from a pointwise one.
 
-Wreath and coordinatewise words compile to the letter form of `equations`:
-`equations.evaluate_compiled` evaluates them, and the exhaustive helpers
-list the output of `equations.scan_solutions`, the scan behind `solve`.
+Wreath words compile to the letter form of `equations`, so
+`equations.evaluate_compiled` evaluates them and `wreath_solutions` lists
+the output of `equations.scan_solutions`.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ from typing import Mapping, NamedTuple, Sequence
 from .algebra import AbelianGroupSpec, AlgebraElement, RowFamily, augmentation
 from .config import DEFAULT_CONFIG, Config
 from .equations import (EquationSystem, evaluate_compiled, is_p_nonsingular,
-                        scan_solutions, solve_abelian_p_system)
+                        satisfies, scan_solutions, solve_abelian_p_system)
 from .errors import CapExceeded, ValidationError
 from .groups import (FiniteGroup, Homomorphism, Subgroup, abelian_p_basis,
                      dlog_table, quotient)
 from .record import Record
-from .words import VAR
+from .words import COEFF, VAR, Letter
 
 
 def wreath_order(base_order: int, top_order: int, config: Config = DEFAULT_CONFIG) -> int:
@@ -161,12 +165,12 @@ def wreath_product(base: FiniteGroup, top: FiniteGroup,
 
 
 def kaloujnine_krasner(G: FiniteGroup, N: Subgroup,
-                       config: Config = DEFAULT_CONFIG
-                       ) -> tuple[WreathGroup, Homomorphism]:
-    """Embed G into N wr (G/N) via the lex-least coset transversal.
+                       config: Config = DEFAULT_CONFIG) -> Homomorphism:
+    """Embed G into the packed N wr (G/N) via the lex-least coset transversal.
 
-    The returned homomorphism is fully validated, so injectivity and
-    multiplicativity are exhaustively checked facts, not assumptions.
+    The returned homomorphism (its target is the WreathGroup) is fully
+    validated, so injectivity and multiplicativity are exhaustively checked
+    facts, not assumptions.
     """
     Q, proj = quotient(G, N)
     H = N.as_group(name=f"{G.name}-N")
@@ -178,9 +182,6 @@ def kaloujnine_krasner(G: FiniteGroup, N: Subgroup,
         if transversal[q] is None or g < transversal[q]:
             transversal[q] = g
     W = WreathGroup(H, Q, config)
-    if W.order > config.wreath_table_cap:
-        raise CapExceeded(
-            f"embedding target of order {W.order} exceeds the table cap")
     images = []
     for g in G.elements():
         pg = proj(g)
@@ -191,11 +192,10 @@ def kaloujnine_krasner(G: FiniteGroup, N: Subgroup,
             val = G.table[G.table[t_q][g]][G.inverse[t_dest]]
             f.append(npos[val])
         images.append(W.encode(f, pg))
-    target = W.realize()
-    hom = Homomorphism(G, target, tuple(images))
+    hom = Homomorphism(G, W, tuple(images))
     if not hom.is_injective():
         raise ValidationError("embedding is not injective")  # cannot happen
-    return W, hom
+    return hom
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +293,7 @@ def normalize_top_component(system: EquationSystem, p: int,
     if not top.is_abelian:
         raise ValidationError("the top group must be abelian")
     if not allow_extension and not is_p_nonsingular(system, p):
-        raise ValidationError(
-            f"system is not {p}-nonsingular; pass allow_extension=True to "
-            "solve the top image in an extension instead")
+        raise ValidationError(f"system is not {p}-nonsingular")
 
     image_values = {c: W.top_of(v) for c, v in system.binding.values.items()}
     sol = solve_abelian_p_system(system.bind(top, image_values), p)
@@ -341,77 +339,55 @@ def normalize_top_component(system: EquationSystem, p: int,
 # ---------------------------------------------------------------------------
 # the coordinatewise transformation
 
-class TVar(NamedTuple):
-    name: str
-    top: int
-    sign: int
-
-
-class TCoeff(NamedTuple):
-    elem: int        # base-group element index
-
-
-TWord = tuple
-
-
 class TransformedSystem(Record):
-    """Equations f[j,b] over the base group H, variables y[i,b]."""
-    base: FiniteGroup
-    top: FiniteGroup
-    variables: tuple[tuple[str, int], ...]       # (i, b) for all i, b
-    words: tuple[tuple[TWord, ...], ...]         # [j][b]
+    """Coordinate b of wreath equation j is equation j*|B| + b of ``system``,
+    a system over the base group H bound to the nontrivial coordinates of
+    the coefficients; variable k is y[coords[k]], named y_<i>_<b>."""
+    system: EquationSystem
+    coords: tuple[tuple[str, int], ...]          # (i, b) in (i, b) order
     source: WreathSystem
 
 
 def coordinatewise_transform(ws: WreathSystem) -> TransformedSystem:
     """Rewrite each wreath equation into one base-group equation per top
-    element; coefficient c becomes its coordinate [c]_b and the variable
-    letter x_i^d becomes y[i, b*d^-1]."""
+    element; coefficient c becomes its coordinate [c]_b (named c1, c2, ...
+    by first appearance, and left out when trivial) and the variable letter
+    x_i^d becomes y[i, b*d^-1]."""
     W = ws.wreath
     top = W.top
     tm = top.table
     tinv = top.inverse
-    words_out = []
+    coords = tuple((i, b) for i in ws.variables for b in top.elements())
+    names = {c: f"y_{c[0]}_{c[1]}" for c in coords}
+    symbols: dict[int, str] = {}           # coordinate value -> coefficient name
+    words = []
     for word in ws.words:
-        per_b = []
         for b in top.elements():
-            letters: list = []
+            letters = []
             for letter in word:
-                if isinstance(letter, WCoeff):
-                    if letter.base[b] != 0:
-                        letters.append(TCoeff(letter.base[b]))
-                else:
-                    letters.append(TVar(letter.name, tm[b][tinv[letter.conj]],
-                                        letter.sign))
-            per_b.append(tuple(letters))
-        words_out.append(tuple(per_b))
-    variables = tuple((i, b) for i in ws.variables for b in top.elements())
-    return TransformedSystem(W.base, top, variables, tuple(words_out), ws)
-
-
-def _compile_transformed(word: TWord) -> list[tuple]:
-    """A coordinatewise word in compiled form, variables keyed by (i, b)."""
-    return [(None, l.elem) if isinstance(l, TCoeff) else ((l.name, l.top), l.sign)
-            for l in word]
-
-
-def transformed_solutions(ts: TransformedSystem) -> list[dict[tuple[str, int], int]]:
-    """All pointwise solutions in lexicographic order (small cases only)."""
-    words = [_compile_transformed(w) for per_b in ts.words for w in per_b]
-    return [dict(zip(ts.variables, values)) for _, values in
-            scan_solutions(ts.base, words, ts.variables, ts.base.elements())]
+                if isinstance(letter, WVar):
+                    y = names[letter.name, tm[b][tinv[letter.conj]]]
+                    letters.append(Letter(VAR, y, letter.sign))
+                elif letter.base[b] != 0:
+                    c = symbols.setdefault(letter.base[b], f"c{len(symbols) + 1}")
+                    letters.append(Letter(COEFF, c, 1))
+            words.append(tuple(letters))
+    system = EquationSystem(tuple(names.values()), tuple(symbols.values()), tuple(words))
+    return TransformedSystem(system.bind(W.base, {c: h for h, c in symbols.items()}),
+                             coords, ws)
 
 
 def reconstruct_solution(ts: TransformedSystem,
-                         pointwise: Mapping[tuple[str, int], int]) -> dict[str, int]:
-    """Assemble base-subgroup wreath elements from a pointwise solution and
-    verify them against the wreath system."""
-    if any(evaluate_compiled(ts.base, _compile_transformed(w), pointwise) != 0
-           for per_b in ts.words for w in per_b):
+                         pointwise: Mapping[str, int]) -> dict[str, int]:
+    """Assemble base-subgroup wreath elements from a solution of
+    ``ts.system`` and verify them against the wreath system."""
+    if not satisfies(ts.system, pointwise):
         raise ValidationError("pointwise assignment fails an equation")
     W = ts.source.wreath
-    assignment = {i: W.embed_base(tuple(pointwise[(i, b)] for b in ts.top.elements()))
-                  for i in ts.source.variables}
+    f = {i: [0] * W.top.order for i in ts.source.variables}
+    for (i, b), y in zip(ts.coords, ts.system.variables):
+        f[i][b] = pointwise[y]
+    assignment = {i: W.embed_base(fi) for i, fi in f.items()}
     if any(evaluate_wreath_word(ts.source, w, assignment) != W.identity
            for w in ts.source.words):
         raise ValidationError("internal error: reconstruction fails to verify")
@@ -437,47 +413,28 @@ def extract_rows(ts: TransformedSystem, p: int) -> ExtractedRows:
     m[j,b] = b * m[j,1], and augmenting m[j,1] recovers the exponent-sum
     row of the wreath equation j mod p.
     """
-    top = ts.top
+    top = ts.source.wreath.top
     basis = abelian_p_basis(top, p)
-    exponents = []
-    for g in basis:
-        o = top.element_order(g)
-        k = 0
-        while o > 1:
-            o //= p
-            k += 1
-        exponents.append(k)
-    spec = AbelianGroupSpec(p, tuple(exponents), 0)
+    orders = [top.element_order(g) for g in basis]            # each a power of p
+    spec = AbelianGroupSpec(p, tuple(next(k for k in range(o) if p ** k == o)
+                                     for o in orders), 0)
     logs = dlog_table(top, basis)
-
-    def mono(b: int) -> AlgebraElement:
-        return AlgebraElement.monomial(spec, logs[b])
+    mono = [AlgebraElement.monomial(spec, logs[b]) for b in top.elements()]
 
     variables = ts.source.variables
+    coord_of = dict(zip(ts.system.variables, ts.coords))
     all_rows: dict[tuple[int, int], tuple[AlgebraElement, ...]] = {}
-    for j, per_b in enumerate(ts.words):
-        for b, word in enumerate(per_b):
-            entries = {i: AlgebraElement.zero(spec) for i in variables}
-            for letter in word:
-                if isinstance(letter, TVar):
-                    entries[letter.name] = entries[letter.name] + \
-                        mono(letter.top).scale(letter.sign)
-            all_rows[(j, b)] = tuple(entries[i] for i in variables)
+    for e, word in enumerate(ts.system.words):        # e = j*|B| + b
+        entries = {i: AlgebraElement.zero(spec) for i in variables}
+        for letter in word:
+            if letter.kind == VAR:
+                i, b = coord_of[letter.name]
+                entries[i] = entries[i] + mono[b].scale(letter.sign)
+        all_rows[divmod(e, top.order)] = tuple(entries[i] for i in variables)
 
-    translation = True
-    for j in range(len(ts.words)):
-        m1 = all_rows[(j, 0)]
-        for b in top.elements():
-            shift = mono(b)
-            if any(all_rows[(j, b)][k] != shift * m1[k] for k in range(len(m1))):
-                translation = False
-
-    aug_ok = True
-    for j in range(len(ts.words)):
-        for k, i in enumerate(variables):
-            want = ts.source.exponent_sum(j, i) % p
-            if augmentation(all_rows[(j, 0)][k]) != want:
-                aug_ok = False
-
-    rows = RowFamily(spec, tuple(all_rows[(j, 0)] for j in range(len(ts.words))))
-    return ExtractedRows(spec, rows, all_rows, translation, aug_ok)
+    rows = tuple(all_rows[(j, 0)] for j in range(len(ts.source.words)))   # m[j,1]
+    translation = all(all_rows[(j, b)] == tuple(mono[b] * e for e in row)
+                      for j, row in enumerate(rows) for b in top.elements())
+    aug_ok = all(augmentation(e) == ts.source.exponent_sum(j, i) % p
+                 for j, row in enumerate(rows) for e, i in zip(row, variables))
+    return ExtractedRows(spec, RowFamily(spec, rows), all_rows, translation, aug_ok)

@@ -5,7 +5,8 @@ import sys
 from pathlib import Path
 
 import groupeq
-from groupeq.equations import EquationSystem, exponent_matrix, rank_mod_p
+from groupeq.equations import (EquationSystem, compile_word, exponent_matrix,
+                               rank_mod_p, scan_solutions)
 from groupeq.words import COEFF, VAR, Letter
 
 
@@ -42,3 +43,12 @@ def random_wreath_system(W, rng: random.Random, max_vars: int = 2,
         system = EquationSystem(variables, tuple(symbols), tuple(words))
         if rank_mod_p(exponent_matrix(system), prime) == nv:
             return system.bind(W, symbols)
+
+
+def bound_solutions(system: EquationSystem) -> list[dict[str, int]]:
+    """Every solution of a bound system, in scan order, through the scan
+    behind `solve` (e.g. the ``system`` of a coordinatewise transform)."""
+    G, values = system.binding.group, system.binding.values
+    words = [compile_word(w, G, values) for w in system.words]
+    return [dict(zip(system.variables, sol)) for _, sol in
+            scan_solutions(G, words, system.variables, G.elements())]

@@ -340,6 +340,30 @@ def test_audit_empty_orders_audits_everything():
     assert code == 0 and "orders audited: 1, 2, 3," in out
 
 
+@pytest.mark.parametrize("kind", ["missing", "file", "no .grp file"])
+def test_audit_of_a_directory_without_group_files_is_an_operational_error(tmp_path, kind):
+    # a typo in DIR must not read as a passed audit
+    target = tmp_path / "catalog"
+    if kind == "file":
+        target.write_text(resolve_data_path(S3).read_text(encoding="utf-8"))
+    elif kind == "no .grp file":
+        target.mkdir()
+        (target / "notes.txt").write_text("group C1 order 1\n")
+    code, out, err = run_cli(["audit-catalog", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
+def test_p_singular_wreath_refusal_names_only_the_condition():
+    # allow_extension exists only in the Python API, so the CLI does not offer it
+    code, out, err = run_cli(["wreath-transform", "@examples/wreath_demo.sys",
+                              "--base", "@examples/s3.grp", "--top", "@examples/c3.grp",
+                              "--prime", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: system is not 3-nonsingular\n"
+    assert "allow_extension" not in err
+
+
 @pytest.mark.parametrize("torsion", [22, 40])
 def test_certify_rows_work_cap_is_checked_before_enumerating(tmp_path, torsion):
     # C_{2^22} and C_{2^40}: the search space 2^(2^k) is far over the cap

@@ -19,6 +19,7 @@ from groupeq.groups import (FiniteGroup, Homomorphism, _close, abelian_p_basis,
                             normal_subgroups, parse_cycles, perm_compose,
                             prime_factors, quaternion_group, quotient,
                             semidirect_product, sylow_subgroup, trivial_group)
+from groupeq.wreath import wreath_product
 
 # a 6x6 loop: identity, Latin, two-sided inverses, but (2*2)*4 != 2*(2*4)
 NONASSOC_LOOP = [
@@ -274,8 +275,16 @@ def test_homomorphism_validation():
     c2 = cyclic(2)
     proj = Homomorphism(c4, c2, (0, 1, 0, 1))
     assert proj.kernel().order == 2
-    with pytest.raises(ValidationError):
+    # the first failing pair in row-major order is named, for a Cayley-table
+    # target and for a packed wreath product alike
+    with pytest.raises(ValidationError, match=r"not multiplicative at \('g', 'g'\)"):
         Homomorphism(c4, c2, (0, 1, 1, 0))
+    W = wreath_product(c2, c2)
+    with pytest.raises(ValidationError, match=r"not multiplicative at \('g', 'g'\)"):
+        Homomorphism(c4, W, (0, 1, 2, 3))
+    rot = W.encode((1, 0), 1)               # an element of order 4 in C2 wr C2
+    powers = (0, rot, W.mul(rot, rot), W.mul(rot, W.mul(rot, rot)))
+    assert Homomorphism(c4, W, powers).is_injective()
 
 
 def test_abelian_p_basis():

@@ -1,25 +1,27 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from groupeq.algebra import AlgebraElement, IntegralGroupSpec
-from groupeq.catalog import bundled_catalog_dir
+from groupeq.catalog import bundled_catalog_dir, resolve_data_path
 from groupeq.config import Config
 from groupeq.equations import (EquationSystem, compile_word, evaluate_compiled,
                                evaluate_word, parse_system, scan_solutions)
 from groupeq.errors import CapExceeded, GroupEqError, ValidationError
 from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup,
-                            affine_group_over_prime_field, cyclic, dicyclic,
-                            dihedral, load_group, load_group_file,
-                            prime_factors, quaternion_group, trivial_group)
+                            affine_group_over_prime_field, commutator_subgroup,
+                            cyclic, dicyclic, dihedral, is_normal, load_group,
+                            load_group_file, prime_factors, quaternion_group,
+                            trivial_group)
 from groupeq.verifiers import (AuditEntry, abelian_by_abelian_p_witness,
                                audit_catalog, brute_force_solve, classify_group,
                                counterexample_build, counterexample_equation,
-                               counterexample_text, p_group_equation_check,
-                               pq_structure_check, obstruction_check,
-                               obstruction_s_element, random_unimodular_equation,
-                               verify_witness)
+                               counterexample_text, group_obstruction,
+                               p_group_equation_check, pq_structure_check,
+                               obstruction_check, obstruction_s_element,
+                               random_unimodular_equation, verify_witness)
 from groupeq.words import COEFF, VAR, Letter, exponent_sum, parse_word
 from groupeq.wreath import WreathGroup, wreath_product
 
@@ -179,6 +181,30 @@ def test_counterexample_equation_unsolvable_in_G_itself():
     res = brute_force_solve(inst.system)
     assert res.solution is None and res.exhaustive
     assert res.searched == 384
+
+
+def test_order_42_equation_over_f42_itself():
+    # every triple (a, b, c) of F42 with a of order 2, b of order 3, ab = ba
+    # and c of order 7: the hypotheses of group_obstruction hold (w lies in
+    # the derived subgroup C7, abelian and normal), the two sides differ,
+    # and the (2,3) equation bound to (a, b, c) has no solution in F42
+    t0 = time.time()
+    G = load_group_file(resolve_data_path("@catalog/042_f42.grp"))
+    D = commutator_subgroup(G)
+    assert D.order == 7 and D.is_abelian() and is_normal(G, D)
+    equation = counterexample_build(2, 3, symbolic=True).system
+    by_order = {k: [g for g in G.elements() if G.element_order(g) == k] for k in (2, 3, 7)}
+    triples = [(a, b, c) for a in by_order[2] for b in by_order[3] for c in by_order[7]
+               if G.mul(a, b) == G.mul(b, a)]
+    assert len(triples) == 84
+    for a, b, c in triples:
+        w = G.mul(c, G.conj(c, G.mul(a, b)))
+        assert w in D
+        lhs, rhs = group_obstruction(G, a, b, c)
+        assert lhs != rhs
+        res = brute_force_solve(equation.bind(G, {"a": a, "b": b, "c": c}))
+        assert res.solution is None and res.exhaustive and res.searched == 42
+    assert time.time() - t0 < 1.0
 
 
 def test_brute_force_examples_and_determinism():

@@ -1,24 +1,26 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from conftest import random_wreath_system
+from conftest import bound_solutions, random_wreath_system
 from groupeq.algebra import (AlgebraElement, augmentation,
                              certify_row_independence)
+from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.equations import (EquationSystem, evaluate_word,
-                               exponent_matrix, parse_system)
+                               exponent_matrix, parse_system, satisfies)
 from groupeq.errors import CapExceeded, ValidationError
 from groupeq.groups import (cyclic, dihedral, direct_product,
                             from_generators, generated_subgroup, isomorphic,
-                            normal_subgroups)
+                            load_group_file, normal_subgroups)
+from groupeq.verifiers import brute_force_solve, classify_group
 from groupeq.words import COEFF, VAR, Letter
-from groupeq.wreath import (WCoeff, WVar, WreathSystem, evaluate_wreath_word,
-                            extract_rows, kaloujnine_krasner,
+from groupeq.wreath import (WCoeff, WVar, WreathGroup, WreathSystem,
+                            evaluate_wreath_word, extract_rows, kaloujnine_krasner,
                             coordinatewise_transform, normalize_top_component,
-                            reconstruct_solution, transformed_solutions,
-                            wreath_product, wreath_solutions)
+                            reconstruct_solution, wreath_product, wreath_solutions)
 
 
 def c2wrc2():
@@ -75,21 +77,43 @@ def test_coordinate_action_law_exhaustive():
 def test_kaloujnine_krasner_embeddings():
     c4 = cyclic(4)
     N = generated_subgroup(c4, [2])
-    W, hom = kaloujnine_krasner(c4, N)
-    assert W.order == 8
+    hom = kaloujnine_krasner(c4, N)
+    assert isinstance(hom.target, WreathGroup) and hom.target.order == 8
     assert hom.is_injective()
 
     s3 = from_generators(["(1 2)", "(1 2 3)"], name="S3")
     A3 = [S for S in normal_subgroups(s3) if S.order == 3][0]
-    W2, hom2 = kaloujnine_krasner(s3, A3)
-    assert W2.order == 18
+    hom2 = kaloujnine_krasner(s3, A3)
+    assert hom2.target.order == 18
     assert hom2.is_injective()
 
     full = generated_subgroup(s3, list(s3.elements()))
-    W3, hom3 = kaloujnine_krasner(s3, full)
-    assert W3.order == 6
+    hom3 = kaloujnine_krasner(s3, full)
+    assert hom3.target.order == 6
     assert hom3.is_injective()
-    assert isomorphic(W3.realize(), s3) is not None
+    assert isomorphic(hom3.target.realize(), s3) is not None
+
+
+def test_kaloujnine_krasner_embeds_every_witnessed_catalog_group():
+    # G embeds in A wr (G/A) for each witness A, checked on the packed
+    # product; 7 targets (orders 5,184 to 40,000) exceed wreath_table_cap
+    t0 = time.time()
+    targets = []
+    for path in sorted(bundled_catalog_dir().glob("*.grp")):
+        G = load_group_file(path)
+        witness = classify_group(G).witness
+        if witness is None:
+            continue
+        A = witness.subgroup
+        hom = kaloujnine_krasner(G, A)
+        W = hom.target
+        assert isinstance(W, WreathGroup) and hom.is_injective()
+        assert (W.base.order, W.top.order) == (A.order, G.order // A.order)
+        targets.append(W.order)
+    assert len(targets) == 106
+    big = sorted(o for o in targets if o > Config().wreath_table_cap)
+    assert len(big) == 7 and big[0] == 5184 and big[-1] == 40000
+    assert time.time() - t0 < 2.0
 
 
 def test_normalize_shifts_coefficients_into_base():
@@ -134,9 +158,13 @@ def test_transform_on_x_xt_equation():
     ws = WreathSystem(W, ("x",), (
         (WVar("x", 1, 0), WVar("x", 1, 1), WCoeff((1, 0))),))
     ts = coordinatewise_transform(ws)
-    assert ts.variables == (("x", 0), ("x", 1))
-    assert ts.words[0][0] == (("x", 0, 1), ("x", 1, 1), (1,))
-    assert ts.words[0][1] == (("x", 1, 1), ("x", 0, 1))
+    y0, y1, c1 = Letter(VAR, "y_x_0", 1), Letter(VAR, "y_x_1", 1), Letter(COEFF, "c1", 1)
+    assert ts.coords == (("x", 0), ("x", 1))
+    assert ts.system.variables == ("y_x_0", "y_x_1")
+    assert ts.system.coefficients == ("c1",)
+    assert ts.system.words == ((y0, y1, c1), (y1, y0))
+    assert ts.system.binding.group is W.base
+    assert ts.system.binding.values == {"c1": 1}
     ex = extract_rows(ts, 2)
     one_plus_t = AlgebraElement.monomial(ex.spec, (0,)) + \
         AlgebraElement.monomial(ex.spec, (1,))
@@ -156,7 +184,7 @@ def test_transform_single_variable_row():
 def test_transform_empty_system():
     W = c2wrc2()
     ts = coordinatewise_transform(WreathSystem(W, ("x",), ()))
-    assert ts.words == ()
+    assert ts.system.words == () and ts.system.coefficients == ()
     ex = extract_rows(ts, 2)
     assert ex.rows.rows == ()
 
@@ -189,7 +217,7 @@ def test_reconstruct_rejects_bad_pointwise():
         (WVar("x", 1, 0), WCoeff((1, 0))),))
     ts = coordinatewise_transform(ws)
     with pytest.raises(ValidationError):
-        reconstruct_solution(ts, {("x", 0): 0, ("x", 1): 0})
+        reconstruct_solution(ts, {"y_x_0": 0, "y_x_1": 0})
 
 
 def test_round_trip_random_square_systems():
@@ -202,9 +230,14 @@ def test_round_trip_random_square_systems():
         ex = extract_rows(ts, 2)
         assert ex.translation_holds and ex.augmentation_matches
         assert certify_row_independence(ex.rows) is not None
+        pointwise = bound_solutions(ts.system)
         recon = sorted(
             tuple(reconstruct_solution(ts, pw)[v] for v in system.variables)
-            for pw in transformed_solutions(ts))
+            for pw in pointwise)
+        # solve's own entry point reads the transformed system unchanged
+        first = brute_force_solve(ts.system).solution
+        assert first == (pointwise[0] if pointwise else None)
+        assert first is None or satisfies(ts.system, first)
         beta_w = {v: W.embed_top(t) for v, t in norm.beta.items()}
         shifted = sorted(
             tuple(W.mul(s[k], beta_w[v]) for k, v in enumerate(system.variables))
@@ -245,7 +278,7 @@ def test_normalize_with_extension_rebuilds_the_top():
     assert ex.translation_holds and ex.augmentation_matches
     # equivalence of solution sets still holds; here both sides are empty
     # (the equation is 2-singular, so solvability is not guaranteed)
-    pointwise = transformed_solutions(ts)
+    pointwise = bound_solutions(ts.system)
     base_sols = wreath_solutions(norm.system, base_only=True)
     recon = sorted(tuple(reconstruct_solution(ts, pw)[v]
                          for v in norm.system.variables)
