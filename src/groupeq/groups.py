@@ -3,12 +3,14 @@
 Groups are stored as validated Cayley tables over element indices
 ``0..order-1``. Index 0 is always the identity and is always named ``"1"``;
 tables are normalized on construction so this holds for every group that
-leaves this module. All objects are immutable after construction and safe
-to share across threads.
+leaves this module. Objects do not change once built; the element names of
+permutation closures and quotients are built only when first read.
 
 Subgroups are Python-int bitsets; the lattice, normal subgroups, commutator
 subgroups, both central series, Sylow subgroups and the direct basis of an
-abelian p-group all grow them with one closure, ``_close``.
+abelian p-group all grow them with one closure, ``_close``. Associativity
+(Light's test), normality and commutativity are decided on a generating
+sequence that each group caches, as it caches its derived series.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ MAX_TABLE_ORDER = 4096     # largest order a group file may declare (order^2 tab
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """Left-to-right composition: apply p, then q."""
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_identity(n: int) -> Perm:
@@ -105,60 +107,67 @@ class FiniteGroup:
     ``table[a][b]`` is the index of the product a*b. Construction performs
     the cheap structural checks (identity, Latin property, two-sided
     inverses, unique names); ``validate()`` additionally checks
-    associativity for all triples, which products built by this module
-    guarantee by construction.
+    associativity, which products built by this module guarantee by
+    construction. *names* may be a function returning them: the names are
+    then built, and checked unique, only when first read.
     """
 
-    __slots__ = ("name", "order", "table", "names", "inverse", "_name_index",
+    __slots__ = ("name", "order", "table", "inverse", "_make_names", "_identity_was",
                  "__dict__")
 
     def __init__(self, table: Sequence[Sequence[int]],
-                 names: Sequence[str] | None = None,
+                 names: Sequence[str] | Callable[[], Sequence[str]] | None = None,
                  name: str = "G") -> None:
         n = len(table)
         if n == 0:
             raise ValidationError("empty Cayley table")
-        rows = [tuple(int(x) for x in row) for row in table]
+        rows = [tuple(map(int, row)) for row in table]
         if any(len(row) != n for row in rows):
             raise ValidationError("Cayley table is not square")
-        if any(x < 0 or x >= n for row in rows for x in row):
+        if any(min(row) < 0 or max(row) >= n for row in rows):
             raise ValidationError("Cayley table entry out of range")
         if names is None:
             names = ["1"] + [f"g{i}" for i in range(1, n)]
-        names = [str(s) for s in names]
-        if len(names) != n:
+        if not callable(names) and len(names) != n:
             raise ValidationError("names length does not match order")
 
-        rows, names = _normalize_identity(rows, names)
+        rows, self._identity_was = _normalize_identity(rows)
 
-        self.name = name
-        self.order = n
-        self.table = tuple(rows)
-        self.names = tuple(names)
-        if len(set(self.names)) != n:
-            raise ValidationError("element names are not unique")
-        self._name_index = {s: i for i, s in enumerate(self.names)}
+        self.name, self.order, self.table = name, n, tuple(rows)
+        self._make_names = names
+        if not callable(names):
+            self.names      # given names are checked at once
 
         full = set(range(n))
         for i, row in enumerate(self.table):
             if set(row) != full:
                 raise ValidationError(f"row of {self.names[i]!r} is not a permutation")
-        for j in range(n):
-            if {row[j] for row in self.table} != full:
+        for j, col in enumerate(zip(*self.table)):
+            if set(col) != full:
                 raise ValidationError(f"column of {self.names[j]!r} is not a permutation")
 
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == 0:
-                    if self.table[b][a] != 0:
-                        raise ValidationError(
-                            f"element {self.names[a]!r} has no two-sided inverse")
-                    inv[a] = b
-                    break
-        if any(x < 0 for x in inv):
-            raise ValidationError("an element has no inverse")
-        self.inverse = tuple(inv)
+        self.inverse = tuple(row.index(0) for row in self.table)
+        for a, b in enumerate(self.inverse):
+            if self.table[b][a] != 0:
+                raise ValidationError(f"element {self.names[a]!r} has no two-sided inverse")
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        names = self._make_names
+        names = [str(s) for s in (names() if callable(names) else names)]
+        e = self._identity_was
+        names[0], names[e] = names[e], names[0]
+        if names[0] != "1":
+            if "1" in names[1:]:
+                raise ValidationError('the name "1" is reserved for the identity')
+            names[0] = "1"
+        if len(set(names)) != self.order:
+            raise ValidationError("element names are not unique")
+        return tuple(names)
+
+    @cached_property
+    def _name_index(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.names)}
 
     # -- basic ops ---------------------------------------------------------
 
@@ -216,33 +225,48 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a]
-                   for a in range(self.order) for b in range(a + 1, self.order))
+        t, gens = self.table, self._generators
+        return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
     @cached_property
     def order_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self.element_order(a) for a in self.elements()))
 
     @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """`_generating_sequence` of the whole group."""
+        return tuple(_generating_sequence(self, self.elements()))
+
+    @cached_property
+    def _derived(self) -> tuple[Subgroup, ...]:
+        """The derived series; `derived_series` returns a copy."""
+        return tuple(_series(self, lambda S: commutator_subgroup(self, S)))
+
+    @cached_property
     def _fingerprint(self) -> tuple:
         """Isomorphism invariants, compared before any map is tried."""
         Z = center(self)
-        series = derived_series(self)
         return (self.order, self.is_abelian, self.order_multiset,
                 tuple(sorted(self.element_order(z) for z in Z.elements)),
-                tuple(S.order for S in series))
+                tuple(S.order for S in self._derived))
 
     def validate(self) -> None:
-        """Full axiom check; raises ValidationError naming a failing triple.
+        """Full axiom check; raises ValidationError naming the row-major first failing triple.
 
-        (a*b)*c == a*(b*c) for all c iff row(a*b) is row(a) read at row(b),
-        so each pair (a, b) costs one C-level itemgetter gather; the first
-        failure in row-major (a, b, c) order is the one named.
+        Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+        I, 1.2): the s with (a*s)*c == a*(s*c) for all a, c are closed under
+        products, so it is enough that row(a*s) is row(a) read at row(s) (one
+        itemgetter gather) for the generators s, once ``_close`` (reachability,
+        as x*1 = x) shows they reach every element. Failures gather all pairs.
         """
         t = self.table
         n = self.order
         if n == 1:      # itemgetter with one index returns a scalar
+            return
+        gens = self._generators
+        if _close(self, 1, gens).bit_count() == n and all(
+                t[row[s]] == gather(row)
+                for s in gens for gather in [itemgetter(*t[s])] for row in t):
             return
         gathers = [itemgetter(*row) for row in t]
         for a, row_a in enumerate(t):
@@ -266,8 +290,8 @@ class FiniteGroup:
         return hash((self.order, self.table))
 
 
-def _normalize_identity(rows: list[tuple[int, ...]],
-                        names: list[str]) -> tuple[list[tuple[int, ...]], list[str]]:
+def _normalize_identity(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows with the identity swapped to index 0, and its old index."""
     n = len(rows)
     ident = None
     idx = tuple(range(n))
@@ -281,12 +305,7 @@ def _normalize_identity(rows: list[tuple[int, ...]],
         swap = list(range(n))
         swap[0], swap[ident] = ident, 0
         rows = [tuple(swap[rows[swap[a]][swap[b]]] for b in range(n)) for a in range(n)]
-        names = [names[swap[a]] for a in range(n)]
-    if names[0] != "1":
-        if "1" in names[1:]:
-            raise ValidationError('the name "1" is reserved for the identity')
-        names = ["1"] + names[1:]
-    return rows, names
+    return rows, ident
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +348,8 @@ class Subgroup(Record):
         pos = {g: i for i, g in enumerate(self.elements)}
         table = [[pos[self.parent.table[a][b]] for b in self.elements]
                  for a in self.elements]
-        names = [self.parent.names[g] for g in self.elements]
-        return FiniteGroup(table, names, name or f"{self.parent.name}-sub{self.order}")
+        return FiniteGroup(table, lambda: [self.parent.names[g] for g in self.elements],
+                           name or f"{self.parent.name}-sub{self.order}")
 
 
 def _members(bits: int) -> tuple[int, ...]:
@@ -369,7 +388,8 @@ def generated_subgroup(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
 
 
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
-    return all(G.conj(s, g) in S._set for g in G.elements() for s in S.elements)
+    """S^g is in S for each generator g, hence S^g = S, for every g in G."""
+    return all(G.conj(s, g) in S._set for g in G._generators for s in S.elements)
 
 
 def _joins(G: FiniteGroup, config: Config,
@@ -377,7 +397,8 @@ def _joins(G: FiniteGroup, config: Config,
     """Every join of the subgroups in *atoms*, (bitset, generators) pairs
     read only after the order cap is checked, sorted by (order, elements).
     Each subgroup found is grown once by each atom it does not contain, and
-    every join of atoms is a chain of such steps."""
+    every join of atoms is a chain of such steps; a union that is already a
+    subgroup found is its own join."""
     if G.order > config.subgroup_order_cap:
         raise CapExceeded(
             f"subgroup enumeration needs order <= {config.subgroup_order_cap}, "
@@ -389,7 +410,7 @@ def _joins(G: FiniteGroup, config: Config,
         new = []
         for bits in work:
             for atom, atom_gens in atoms.items():
-                if bits & atom != atom:
+                if bits & atom != atom and bits | atom not in found:
                     gens = found[bits] + atom_gens
                     joined = _close(G, bits, gens)
                     if joined not in found:
@@ -403,27 +424,40 @@ def _joins(G: FiniteGroup, config: Config,
 def all_subgroups(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Subgroup]:
     """Every subgroup of G, sorted by (order, elements).
 
-    Every subgroup of a finite group is a join of cyclic subgroups, so the
-    joins of the distinct cyclic subgroups (cyclic extension) find them all.
+    Every subgroup of a finite group is a join of cyclic subgroups, and a
+    cyclic subgroup is the join of its Sylow subgroups, so the joins of the
+    cyclic subgroups of prime-power order find them all.
     """
-    return _joins(G, config, ((_close(G, 1, [g]), [g]) for g in G.elements()))
+    return _joins(G, config, ((_close(G, 1, [g]), [g]) for g in G.elements()
+                              if len(prime_factors(G.element_order(g))) < 2))
 
 
 def normal_subgroups(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Subgroup]:
     """Every normal subgroup of G, sorted by (order, elements).
 
     A normal subgroup is the join of the normal closures of its elements,
-    each generated by a conjugacy class, so their joins find them all.
+    each generated by a conjugacy class (an orbit under conjugation by the
+    generators), so the joins of the closures, one per class, find them all.
     """
-    t, inv = G.table, G.inverse
-    classes = (sorted({t[t[inv[h]][g]][h] for h in G.elements()}) for g in G.elements())
-    return _joins(G, config, ((_close(G, 1, cls), cls) for cls in classes))
+    return _joins(G, config, ((_close(G, 1, cls), cls) for cls in _classes(G)))
 
 
-def _generating_sequence(G: FiniteGroup, within: Subgroup | None = None) -> list[int]:
-    """Generators of *within* (default G), taken greedily by descending
-    element order, then index."""
-    elems = G.elements() if within is None else within.elements
+def _classes(G: FiniteGroup) -> Iterator[list[int]]:
+    seen: set[int] = set()
+    for g in G.elements():
+        if g not in seen:
+            seen.add(g)
+            cls = [g]
+            for x in cls:                   # appending while iterating
+                new = {G.conj(x, h) for h in G._generators} - seen
+                seen |= new
+                cls += sorted(new)
+            yield cls
+
+
+def _generating_sequence(G: FiniteGroup, elems: Iterable[int]) -> list[int]:
+    """Generators of the subgroup *elems*, taken greedily by descending
+    element order, then index (``G._generators`` for G itself)."""
     gens: list[int] = []
     span = 1
     for g in sorted(elems, key=lambda x: (-G.element_order(x), x)):
@@ -460,31 +494,30 @@ def _series(G: FiniteGroup, step: Callable[[Subgroup], Subgroup]) -> list[Subgro
 
 def commutator_subgroup(G: FiniteGroup, within: Subgroup | None = None) -> Subgroup:
     """[S, S] for S = *within* (default G)."""
-    gens = _generating_sequence(G, within)
+    gens = G._generators if within is None else _generating_sequence(G, within.elements)
     return _commutators(G, gens, gens)
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
     """G >= G' >= G'' >= ..., stopping once the series stabilizes."""
-    return _series(G, lambda S: commutator_subgroup(G, S))
+    return list(G._derived)
 
 
 def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
     """G >= [G, G] >= [[G, G], G] >= ..., stopping once it stabilizes."""
-    top = _generating_sequence(G)
-    return _series(G, lambda S: _commutators(G, _generating_sequence(G, S), top))
+    return _series(G, lambda S: _commutators(
+        G, _generating_sequence(G, S.elements), G._generators))
 
 
 def center(G: FiniteGroup) -> Subgroup:
     t = G.table
-    elems = [z for z in G.elements()
-             if all(t[z][g] == t[g][z] for g in G.elements())]
-    return Subgroup(G, tuple(elems))
+    return Subgroup(G, tuple(z for z in G.elements()
+                             if all(t[z][g] == t[g][z] for g in G._generators)))
 
 
 def is_metabelian(G: FiniteGroup) -> bool:
     """Second derived subgroup is trivial."""
-    series = derived_series(G)
+    series = G._derived
     return len(series) <= 3 and series[-1].order == 1
 
 
@@ -565,20 +598,15 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         raise ValidationError("subgroup does not belong to this group")
     if not is_normal(G, N):
         raise ValidationError("subgroup is not normal")
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
+    rep_of: dict[int, int] = {}         # each coset is first met at its least element
     for g in G.elements():
-        if g in rep_of:
-            continue
-        coset = sorted(G.table[g][n] for n in N.elements)
-        for x in coset:
-            rep_of[x] = coset[0]
-        reps.append(coset[0])
-    reps.sort()
+        if g not in rep_of:
+            rep_of.update((G.table[g][n], g) for n in N.elements)
+    reps = sorted(set(rep_of.values()))
     pos = {r: i for i, r in enumerate(reps)}
     table = [[pos[rep_of[G.table[a][b]]] for b in reps] for a in reps]
-    names = ["1"] + [f"[{G.names[r]}]" for r in reps[1:]]
-    Q = FiniteGroup(table, names, name=f"{G.name}/N{N.order}")
+    Q = FiniteGroup(table, lambda: ["1"] + [f"[{G.names[r]}]" for r in reps[1:]],
+                    name=f"{G.name}/N{N.order}")
     proj = Homomorphism(G, Q, tuple(pos[rep_of[g]] for g in G.elements()))
     return Q, proj
 
@@ -604,7 +632,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> F
               for a2 in range(n) for b2 in range(m)]
              for a1 in range(n) for b1 in range(m)]
     names = [f"({G.names[a]},{H.names[b]})" for a in range(n) for b in range(m)]
-    names[0] = "1"
     return FiniteGroup(table, names, name or f"{G.name}x{H.name}")
 
 
@@ -638,7 +665,6 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action: Action,
               for a2 in range(n) for b2 in range(m)]
              for a1 in range(n) for b1 in range(m)]
     names = [f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m)]
-    names[0] = "1"
     return FiniteGroup(table, names, name or f"{A.name}:{B.name}")
 
 
@@ -650,8 +676,7 @@ def cyclic_action(B: FiniteGroup, generator_action: Perm) -> dict[int, Perm]:
     powers = [perm_identity(len(generator_action))]
     for _ in range(1, n):
         powers.append(perm_compose(powers[-1], generator_action))
-    # element at index k of a canonical cyclic group is generator**k
-    return {k: powers[k % n] for k in range(n)}
+    return dict(enumerate(powers))      # index k of a canonical cyclic group is generator**k
 
 
 def inversion_action(A: FiniteGroup) -> Perm:
@@ -717,7 +742,6 @@ def affine_group_over_prime_field(p: int) -> FiniteGroup:
 
     table = [[pos[mul(e1, e2)] for e2 in elems] for e1 in elems]
     names = [f"{a}x+{b}" for a, b in elems]
-    names[0] = "1"
     return FiniteGroup(table, names, name=f"Aff{p}")
 
 
@@ -725,14 +749,13 @@ def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG
                     name: str = "G", max_order: int | None = None) -> FiniteGroup:
     """Closure of permutations under composition, as a Cayley table.
 
-    Elements are numbered breadth-first from the identity. The search
+    Elements are numbered breadth-first from the identity and named in
+    cycle notation when their names are first read. The search
     records right[j][a] = a*g_j and, for each new element b = parent*g_j,
-    (parent, j), so row a follows by integer lookups alone:
+    (parent, j), so column b is column parent read through right[j]:
     a*b = (a*parent)*g_j. Passing *max_order* elements raises ParseError.
     """
-    parsed: list[Perm] = []
-    for p in perms:
-        parsed.append(parse_cycles(p) if isinstance(p, str) else tuple(p))
+    parsed = [parse_cycles(p) if isinstance(p, str) else tuple(p) for p in perms]
     degree = max((len(p) for p in parsed), default=1)
     gens = []
     for p in parsed:
@@ -760,15 +783,12 @@ def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG
                 elems.append(prod)
                 steps.append((a, right_g))
             right_g.append(x)
-    table = []
-    for a in range(len(elems)):
-        row = [a]
-        for parent, right_g in steps:
-            row.append(right_g[row[parent]])
-        table.append(row)
-    names = [cycles_str(e) for e in elems]
-    names[0] = "1"
-    return FiniteGroup(table, names, name=name)
+    cols = [range(len(elems))]                  # column b: a -> a*b
+    for parent, right_g in steps:
+        cols.append(list(map(right_g.__getitem__, cols[parent])))
+    table = list(zip(*cols))
+    return FiniteGroup(table, lambda: ["1"] + [cycles_str(e) for e in elems[1:]],
+                       name=name)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -841,7 +861,7 @@ def all_isomorphisms(G: FiniteGroup, H: FiniteGroup,
             f"isomorphism search capped at order {config.iso_order_cap}")
     if G._fingerprint != H._fingerprint:
         return
-    gens = _generating_sequence(G)
+    gens = G._generators
     by_order: dict[int, list[int]] = {}
     for h in H.elements():
         by_order.setdefault(H.element_order(h), []).append(h)
@@ -958,17 +978,16 @@ def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
                 f"table has {len(flat)} entries, expected {order * order}")
         table = [flat[i * order:(i + 1) * order] for i in range(order)]
         G = FiniteGroup(table, None, name=name)
-        G.validate()
-        return G
-    if mode == "generators:":
+    elif mode == "generators:":
         perms = [parse_cycles(ln) for ln in body]
         G = from_generators(perms, config, name=name, max_order=order)
         if G.order != order:
             raise ParseError(
                 f"generators produce a group of order {G.order}, header says {order}")
-        G.validate()
-        return G
-    raise ParseError(f"expected 'table:' or 'generators:', got {mode!r}")
+    else:
+        raise ParseError(f"expected 'table:' or 'generators:', got {mode!r}")
+    G.validate()
+    return G
 
 
 def load_group_file(path: str | Path, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
@@ -984,7 +1003,7 @@ def format_group_file(G: FiniteGroup, style: str = "generators") -> str:
             out.append(" ".join(map(str, row)))
     elif style == "generators":
         out.append("generators:")
-        gens = _generating_sequence(G)
+        gens = G._generators
         if not gens:
             out.append("()")
         for g in gens:

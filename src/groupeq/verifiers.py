@@ -31,8 +31,8 @@ from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
                         compile_word, satisfies, scan_solutions)
 from .errors import CapExceeded, GroupEqError, ValidationError, read_text_file
-from .groups import (FiniteGroup, Subgroup, _is_p_power, commutator_subgroup,
-                     cyclic, direct_product, group_header, is_metabelian,
+from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic, derived_series,
+                     direct_product, group_header, is_metabelian,
                      is_normal, is_prime, isomorphic, load_group, normal_subgroups,
                      prime_factors, quotient, sylow_subgroup)
 from .record import Record
@@ -71,13 +71,13 @@ def abelian_by_abelian_p_witness(G: FiniteGroup,
     None certifies that no normal subgroup works.
     """
     normals = normal_subgroups(G, config)
-    derived = commutator_subgroup(G).elements
+    derived = derived_series(G)[:2][-1].elements    # G', or G when G = G'
     examined = 0
     for A in sorted(normals, key=lambda S: (-S.order, S.elements)):
         examined += 1
         # G/A is abelian iff A contains G'; the trivial quotient counts
         # as a p-group for the least prime dividing |G|, or 2 when G = 1
-        if not A.is_abelian() or not all(d in A for d in derived):
+        if not all(d in A for d in derived) or not A.is_abelian():
             continue
         ps = prime_factors(G.order // A.order)
         if len(ps) > 1:

@@ -30,7 +30,8 @@ the output of `equations.scan_solutions`.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+import itertools
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import AbelianGroupSpec, AlgebraElement, RowFamily, augmentation
 from .config import DEFAULT_CONFIG, Config
@@ -131,9 +132,18 @@ class WreathGroup:
         return f"({coords};{self.top.names[t]})"
 
     def index_of(self, name: str) -> int:
-        for x in self.elements():
-            if self.element_name(x) == name:
-                return x
+        """The least x with ``element_name(x) == name``, read through the
+        base and top groups' names: any ';' may end the coordinates, and each
+        split keeps its least reading other than the identity (named "1")."""
+        hits = [0] if name == "1" else []
+        for i, ch in enumerate(name[:-1] if name[:1] == "(" and name[-1:] == ")" else ""):
+            t = self.top._name_index.get(name[i + 1:-1]) if ch == ";" else None
+            if t is not None:
+                xs = (self.encode(f, t) for f in
+                      _readings(name[1:i], self.base._name_index, self.top.order))
+                hits += itertools.islice(filter(None, xs), 1)
+        if hits:
+            return min(hits)
         raise ValidationError(f"wreath product has no element named {name!r} "
                               "(hint: #<index> bindings always work)")
 
@@ -159,6 +169,24 @@ class WreathGroup:
         return f"WreathGroup({self.base.name} wr {self.top.name}, order={self.order})"
 
 
+def _readings(text: str, names: Mapping[str, int], k: int) -> Iterator[tuple[int, ...]]:
+    """Each way to spell *text* as k of *names* joined by commas, least first; a
+    name may contain commas, and left[a] counts names that spell text past cut a."""
+    cuts = [-1] + [i for i, ch in enumerate(text) if ch == ","] + [len(text)]
+    span = 2 + max(w.count(",") for w in names)
+    steps = [sorted((names[w], b) for b in range(a + 1, min(a + span, len(cuts)))
+                    if (w := text[cuts[a] + 1:cuts[b]]) in names) for a in range(len(cuts))]
+    left = [set() for _ in cuts[1:]] + [{0}]
+    for a in reversed(range(len(cuts) - 1)):
+        left[a] = {m + 1 for _, b in steps[a] for m in left[b] if m < k}
+    stack = [(0, k, ())]
+    while stack:
+        a, m, f = stack.pop()
+        if m == 0:
+            yield f
+        stack += [(b, m - 1, f + (v,)) for v, b in reversed(steps[a]) if m - 1 in left[b]]
+
+
 def wreath_product(base: FiniteGroup, top: FiniteGroup,
                    config: Config = DEFAULT_CONFIG) -> WreathGroup:
     return WreathGroup(base, top, config)
@@ -175,22 +203,14 @@ def kaloujnine_krasner(G: FiniteGroup, N: Subgroup,
     Q, proj = quotient(G, N)
     H = N.as_group(name=f"{G.name}-N")
     npos = {g: i for i, g in enumerate(N.elements)}
-    # transversal: lex-least preimage of each quotient element
-    transversal = [None] * Q.order
-    for g in G.elements():
-        q = proj(g)
-        if transversal[q] is None or g < transversal[q]:
-            transversal[q] = g
+    # transversal: least preimage of each quotient element (the last one written)
+    transversal = {proj(g): g for g in reversed(G.elements())}
     W = WreathGroup(H, Q, config)
     images = []
-    for g in G.elements():
+    for g in G.elements():      # coordinate q: t_q * g * t_(q*g)^-1, an element of N
         pg = proj(g)
-        f = []
-        for q in range(Q.order):
-            t_q = transversal[q]
-            t_dest = transversal[Q.table[q][pg]]
-            val = G.table[G.table[t_q][g]][G.inverse[t_dest]]
-            f.append(npos[val])
+        f = [npos[G.table[G.table[transversal[q]][g]][G.inverse[transversal[Q.table[q][pg]]]]]
+             for q in range(Q.order)]
         images.append(W.encode(f, pg))
     hom = Homomorphism(G, W, tuple(images))
     if not hom.is_injective():

@@ -5,7 +5,9 @@ cyclic closures (normal subgroups by an explicit conjugation filter), and
 Cayley tables built from generators against n^2 permutation compositions.
 Commutator subgroups and both central series are checked against the
 closure of all pairwise commutators, Sylow subgroups against the p-part
-of the order, and automorphism counts against known values.
+of the order, and automorphism counts against known values. Normality
+decided on generators is checked against conjugation by every element,
+and element names built on first read against names built eagerly.
 A5 and S5 are not solvable, so they check that the searches are complete
 beyond the solvable groups of the catalog.
 """
@@ -22,9 +24,9 @@ from groupeq.config import Config
 from groupeq.errors import CapExceeded, ParseError
 from groupeq.groups import (all_subgroups, automorphisms, commutator_subgroup,
                             cycles_str, cyclic, derived_series, direct_product,
-                            from_generators, load_group, load_group_file,
+                            from_generators, is_normal, load_group, load_group_file,
                             lower_central_series, normal_subgroups, parse_cycles,
-                            perm_compose, prime_factors, sylow_subgroup)
+                            perm_compose, prime_factors, quotient, sylow_subgroup)
 from groupeq.wreath import wreath_product
 
 CATALOG = sorted(bundled_catalog_dir().glob("*.grp"))
@@ -209,3 +211,31 @@ def test_commutator_of_every_subgroup_matches_all_pairs(path):
 def test_automorphism_group_orders(stem, count):
     G = load_group_file(bundled_catalog_dir() / f"{stem}.grp")
     assert len(automorphisms(G)) == count
+
+
+def _normal_by_definition(G, S):
+    return all(G.conj(s, g) in S for g in G.elements() for s in S.elements)
+
+
+@pytest.mark.parametrize("source", [pytest.param(path, id=path.stem) for path in SMALL]
+                         + [pytest.param(name, id=name) for name in NON_SOLVABLE])
+def test_normality_on_generators_is_the_definition(source):
+    G = _load(source)
+    subs = all_subgroups(G)
+    by_definition = [_normal_by_definition(G, S) for S in subs]
+    assert [is_normal(G, S) for S in subs] == by_definition
+    assert ([S.elements for S in normal_subgroups(G)]
+            == [S.elements for S, normal in zip(subs, by_definition) if normal])
+
+
+@pytest.mark.parametrize("path", CATALOG, ids=lambda p: p.stem)
+def test_names_built_on_demand_are_the_eager_names(path):
+    G = load_group_file(path)
+    _, names = _ref_from_generators([parse_cycles(ln) for ln in _generator_lines(path)])
+    assert G.names == names
+    assert [G.index_of(name) for name in names] == list(G.elements())
+    for N in normal_subgroups(G):
+        Q, proj = quotient(G, N)
+        reps = [min(g for g in G.elements() if proj(g) == q) for q in Q.elements()]
+        assert Q.names == ("1",) + tuple(f"[{names[r]}]" for r in reps[1:])
+        assert [Q.index_of(name) for name in Q.names] == list(Q.elements())

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import textwrap
 
 import pytest
@@ -91,6 +92,78 @@ def test_validate_names_the_row_major_first_failing_triple():
             G.validate()
         assert str(exc.value) == f"associativity fails at triple ({a!r}, {b!r}, {c!r})"
     assert failing >= 30
+
+
+def _associative(G):
+    """(a*b)*c == a*(b*c) for every triple, a row of c at a time."""
+    t = G.table
+    return all(t[ab] == tuple(row_a[bc] for bc in t[b])
+               for row_a in t for b, ab in enumerate(row_a))
+
+
+def _validates(G):
+    try:
+        G.validate()
+    except ValidationError:
+        return False
+    return True
+
+
+def test_validate_accepts_exactly_the_associative_tables():
+    loaded = [load_group_file(path) for path in sorted(bundled_catalog_dir().glob("*.grp"))]
+    tables = ([FiniteGroup(NONASSOC_LOOP)] + _intercalate_switches(random.Random(7), 40)
+              + [FiniteGroup(G.table, G.names, name=G.name) for G in loaded])
+    for G in tables:
+        assert _validates(G) == _associative(G), G.name
+    assert sum(map(_validates, tables)) == len(loaded)
+
+
+def test_validate_falls_back_to_all_pairs_when_generators_do_not_reach():
+    for G in (FiniteGroup(NONASSOC_LOOP), dihedral(5), quaternion_group()):
+        want = _first_nonassociative_triple(G)
+        G.__dict__["_generators"] = ()          # reaches only the identity
+        if want is None:
+            G.validate()
+            continue
+        a, b, c = (G.names[i] for i in want)
+        with pytest.raises(ValidationError, match=re.escape(f"({a!r}, {b!r}, {c!r})")):
+            G.validate()
+
+
+def test_validating_f42_builds_one_gatherer_per_generator(monkeypatch):
+    import groupeq.groups as groups
+    text = (bundled_catalog_dir() / "042_f42.grp").read_text(encoding="utf-8")
+    built = []
+    real = groups.itemgetter
+    monkeypatch.setattr(groups, "itemgetter", lambda *idx: built.append(idx) or real(*idx))
+    G = load_group(text)
+    assert G.order == 42 and 0 < len(built) <= len(G._generators) == 2
+
+
+def test_duplicate_names_are_refused_when_they_are_built():
+    with pytest.raises(ValidationError, match="^element names are not unique$"):
+        FiniteGroup(cyclic(3).table, ["1", "a", "a"])
+    G = FiniteGroup(cyclic(3).table, lambda: ["1", "a", "a"])
+    assert G.order == 3
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^element names are not unique$"):
+            G.names
+
+
+def test_audit_and_classification_build_no_element_names(monkeypatch):
+    import groupeq.groups as groups
+    from groupeq.verifiers import audit_catalog, classify_group
+
+    def refuse(perm):
+        raise AssertionError("element names were built")
+    monkeypatch.setattr(groups, "cycles_str", refuse)
+    report = audit_catalog(bundled_catalog_dir())
+    assert len(report.entries) == 109 and not any(e.error for e in report.entries)
+    assert report.all_witnessed and report.counts_ok and report.pairwise_distinct
+    for path in sorted(bundled_catalog_dir().glob("*.grp")):
+        classify_group(load_group_file(path))
+    with pytest.raises(AssertionError, match="element names were built"):
+        load_group_file(bundled_catalog_dir() / "006_s3.grp").names
 
 
 def test_light_checks_reject_broken_tables():

@@ -1,13 +1,20 @@
 """The benchmark's span tracer (`perfbench/launcher.py`) patches groupeq
 methods by name, so a renamed or deleted method would make every traced
-command fail. This guard reads the launcher's METHODS list with `ast`,
-without importing or running it, and checks that each method exists."""
+command fail, and its per-layer metrics (`BENCHMARK.json`) name groupeq
+functions, so a renamed one would silently read 0. These guards read the
+launcher's METHODS list with `ast` and the metric names as JSON, without
+importing or running the benchmark, and check that each name exists."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
-LAUNCHER = Path(__file__).resolve().parents[1] / "perfbench" / "launcher.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAUNCHER = ROOT / "perfbench" / "launcher.py"
+# counters the launcher derives rather than reads off one function's spans
+DERIVED = {"verifiers.brute_force_solve.assignments", "verifiers.brute_force_solve.evaluated",
+           "verifiers.brute_force_solve.useful_ratio", "cli.import_s"}
 
 
 def traced_methods() -> list[tuple[str, str, str]]:
@@ -25,3 +32,24 @@ def test_every_method_the_tracer_patches_exists():
     for module, cls, name in methods:
         owner = getattr(importlib.import_module(f"groupeq.{module}"), cls)
         assert callable(getattr(owner, name, None)), f"groupeq.{module}.{cls}.{name}"
+
+
+def test_every_per_layer_metric_names_a_groupeq_function():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in benchmark["per_layer"]]
+    checked = 0
+    for metric in names:
+        if metric.startswith(("layer.", "trace.")) or metric in DERIVED:
+            continue
+        path, suffix = metric.rsplit(".", 1)
+        assert suffix in ("calls", "self_s"), metric
+        module, *attrs = path.split(".")
+        owner = importlib.import_module(f"groupeq.{module}")
+        for attr in attrs:
+            # the tracer labels a dunder method without its underscores
+            owner = getattr(owner, attr, None) or getattr(owner, f"__{attr}__", None)
+            assert owner is not None, f"{metric}: groupeq.{path} does not exist"
+        assert callable(owner), metric
+        checked += 1
+    assert checked >= 40
+    assert "groups.FiniteGroup.validate.self_s" in names and "groups.closure.calls" in names

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import random
 import time
@@ -12,7 +14,7 @@ from groupeq.config import Config
 from groupeq.equations import (EquationSystem, evaluate_word,
                                exponent_matrix, parse_system, satisfies)
 from groupeq.errors import CapExceeded, ValidationError
-from groupeq.groups import (cyclic, dihedral, direct_product,
+from groupeq.groups import (FiniteGroup, cyclic, dihedral, direct_product,
                             from_generators, generated_subgroup, isomorphic,
                             load_group_file, normal_subgroups)
 from groupeq.verifiers import brute_force_solve, classify_group
@@ -346,3 +348,68 @@ def test_normalize_keeps_the_wreath_product_unless_the_top_grows():
     emb = norm.top_embedding
     assert emb.source is W.top and emb.target is norm.wreath.top
     assert emb.is_injective() and norm.wreath.top.order == 4
+
+
+def _scan_index(W):
+    """Name -> least x with that name, by naming every element once."""
+    least = {}
+    for x in W.elements():
+        least.setdefault(W.element_name(x), x)
+    return least
+
+
+def _index_or_none(W, name):
+    try:
+        return W.index_of(name)
+    except ValidationError as exc:
+        assert str(exc) == (f"wreath product has no element named {name!r} "
+                            "(hint: #<index> bindings always work)")
+        return None
+
+
+def test_index_of_matches_the_scan_over_every_element():
+    s3 = from_generators(["(1 2)", "(1 2 3)"])       # names with commas: (1,2)
+    for W in (c2wrc2(), wreath_product(s3, cyclic(2)), wreath_product(cyclic(3), s3)):
+        names = [W.element_name(x) for x in W.elements()]
+        k = W.top.order
+        junk = ["", "(", ")", "()", "(;)", "1,1", "(1;1)", "(" + ",".join(["1"] * k) + ";1)",
+                "(" + ",".join(["1"] * (k + 1)) + ";1)", names[-1] + " ", names[-1][1:],
+                names[-1][:-1], names[-1].replace(";", ","), "#1", "nosuch"]
+        least = _scan_index(W)
+        for name in names + junk:
+            assert _index_or_none(W, name) == least.get(name), (W, name)
+        assert [W.index_of(n) for n in names] == list(W.elements())
+
+
+def test_index_of_returns_the_least_of_several_readings():
+    # base names that are comma-joined runs of other names: "1,1" reads as
+    # one coordinate or two, so one name can belong to several elements
+    H = FiniteGroup(cyclic(4).table, ["1", "1,1", "a", "1,a"])
+    pieces = ["1", "1,1", "a", "1,a", ",", ";"]
+    rng = random.Random(5)
+    for top in (cyclic(2), cyclic(3)):
+        W = wreath_product(H, top)
+        names = [W.element_name(x) for x in W.elements()]
+        assert len(set(names)) < len(names)
+        made = ["(" + ",".join(rng.choice(pieces) for _ in range(rng.randint(1, 7)))
+                + ";" + rng.choice(top.names) + ")" for _ in range(1500)]
+        least = _scan_index(W)
+        for name in names + made:
+            assert _index_or_none(W, name) == least.get(name), name
+
+
+def test_unknown_wreath_name_is_reported_without_a_scan(tmp_path):
+    from groupeq.cli import main
+    path = tmp_path / "big.sys"
+    path.write_text("vars: x\ncoeffs: c\nbind: @group c=nosuch\neq: x c\n", encoding="utf-8")
+    args = ["wreath-transform", str(path), "--base", "@catalog/004_c4.grp",
+            "--top", "@catalog/008_c8.grp", "--prime", "2"]
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert err.getvalue() == ("error: wreath product has no element named 'nosuch' "
+                              "(hint: #<index> bindings always work)\n")
+    assert elapsed < 0.1, elapsed                   # order 524,288: a scan takes ~1 s
