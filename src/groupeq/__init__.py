@@ -51,7 +51,7 @@ from .verifiers import (AuditReport, BruteForceResult, ClassificationReport,
                         obstruction_check, p_group_equation_check,
                         pq_structure_check)
 from .words import Letter, Word, exponent_sum, format_word, parse_word
-from .wreath import (TransformedSystem, WreathGroup, WreathSystem,
-                     extract_rows, kaloujnine_krasner, coordinatewise_transform,
+from .wreath import (TransformedSystem, WreathGroup, extract_rows,
+                     kaloujnine_krasner, coordinatewise_transform,
                      normalize_top_component, reconstruct_solution,
                      wreath_product)

@@ -220,7 +220,8 @@ def cmd_wreath_transform(args, config: Config) -> int:
                                       for l in word]) for word in out.words]
     row_lines = ["# rows m[j,1] over the top-group algebra",
                  format_row_file(ex.rows).rstrip()]
-    beta_desc = {i: norm.wreath.top.names[t] for i, t in norm.beta.items()}
+    W2 = norm.system.binding.group
+    beta_desc = {i: W2.top.names[t] for i, t in norm.beta.items()}
     payload = {
         "beta": beta_desc,
         "translation_identity_holds": ex.translation_holds,
@@ -230,7 +231,7 @@ def cmd_wreath_transform(args, config: Config) -> int:
         "rows": format_row_file(ex.rows),
     }
     lines = [f"wreath product: {base.name} wr {top.name} "
-             f"(order {norm.wreath.order})",
+             f"(order {W2.order})",
              "variable change beta: " + ", ".join(
                  f"{i} -> {i}*{n}" for i, n in beta_desc.items())]
     lines += sys_lines + row_lines

@@ -9,9 +9,9 @@ pivot columns and minor determinants behind the group-ring certificates.
 The Smith normal form and elimination are independent routes to the same
 verdicts, so each checks the other.
 
-Plain, wreath and coordinatewise words compile to one letter form, which
-`evaluate_compiled` evaluates and `scan_solutions`, the one exhaustive
-search behind `solve` and the wreath helpers, solves.
+Words compile to one letter form, which `evaluate_compiled` evaluates
+and `scan_solutions`, the one exhaustive search behind `solve`, solves; a
+system bound to a wreath product compiles like any other.
 
 All integer arithmetic is arbitrary precision.
 """

@@ -127,7 +127,7 @@ class FiniteGroup:
         if any(min(row) < 0 or max(row) >= n for row in rows):
             raise ValidationError("Cayley table entry out of range")
         if names is None:
-            names = ["1"] + [f"g{i}" for i in range(1, n)]
+            names = [f"g{i}" for i in range(n)]     # by file index; the identity becomes "1"
         if not callable(names) and len(names) != n:
             raise ValidationError("names length does not match order")
 

@@ -10,38 +10,37 @@ by ``wreath_order_cap`` alone; ``realize`` builds the table on request.
 on the packed product.
 
 The transformation pipeline turns a system over H wr B into an equivalent
-family of systems over H, one per top element:
+family of systems over H, one per top element. Each stage hands
+an ordinary `EquationSystem` to the next, so `solve`'s scan, `satisfies`
+and `brute_force_solve` read every one of them as is:
 
 1. `normalize_top_component` changes variables so every coefficient lies
    in the base (the image system over the abelian top is solved first,
-   extending the top p-group if needed).
-2. `coordinatewise_transform` rewrites each equation into |B| equations
-   over H in the variables y_<i>_<b>, as an `EquationSystem` bound to H,
-   so `solve`'s scan, `satisfies` and `brute_force_solve` read it as is.
+   extending the top p-group if needed); its output is bound to the
+   wreath product, the change x -> x*beta written with bound top elements.
+2. `coordinatewise_transform` rewrites each equation of a system bound to
+   H wr B whose top parts cancel into |B| equations over H in the
+   variables y_<i>_<b>, bound to H.
 3. `extract_rows` produces, per original equation, the row of group-ring
    elements over Z_p[B] that controls independence, together with the
    translation relation between the rows for different top elements.
 4. `reconstruct_solution` assembles a wreath solution from a pointwise one.
-
-Wreath words compile to the letter form of `equations`, so
-`equations.evaluate_compiled` evaluates them and `wreath_solutions` lists
-the output of `equations.scan_solutions`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import AbelianGroupSpec, AlgebraElement, RowFamily, augmentation
 from .config import DEFAULT_CONFIG, Config
-from .equations import (EquationSystem, evaluate_compiled, is_p_nonsingular,
-                        satisfies, scan_solutions, solve_abelian_p_system)
+from .equations import (EquationSystem, is_p_nonsingular, satisfies,
+                        solve_abelian_p_system)
 from .errors import CapExceeded, ValidationError
 from .groups import (FiniteGroup, Homomorphism, Subgroup, abelian_p_basis,
                      dlog_table, quotient)
 from .record import Record
-from .words import COEFF, VAR, Letter
+from .words import COEFF, VAR, Letter, exponent_sum
 
 
 def wreath_order(base_order: int, top_order: int, config: Config = DEFAULT_CONFIG) -> int:
@@ -92,9 +91,6 @@ class WreathGroup:
 
     def top_of(self, x: int) -> int:
         return x % self.top.order
-
-    def in_base(self, x: int) -> bool:
-        return self.top_of(x) == 0
 
     # -- group law -------------------------------------------------------------
 
@@ -219,74 +215,16 @@ def kaloujnine_krasner(G: FiniteGroup, N: Subgroup,
 
 
 # ---------------------------------------------------------------------------
-# wreath systems
+# normalization into the base
 
-class WVar(NamedTuple):
-    name: str
-    sign: int
-    conj: int        # top element index d: the letter is x^(s*d)
-
-
-class WCoeff(NamedTuple):
-    base: tuple[int, ...]    # base-subgroup element, one H index per top element
-
-
-WWord = tuple            # of WVar | WCoeff
-
-
-class WreathSystem(Record):
-    """A system over H wr B whose coefficients all lie in the base subgroup
-    and whose variables carry explicit top conjugators."""
-    wreath: WreathGroup
-    variables: tuple[str, ...]
-    words: tuple[WWord, ...]
-
-    def __post_init__(self) -> None:
-        variables = set(self.variables)
-        for w in self.words:
-            for letter in w:
-                if isinstance(letter, WCoeff):
-                    if len(letter.base) != self.wreath.top.order:
-                        raise ValidationError("coefficient tuple has wrong length")
-                elif isinstance(letter, WVar):
-                    if letter.name not in variables:
-                        raise ValidationError(f"undeclared variable {letter.name!r}")
-                else:
-                    raise ValidationError(f"bad letter {letter!r}")
-
-    def exponent_sum(self, j: int, var: str) -> int:
-        return sum(l.sign for l in self.words[j]
-                   if isinstance(l, WVar) and l.name == var)
-
-
-def _compile_wreath(W: WreathGroup, word: WWord) -> list[tuple]:
-    """Compiled form: x^(s*d) is the letters d^-1, x^s, d; a WCoeff its element."""
-    out: list[tuple] = []
-    for letter in word:
-        if isinstance(letter, WCoeff):
-            out.append((None, W.embed_base(letter.base)))
-        else:
-            d = W.embed_top(letter.conj)
-            out += [(None, W.inv(d)), (letter.name, letter.sign), (None, d)]
-    return out
-
-
-def evaluate_wreath_word(ws: WreathSystem, word: WWord,
-                         assignment: Mapping[str, int]) -> int:
-    return evaluate_compiled(ws.wreath, _compile_wreath(ws.wreath, word), assignment)
-
-
-def wreath_solutions(ws: WreathSystem, base_only: bool = False) -> list[tuple[int, ...]]:
-    """All solutions of a wreath system in lexicographic order (small W only)."""
-    W = ws.wreath
-    domain = [x for x in W.elements() if W.in_base(x)] if base_only else W.elements()
-    words = [_compile_wreath(W, w) for w in ws.words]
-    return [values for _, values in scan_solutions(W, words, ws.variables, domain)]
+def _bound_wreath(system: EquationSystem) -> WreathGroup:
+    if system.binding is None or not isinstance(system.binding.group, WreathGroup):
+        raise ValidationError("system must be bound to a wreath product")
+    return system.binding.group
 
 
 class NormalizedSystem(Record):
-    system: WreathSystem
-    wreath: WreathGroup              # possibly rebuilt over an extended top
+    system: EquationSystem           # bound to W, or W rebuilt over an extended top
     beta: dict[str, int]             # top solution used for the variable change
     top_embedding: Homomorphism | None   # old top -> new top, when extended
 
@@ -304,11 +242,10 @@ def normalize_top_component(system: EquationSystem, p: int,
     product is rebuilt over the extended top. Either way the coefficients
     are carried coordinatewise along the solver's embedding of the top,
     which is the identity when the top did not grow; ``top_embedding`` is
-    set only when it grew.
+    set only when it grew. The change writes x as x followed by a fresh
+    coefficient "beta x" (a name no parsed word can use) bound to beta[x].
     """
-    if system.binding is None or not isinstance(system.binding.group, WreathGroup):
-        raise ValidationError("system must be bound to a wreath product")
-    W: WreathGroup = system.binding.group
+    W = _bound_wreath(system)
     top = W.top
     if not top.is_abelian:
         raise ValidationError("the top group must be abelian")
@@ -328,32 +265,21 @@ def normalize_top_component(system: EquationSystem, p: int,
         return W2.encode(tuple(g), embed(t))
 
     values = {c: lift_coeff(v) for c, v in system.binding.values.items()}
+    shift = {x: f"beta {x}" for x in system.variables}
+    values.update((shift[x], W2.embed_top(beta[x])) for x in system.variables)
 
-    new_words = []
-    for word in system.words:
-        # x -> x*beta; t is the top part of the prefix read so far
-        letters: list = []
-        t = 0
-        for kind, name, sign in word:
-            if kind == VAR and sign > 0:
-                letters.append(WVar(name, +1, topg.inverse[t]))
-                t = topg.table[t][beta[name]]
-            elif kind == VAR:
-                t = topg.table[t][topg.inverse[beta[name]]]
-                letters.append(WVar(name, -1, topg.inverse[t]))
-            else:
-                f, b = W2.decode(values[name] if sign > 0 else W2.inv(values[name]))
-                shifted = tuple(f[topg.table[q][t]] for q in range(topg.order))
-                if any(shifted):
-                    letters.append(WCoeff(shifted))
-                t = topg.table[t][b]
-        if t != 0:
-            raise ValidationError(
-                "internal error: top components did not cancel after the "
-                "variable change")
-        new_words.append(tuple(letters))
-    ws = WreathSystem(W2, system.variables, tuple(new_words))
-    return NormalizedSystem(ws, W2, dict(beta), None if topg is top else embed)
+    def substitute(letter: Letter) -> tuple[Letter, ...]:      # x -> x*beta
+        if letter.kind == COEFF:
+            return (letter,)
+        b = Letter(COEFF, shift[letter.name], letter.sign)
+        return (letter, b) if letter.sign > 0 else (b, letter)
+
+    words = tuple(tuple(itertools.chain.from_iterable(map(substitute, word)))
+                  for word in system.words)
+    normalized = EquationSystem(system.variables,
+                                system.coefficients + tuple(shift.values()), words)
+    return NormalizedSystem(normalized.bind(W2, values), dict(beta),
+                            None if topg is top else embed)
 
 
 # ---------------------------------------------------------------------------
@@ -365,36 +291,52 @@ class TransformedSystem(Record):
     the coefficients; variable k is y[coords[k]], named y_<i>_<b>."""
     system: EquationSystem
     coords: tuple[tuple[str, int], ...]          # (i, b) in (i, b) order
-    source: WreathSystem
+    source: EquationSystem                       # bound to the wreath product
 
 
-def coordinatewise_transform(ws: WreathSystem) -> TransformedSystem:
-    """Rewrite each wreath equation into one base-group equation per top
-    element; coefficient c becomes its coordinate [c]_b (named c1, c2, ...
-    by first appearance, and left out when trivial) and the variable letter
-    x_i^d becomes y[i, b*d^-1]."""
-    W = ws.wreath
-    top = W.top
-    tm = top.table
-    tinv = top.inverse
-    coords = tuple((i, b) for i in ws.variables for b in top.elements())
+def coordinatewise_transform(system: EquationSystem) -> TransformedSystem:
+    """Rewrite each equation of a system bound to H wr B, its variables
+    read in the base, into one equation over H per top element b.
+
+    With t the top part of the letters before it, the letter x_i^s becomes
+    y[i, b*t]^s and coefficient c becomes its coordinate [c]_(b*t) (named
+    c1, c2, ... by first appearance, and left out when trivial). An
+    equation whose top parts do not cancel has no solution in the base and
+    is refused; `normalize_top_component` makes every equation cancel.
+    """
+    W = _bound_wreath(system)
+    values = system.binding.values
+    tm = W.top.table
+    coords = tuple((i, b) for i in system.variables for b in W.top.elements())
     names = {c: f"y_{c[0]}_{c[1]}" for c in coords}
     symbols: dict[int, str] = {}           # coordinate value -> coefficient name
     words = []
-    for word in ws.words:
-        for b in top.elements():
+    for j, word in enumerate(system.words):
+        read = []                          # (letter, its coordinates or None, t)
+        t = 0
+        for letter in word:
+            if letter.kind == VAR:
+                read.append((letter, None, t))
+                continue
+            v = values[letter.name]
+            f, u = W.decode(v if letter.sign > 0 else W.inv(v))
+            read.append((letter, f, t))
+            t = tm[t][u]
+        if t != 0:
+            raise ValidationError(f"equation {j + 1}: top components do not cancel")
+        for b in W.top.elements():
             letters = []
-            for letter in word:
-                if isinstance(letter, WVar):
-                    y = names[letter.name, tm[b][tinv[letter.conj]]]
-                    letters.append(Letter(VAR, y, letter.sign))
-                elif letter.base[b] != 0:
-                    c = symbols.setdefault(letter.base[b], f"c{len(symbols) + 1}")
+            for letter, f, t in read:
+                bt = tm[b][t]
+                if f is None:
+                    letters.append(Letter(VAR, names[letter.name, bt], letter.sign))
+                elif f[bt] != 0:
+                    c = symbols.setdefault(f[bt], f"c{len(symbols) + 1}")
                     letters.append(Letter(COEFF, c, 1))
             words.append(tuple(letters))
-    system = EquationSystem(tuple(names.values()), tuple(symbols.values()), tuple(words))
-    return TransformedSystem(system.bind(W.base, {c: h for h, c in symbols.items()}),
-                             coords, ws)
+    out = EquationSystem(tuple(names.values()), tuple(symbols.values()), tuple(words))
+    return TransformedSystem(out.bind(W.base, {c: h for h, c in symbols.items()}),
+                             coords, system)
 
 
 def reconstruct_solution(ts: TransformedSystem,
@@ -403,13 +345,12 @@ def reconstruct_solution(ts: TransformedSystem,
     ``ts.system`` and verify them against the wreath system."""
     if not satisfies(ts.system, pointwise):
         raise ValidationError("pointwise assignment fails an equation")
-    W = ts.source.wreath
+    W = ts.source.binding.group
     f = {i: [0] * W.top.order for i in ts.source.variables}
     for (i, b), y in zip(ts.coords, ts.system.variables):
         f[i][b] = pointwise[y]
     assignment = {i: W.embed_base(fi) for i, fi in f.items()}
-    if any(evaluate_wreath_word(ts.source, w, assignment) != W.identity
-           for w in ts.source.words):
+    if not satisfies(ts.source, assignment):
         raise ValidationError("internal error: reconstruction fails to verify")
     return assignment
 
@@ -433,7 +374,7 @@ def extract_rows(ts: TransformedSystem, p: int) -> ExtractedRows:
     m[j,b] = b * m[j,1], and augmenting m[j,1] recovers the exponent-sum
     row of the wreath equation j mod p.
     """
-    top = ts.source.wreath.top
+    top = ts.source.binding.group.top
     basis = abelian_p_basis(top, p)
     orders = [top.element_order(g) for g in basis]            # each a power of p
     spec = AbelianGroupSpec(p, tuple(next(k for k in range(o) if p ** k == o)
@@ -455,6 +396,6 @@ def extract_rows(ts: TransformedSystem, p: int) -> ExtractedRows:
     rows = tuple(all_rows[(j, 0)] for j in range(len(ts.source.words)))   # m[j,1]
     translation = all(all_rows[(j, b)] == tuple(mono[b] * e for e in row)
                       for j, row in enumerate(rows) for b in top.elements())
-    aug_ok = all(augmentation(e) == ts.source.exponent_sum(j, i) % p
+    aug_ok = all(augmentation(e) == exponent_sum(ts.source.words[j], i) % p
                  for j, row in enumerate(rows) for e, i in zip(row, variables))
     return ExtractedRows(spec, RowFamily(spec, rows), all_rows, translation, aug_ok)

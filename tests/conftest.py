@@ -45,10 +45,12 @@ def random_wreath_system(W, rng: random.Random, max_vars: int = 2,
             return system.bind(W, symbols)
 
 
-def bound_solutions(system: EquationSystem) -> list[dict[str, int]]:
-    """Every solution of a bound system, in scan order, through the scan
-    behind `solve` (e.g. the ``system`` of a coordinatewise transform)."""
+def bound_solutions(system: EquationSystem, domain=None) -> list[dict[str, int]]:
+    """Every solution of a bound system with values in *domain* (default:
+    the whole group), in scan order, through the scan behind `solve` (e.g.
+    the ``system`` of a coordinatewise transform)."""
     G, values = system.binding.group, system.binding.values
     words = [compile_word(w, G, values) for w in system.words]
+    domain = G.elements() if domain is None else domain
     return [dict(zip(system.variables, sol)) for _, sol in
-            scan_solutions(G, words, system.variables, G.elements())]
+            scan_solutions(G, words, system.variables, domain)]

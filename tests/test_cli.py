@@ -354,6 +354,82 @@ def test_audit_of_a_directory_without_group_files_is_an_operational_error(tmp_pa
     assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
 
 
+WREATH_DEMO = ["wreath-transform", "@examples/wreath_demo.sys", "--base",
+               "@catalog/002_c2.grp", "--top", "@catalog/002_c2.grp", "--prime", "2"]
+
+WREATH_DEMO_SYSTEM = """\
+# transformed system over the base group C2
+vars: y_x_0 y_x_1
+coeffs: c1
+bind: @catalog/002_c2.grp c1=(1,2)
+eq: y_x_0 y_x_1 y_x_0 c1
+eq: y_x_1 y_x_0 y_x_1"""
+
+# two equations over C3 wr C3 whose variable change is nontrivial
+WREATH_C3_FILE = """\
+vars: x y
+coeffs: c1 c2 c3
+bind: @group c1=#56 c2=#44 c3=#73
+eq: x^(c3) (c3 x)
+eq: x^-1^(c1) y^(c2) (c3 y) [y,c2]
+"""
+
+WREATH_C3_SYSTEM = """\
+# transformed system over the base group C3
+vars: y_x_0 y_x_1 y_x_2 y_y_0 y_y_1 y_y_2
+coeffs: c1 c2
+bind: @catalog/003_c3.grp c1=(1,3,2) c2=(1,2,3)
+eq: y_x_2 c1 c1 y_x_2
+eq: c2 y_x_0 c1 y_x_0
+eq: c2 y_x_1 c1 y_x_1
+eq: y_x_0^-1 c1 c1 y_y_0 c2 y_y_0 y_y_0^-1 c1 y_y_1 c2
+eq: y_x_1^-1 c1 y_y_1 c2 c1 y_y_1 y_y_1^-1 c2 y_y_2 c1
+eq: c2 y_x_2^-1 c2 y_y_2 c1 c1 y_y_2 y_y_2^-1 c1 y_y_0 c2"""
+
+
+def test_wreath_transform_golden_output(tmp_path):
+    # the exact text and the structured system and beta fields
+    code, out, err = run_cli(WREATH_DEMO)
+    assert (code, err) == (0, "")
+    assert out == "\n".join([
+        "wreath product: C2 wr C2 (order 8)",
+        "variable change beta: x -> x*1",
+        WREATH_DEMO_SYSTEM,
+        "# rows m[j,1] over the top-group algebra",
+        "algebra p=2 torsion=1 free=0",
+        "row: x1",
+        "translation identity m[j,b] = b*m[j,1]: True",
+        "augmentation equals exponent row mod 2: True",
+        "rows certified independent: True"]) + "\n"
+    code, out, _ = run_cli(["--format", "structured"] + WREATH_DEMO)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["system"], payload["beta"]) == (WREATH_DEMO_SYSTEM, {"x": "1"})
+
+    path = tmp_path / "c3.sys"
+    path.write_text(WREATH_C3_FILE)
+    argv = ["wreath-transform", str(path), "--base", "@catalog/003_c3.grp",
+            "--top", "@catalog/003_c3.grp", "--prime", "3"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert out == "\n".join([
+        "wreath product: C3 wr C3 (order 81)",
+        "variable change beta: x -> x*(1,2,3), y -> y*1",
+        WREATH_C3_SYSTEM,
+        "# rows m[j,1] over the top-group algebra",
+        "algebra p=3 torsion=1 free=0",
+        "row: 2*x1^2 ; 0",
+        "row: 2 ; 1 + x1",
+        "translation identity m[j,b] = b*m[j,1]: True",
+        "augmentation equals exponent row mod 3: True",
+        "rows certified independent: True"]) + "\n"
+    code, out, _ = run_cli(["--format", "structured"] + argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["system"], payload["beta"]) == \
+        (WREATH_C3_SYSTEM, {"x": "(1,2,3)", "y": "1"})
+
+
 def test_p_singular_wreath_refusal_names_only_the_condition():
     # allow_extension exists only in the Python API, so the CLI does not offer it
     code, out, err = run_cli(["wreath-transform", "@examples/wreath_demo.sys",

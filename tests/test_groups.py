@@ -170,9 +170,19 @@ def test_light_checks_reject_broken_tables():
     with pytest.raises(ValidationError):
         FiniteGroup([[0, 1], [1, 1]])           # not Latin
     with pytest.raises(ValidationError):
-        FiniteGroup([[1, 0], [0, 1]], None)     # no identity at any index
+        FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]])   # Latin, no identity
+    # C2 with its identity at index 1 loads under the default names
+    assert FiniteGroup([[1, 0], [0, 1]], None).names == ("1", "g0")
     with pytest.raises(ValidationError):
         FiniteGroup([[0, 1], [1, 0]], ["1", "1"])   # duplicate names
+
+
+def test_default_names_follow_the_file_index():
+    # the identity sits at file index 2: its default name g2 becomes "1"
+    G = load_group("group X order 3\ntable:\n1 2 0\n2 0 1\n0 1 2\n")
+    assert G.names == ("1", "g1", "g0")
+    assert load_group("group C3 order 3\ntable:\n0 1 2\n1 2 0\n2 0 1\n").names == \
+        ("1", "g1", "g2")
 
 
 def test_identity_normalization():

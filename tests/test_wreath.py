@@ -19,14 +19,25 @@ from groupeq.groups import (FiniteGroup, cyclic, dihedral, direct_product,
                             load_group_file, normal_subgroups)
 from groupeq.verifiers import brute_force_solve, classify_group
 from groupeq.words import COEFF, VAR, Letter
-from groupeq.wreath import (WCoeff, WVar, WreathGroup, WreathSystem,
-                            evaluate_wreath_word, extract_rows, kaloujnine_krasner,
+from groupeq.wreath import (WreathGroup, extract_rows, kaloujnine_krasner,
                             coordinatewise_transform, normalize_top_component,
-                            reconstruct_solution, wreath_product, wreath_solutions)
+                            reconstruct_solution, wreath_product)
 
 
 def c2wrc2():
     return wreath_product(cyclic(2), cyclic(2))
+
+
+def wreath_system(W, variables, words, values):
+    """An EquationSystem over W from words of (symbol, sign) pairs; a symbol
+    in *values* is a coefficient bound to that element of W."""
+    letters = tuple(tuple(Letter(COEFF if name in values else VAR, name, sign)
+                          for name, sign in word) for word in words)
+    return EquationSystem(tuple(variables), tuple(values), letters).bind(W, values)
+
+
+def base_elements(W):
+    return [x for x in W.elements() if W.top_of(x) == 0]
 
 
 def test_orders_and_isomorphism_type():
@@ -125,9 +136,15 @@ def test_normalize_shifts_coefficients_into_base():
         (Letter(VAR, "x", 1), Letter(COEFF, "c", 1)),)).bind(W, {"c": cval})
     norm = normalize_top_component(system, 2)
     assert norm.beta["x"] == 1            # x -> x*t
-    for word in norm.system.words:
-        for letter in word:
-            assert isinstance(letter, (WVar, WCoeff))
+    # x c becomes x t c: a bound top coefficient after the variable
+    assert norm.system.binding.group is W
+    assert norm.system.words == ((Letter(VAR, "x", 1), Letter(COEFF, "beta x", 1),
+                                  Letter(COEFF, "c", 1)),)
+    assert norm.system.binding.values == {"c": cval, "beta x": W.embed_top(1)}
+    # t c = (0,1;0) lies in the base, so the top parts cancel
+    ts = coordinatewise_transform(norm.system)
+    assert ts.system.words == ((Letter(VAR, "y_x_0", 1),),
+                               (Letter(VAR, "y_x_1", 1), Letter(COEFF, "c1", 1)))
 
 
 def test_normalize_already_base_is_unchanged():
@@ -137,8 +154,10 @@ def test_normalize_already_base_is_unchanged():
         (Letter(VAR, "x", 1), Letter(COEFF, "c", 1)),)).bind(W, {"c": cval})
     norm = normalize_top_component(system, 2)
     assert norm.beta["x"] == 0
-    word = norm.system.words[0]
-    assert word == (WVar("x", 1, 0), WCoeff((1, 1)))
+    assert norm.system.binding.values["beta x"] == W.identity
+    # the trivial shift adds no coordinate: both transforms agree
+    assert coordinatewise_transform(norm.system).system == \
+        coordinatewise_transform(system).system
 
 
 def test_normalize_rejects_singular_and_nonabelian_top():
@@ -155,11 +174,13 @@ def test_normalize_rejects_singular_and_nonabelian_top():
 
 
 def test_transform_on_x_xt_equation():
-    # x * x^t * c = 1 over C2 wr C2 becomes y_b * y_{b t} * [c]_b = 1
+    # x * x^t * c = 1 over C2 wr C2, written x t x t^-1 c with t a top
+    # coefficient, is not normalized but its top parts cancel; it becomes
+    # y_b * y_{b t} * [c]_b = 1
     W = c2wrc2()
-    ws = WreathSystem(W, ("x",), (
-        (WVar("x", 1, 0), WVar("x", 1, 1), WCoeff((1, 0))),))
-    ts = coordinatewise_transform(ws)
+    system = wreath_system(W, ("x",), [[("x", 1), ("t", 1), ("x", 1), ("t", -1), ("c", 1)]],
+                           {"t": W.embed_top(1), "c": W.embed_base((1, 0))})
+    ts = coordinatewise_transform(system)
     y0, y1, c1 = Letter(VAR, "y_x_0", 1), Letter(VAR, "y_x_1", 1), Letter(COEFF, "c1", 1)
     assert ts.coords == (("x", 0), ("x", 1))
     assert ts.system.variables == ("y_x_0", "y_x_1")
@@ -178,14 +199,13 @@ def test_transform_on_x_xt_equation():
 
 def test_transform_single_variable_row():
     W = c2wrc2()
-    ws = WreathSystem(W, ("x",), ((WVar("x", 1, 0),),))
-    ex = extract_rows(coordinatewise_transform(ws), 2)
+    ex = extract_rows(coordinatewise_transform(wreath_system(W, ("x",), [[("x", 1)]], {})), 2)
     assert ex.rows.rows[0][0] == AlgebraElement.one(ex.spec)
 
 
 def test_transform_empty_system():
     W = c2wrc2()
-    ts = coordinatewise_transform(WreathSystem(W, ("x",), ()))
+    ts = coordinatewise_transform(wreath_system(W, ("x",), [], {}))
     assert ts.system.words == () and ts.system.coefficients == ()
     ex = extract_rows(ts, 2)
     assert ex.rows.rows == ()
@@ -215,9 +235,8 @@ eq: x g2 y g3 z
 
 def test_reconstruct_rejects_bad_pointwise():
     W = c2wrc2()
-    ws = WreathSystem(W, ("x",), (
-        (WVar("x", 1, 0), WCoeff((1, 0))),))
-    ts = coordinatewise_transform(ws)
+    system = wreath_system(W, ("x",), [[("x", 1), ("c", 1)]], {"c": W.embed_base((1, 0))})
+    ts = coordinatewise_transform(system)
     with pytest.raises(ValidationError):
         reconstruct_solution(ts, {"y_x_0": 0, "y_x_1": 0})
 
@@ -256,12 +275,27 @@ def test_round_trip_random_square_systems():
 
 
 def test_wreath_solutions_helper_consistency():
+    # a system bound to W is solved by the scan behind `solve`, and its
+    # solution satisfies the system and reconstructs from the transform
     W = c2wrc2()
-    ws = WreathSystem(W, ("x",), (
-        (WVar("x", 1, 0), WCoeff((1, 1))),))
-    sols = wreath_solutions(ws)
-    assert sols == [(W.embed_base((1, 1)),)]
-    assert evaluate_wreath_word(ws, ws.words[0], {"x": sols[0][0]}) == 0
+    system = wreath_system(W, ("x",), [[("x", 1), ("c", 1)]], {"c": W.embed_base((1, 1))})
+    sols = bound_solutions(system)
+    assert sols == [{"x": W.embed_base((1, 1))}]
+    assert satisfies(system, sols[0])
+    ts = coordinatewise_transform(system)
+    assert [reconstruct_solution(ts, pw) for pw in bound_solutions(ts.system)] == sols
+
+
+def test_transform_refuses_uncancelled_top_parts():
+    # x t: the top part t survives, so no base value of x solves it
+    W = c2wrc2()
+    system = wreath_system(W, ("x",), [[("x", 1), ("c", 1)], [("x", 1), ("t", 1)]],
+                           {"c": W.embed_base((1, 1)), "t": W.embed_top(1)})
+    with pytest.raises(ValidationError) as info:
+        coordinatewise_transform(system)
+    assert str(info.value) == "equation 2: top components do not cancel"
+    with pytest.raises(ValidationError, match="bound to a wreath product"):
+        coordinatewise_transform(system.bind(W.base, {"c": 1, "t": 1}))
 
 
 def test_normalize_with_extension_rebuilds_the_top():
@@ -273,7 +307,7 @@ def test_normalize_with_extension_rebuilds_the_top():
         (Letter(VAR, "x", 1), Letter(VAR, "x", 1), Letter(COEFF, "c", 1)),
     )).bind(W, {"c": cval})
     norm = normalize_top_component(system, 2, allow_extension=True)
-    assert norm.wreath.top.order == 4
+    assert norm.system.binding.group.top.order == 4
     assert norm.top_embedding is not None
     ts = coordinatewise_transform(norm.system)
     ex = extract_rows(ts, 2)
@@ -281,35 +315,27 @@ def test_normalize_with_extension_rebuilds_the_top():
     # equivalence of solution sets still holds; here both sides are empty
     # (the equation is 2-singular, so solvability is not guaranteed)
     pointwise = bound_solutions(ts.system)
-    base_sols = wreath_solutions(norm.system, base_only=True)
-    recon = sorted(tuple(reconstruct_solution(ts, pw)[v]
-                         for v in norm.system.variables)
-                   for pw in pointwise)
-    assert recon == sorted(base_sols)
+    base_sols = bound_solutions(norm.system, base_elements(norm.system.binding.group))
+    recon = [reconstruct_solution(ts, pw) for pw in pointwise]
+    assert recon == base_sols
     assert recon == []
 
 
-def reference_wreath_solutions(ws, base_only):
+def reference_wreath_solutions(system, domain):
     """One assignment at a time, with the wreath group law itself."""
-    W = ws.wreath
-    pool = [x for x in W.elements() if not base_only or W.in_base(x)]
+    W, values = system.binding.group, system.binding.values
     out = []
-    for combo in itertools.product(pool, repeat=len(ws.variables)):
-        value = dict(zip(ws.variables, combo))
-        for word in ws.words:
+    for combo in itertools.product(domain, repeat=len(system.variables)):
+        value = dict(zip(system.variables, combo))
+        for word in system.words:
             acc = W.identity
-            for letter in word:
-                if isinstance(letter, WCoeff):
-                    x = W.embed_base(letter.base)
-                else:
-                    x = W.conj(value[letter.name], W.embed_top(letter.conj))
-                    if letter.sign < 0:
-                        x = W.inv(x)
-                acc = W.mul(acc, x)
+            for kind, name, sign in word:
+                x = value[name] if kind == VAR else values[name]
+                acc = W.mul(acc, x if sign > 0 else W.inv(x))
             if acc != W.identity:
                 break
         else:
-            out.append(combo)
+            out.append(dict(value))
     return out
 
 
@@ -320,15 +346,16 @@ def test_wreath_solutions_match_reference_scan():
     several = restricted = 0
     for W in (c2wrc2(), wreath_product(cyclic(3), cyclic(2))):
         for _ in range(20):
-            norm = normalize_top_component(random_wreath_system(W, rng), 2)
+            ns = normalize_top_component(random_wreath_system(W, rng), 2).system
             # with one equation fewer than variables, solutions come in families
-            ws = norm.system
-            ws = WreathSystem(ws.wreath, ws.variables, ws.words[1:] or ws.words)
-            for base_only in (False, True):
-                got = wreath_solutions(ws, base_only)
-                assert got == reference_wreath_solutions(ws, base_only)
-                several += len(got) > 1
-            restricted += len(wreath_solutions(ws, True)) < len(wreath_solutions(ws))
+            ns = EquationSystem(ns.variables, ns.coefficients, ns.words[1:] or ns.words,
+                                ns.binding)
+            whole = bound_solutions(ns)
+            base = bound_solutions(ns, base_elements(W))
+            assert whole == reference_wreath_solutions(ns, W.elements())
+            assert base == reference_wreath_solutions(ns, base_elements(W))
+            several += (len(whole) > 1) + (len(base) > 1)
+            restricted += len(base) < len(whole)
     assert several and restricted
 
 
@@ -337,7 +364,7 @@ def test_normalize_keeps_the_wreath_product_unless_the_top_grows():
     W = wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(2)))
     for _ in range(10):
         norm = normalize_top_component(random_wreath_system(W, rng), 2)
-        assert norm.wreath is W and norm.system.wreath is W
+        assert norm.system.binding.group is W
         assert norm.top_embedding is None
     # x^2 c is 2-singular: the top grows from C2 to C4 along the embedding
     W = c2wrc2()
@@ -345,9 +372,9 @@ def test_normalize_keeps_the_wreath_product_unless_the_top_grows():
         (Letter(VAR, "x", 1), Letter(VAR, "x", 1), Letter(COEFF, "c", 1)),
     )).bind(W, {"c": W.encode((1, 0), 1)})
     norm = normalize_top_component(system, 2, allow_extension=True)
-    emb = norm.top_embedding
-    assert emb.source is W.top and emb.target is norm.wreath.top
-    assert emb.is_injective() and norm.wreath.top.order == 4
+    emb, top = norm.top_embedding, norm.system.binding.group.top
+    assert emb.source is W.top and emb.target is top
+    assert emb.is_injective() and top.order == 4
 
 
 def _scan_index(W):
