@@ -40,7 +40,7 @@ from .groups import (FiniteGroup, Homomorphism, Subgroup,
                      derived_series, dicyclic, dihedral, direct_product,
                      from_generators, is_metabelian, is_nilpotent, isomorphic,
                      load_group, load_group_file, normal_subgroups, quotient,
-                     semidirect_product, sylow_subgroup, trivial_group)
+                     semidirect_product, subgroup, sylow_subgroup, trivial_group)
 from .smallgroups import enumerate_groups
 from .verifiers import (AuditReport, BruteForceResult, ClassificationReport,
                         CounterexampleInstance, ObstructionReport,

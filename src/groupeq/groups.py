@@ -8,7 +8,8 @@ permutation closures and quotients are built only when first read.
 
 Subgroups are Python-int bitsets; the lattice, normal subgroups, commutator
 subgroups, both central series, Sylow subgroups and the direct basis of an
-abelian p-group all grow them with one closure, ``_close``. Associativity
+abelian p-group all grow them with one closure, ``_close``, and none is
+re-checked: only ``subgroup`` checks a caller's element list. Associativity
 (Light's test), normality and commutativity are decided on a generating
 sequence that each group caches, as it caches its derived series.
 """
@@ -312,32 +313,19 @@ def _normalize_identity(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ..
 # subgroups and homomorphisms
 
 class Subgroup(Record):
+    """A subgroup as the bitset of its element indices, read ascending as ``elements``."""
     parent: FiniteGroup
-    elements: tuple[int, ...]
+    bits: int
 
     def __post_init__(self) -> None:
-        eset = frozenset(self.elements)
-        elems = tuple(sorted(eset))
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_set", eset)
-        if not elems or elems[0] != 0:
-            raise ValidationError("subgroup must contain the identity")
-        G = self.parent
-        for a in elems:
-            if G.inverse[a] not in eset:
-                raise ValidationError(f"subgroup not closed under inverse at {G.names[a]!r}")
-            for b in elems:
-                if G.table[a][b] not in eset:
-                    raise ValidationError(
-                        f"subgroup not closed under product at "
-                        f"({G.names[a]!r}, {G.names[b]!r})")
+        object.__setattr__(self, "elements", _members(self.bits))     # a function of bits
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.bits.bit_count()
 
     def __contains__(self, a: int) -> bool:
-        return a in self._set
+        return bool(self.bits >> a & 1)
 
     def is_abelian(self) -> bool:
         t = self.parent.table
@@ -350,6 +338,25 @@ class Subgroup(Record):
                  for a in self.elements]
         return FiniteGroup(table, lambda: [self.parent.names[g] for g in self.elements],
                            name or f"{self.parent.name}-sub{self.order}")
+
+
+def subgroup(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
+    """The subgroup of G on a caller's element indices, checked for range and closure."""
+    bits = 0
+    for a in elements:
+        if not 0 <= a < G.order:
+            raise ValidationError(f"subgroup element index {a} is out of range 0..{G.order - 1}")
+        bits |= 1 << a
+    if not bits & 1:
+        raise ValidationError("subgroup must contain the identity")
+    for a in (elems := _members(bits)):
+        if not bits >> G.inverse[a] & 1:
+            raise ValidationError(f"subgroup not closed under inverse at {G.names[a]!r}")
+        for b in elems:
+            if not bits >> G.table[a][b] & 1:
+                raise ValidationError(
+                    f"subgroup not closed under product at ({G.names[a]!r}, {G.names[b]!r})")
+    return Subgroup(G, bits)
 
 
 def _members(bits: int) -> tuple[int, ...]:
@@ -384,12 +391,12 @@ def closure(G: FiniteGroup, seed: Sequence[int]) -> tuple[int, ...]:
 
 
 def generated_subgroup(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
-    return Subgroup(G, closure(G, seed))
+    return Subgroup(G, _close(G, 1, seed))
 
 
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     """S^g is in S for each generator g, hence S^g = S, for every g in G."""
-    return all(G.conj(s, g) in S._set for g in G._generators for s in S.elements)
+    return all(S.bits >> G.conj(s, g) & 1 for g in G._generators for s in S.elements)
 
 
 def _joins(G: FiniteGroup, config: Config,
@@ -417,8 +424,7 @@ def _joins(G: FiniteGroup, config: Config,
                         found[joined] = gens
                         new.append(joined)
         work = new
-    return [Subgroup(G, elems)
-            for elems in sorted(map(_members, found), key=lambda e: (len(e), e))]
+    return sorted((Subgroup(G, bits) for bits in found), key=lambda S: (S.order, S.elements))
 
 
 def all_subgroups(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Subgroup]:
@@ -481,13 +487,13 @@ def _commutators(G: FiniteGroup, xs: Sequence[int], ys: Sequence[int]) -> Subgro
             gens.append(c)
             bits = _close(G, bits, gens)
             todo += [G.conj(c, z) for z in (*xs, *ys)]
-    return Subgroup(G, _members(bits))
+    return Subgroup(G, bits)
 
 
 def _series(G: FiniteGroup, step: Callable[[Subgroup], Subgroup]) -> list[Subgroup]:
     """G, step(G), step(step(G)), ..., stopping once a term repeats."""
-    series = [Subgroup(G, tuple(G.elements()))]
-    while (nxt := step(series[-1])).elements != series[-1].elements:
+    series = [Subgroup(G, (1 << G.order) - 1)]
+    while (nxt := step(series[-1])).bits != series[-1].bits:
         series.append(nxt)
     return series
 
@@ -511,8 +517,8 @@ def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
 
 def center(G: FiniteGroup) -> Subgroup:
     t = G.table
-    return Subgroup(G, tuple(z for z in G.elements()
-                             if all(t[z][g] == t[g][z] for g in G._generators)))
+    return Subgroup(G, sum(1 << z for z in G.elements()
+                           if all(t[z][g] == t[g][z] for g in G._generators)))
 
 
 def is_metabelian(G: FiniteGroup) -> bool:
@@ -541,7 +547,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             if _is_p_power(grown.bit_count(), p):
                 gens.append(g)
                 bits = grown
-    return Subgroup(G, _members(bits))
+    return Subgroup(G, bits)
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -588,8 +594,7 @@ class Homomorphism(Record):
         return len(set(self.image)) == self.target.order
 
     def kernel(self) -> Subgroup:
-        return Subgroup(self.source,
-                        tuple(a for a, x in enumerate(self.image) if x == 0))
+        return Subgroup(self.source, sum(1 << a for a, x in enumerate(self.image) if x == 0))
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:

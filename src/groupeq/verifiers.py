@@ -71,13 +71,13 @@ def abelian_by_abelian_p_witness(G: FiniteGroup,
     None certifies that no normal subgroup works.
     """
     normals = normal_subgroups(G, config)
-    derived = derived_series(G)[:2][-1].elements    # G', or G when G = G'
+    derived = derived_series(G)[:2][-1].bits        # G', or G when G = G'
     examined = 0
     for A in sorted(normals, key=lambda S: (-S.order, S.elements)):
         examined += 1
         # G/A is abelian iff A contains G'; the trivial quotient counts
         # as a p-group for the least prime dividing |G|, or 2 when G = 1
-        if not all(d in A for d in derived) or not A.is_abelian():
+        if derived & ~A.bits or not A.is_abelian():
             continue
         ps = prime_factors(G.order // A.order)
         if len(ps) > 1:

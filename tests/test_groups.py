@@ -9,17 +9,18 @@ from conftest import run_python
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.errors import CapExceeded, ParseError, ValidationError
-from groupeq.groups import (FiniteGroup, Homomorphism, _close, abelian_p_basis,
-                            affine_group_over_prime_field, all_subgroups,
-                            automorphisms, closure, commutator_subgroup,
-                            cyclic, cyclic_action, derived_series, dicyclic,
-                            dihedral, direct_product, dlog_table,
-                            format_group_file, from_generators,
+from groupeq.groups import (FiniteGroup, Homomorphism, Subgroup, _close,
+                            abelian_p_basis, affine_group_over_prime_field,
+                            all_subgroups, automorphisms, center, closure,
+                            commutator_subgroup, cyclic, cyclic_action,
+                            derived_series, dicyclic, dihedral, direct_product,
+                            dlog_table, format_group_file, from_generators,
                             generated_subgroup, is_metabelian, is_nilpotent,
                             isomorphic, load_group, load_group_file,
-                            normal_subgroups, parse_cycles, perm_compose,
-                            prime_factors, quaternion_group, quotient,
-                            semidirect_product, sylow_subgroup, trivial_group)
+                            lower_central_series, normal_subgroups,
+                            parse_cycles, perm_compose, prime_factors,
+                            quaternion_group, quotient, semidirect_product,
+                            subgroup, sylow_subgroup, trivial_group)
 from groupeq.wreath import wreath_product
 
 # a 6x6 loop: identity, Latin, two-sided inverses, but (2*2)*4 != 2*(2*4)
@@ -164,6 +165,50 @@ def test_audit_and_classification_build_no_element_names(monkeypatch):
         classify_group(load_group_file(path))
     with pytest.raises(AssertionError, match="element names were built"):
         load_group_file(bundled_catalog_dir() / "006_s3.grp").names
+
+
+def test_engine_subgroups_are_never_rechecked(monkeypatch):
+    # only subgroup() checks closure; every engine constructor hands over
+    # the bitset it grew, and Subgroup itself checks nothing
+    import groupeq.groups as groups
+    from groupeq.verifiers import audit_catalog
+
+    def refuse(G, elements):
+        raise AssertionError("an engine subgroup was re-checked")
+    monkeypatch.setattr(groups, "subgroup", refuse)
+    report = audit_catalog(bundled_catalog_dir())
+    assert len(report.entries) == 109 and not any(e.error for e in report.entries)
+    for path in sorted(bundled_catalog_dir().glob("*.grp")):
+        G = load_group_file(path)
+        assert all_subgroups(G) and derived_series(G) and lower_central_series(G)
+        assert center(G).order >= 1
+        for p in prime_factors(G.order):
+            assert G.order % sylow_subgroup(G, p).order == 0
+        for N in normal_subgroups(G):
+            Q, proj = quotient(G, N)
+            assert proj.kernel() == N and Q.order * N.order == G.order
+    assert Subgroup(cyclic(4), 0b0010).order == 1       # taken as given
+    with pytest.raises(AssertionError, match="re-checked"):
+        groups.subgroup(cyclic(2), [0, 1])
+
+
+def test_checked_and_engine_subgroups_are_equal():
+    # == and hash see only (parent, bits), whether or not .elements was
+    # read on one side, for every subgroup of S4 and both constructors
+    G = load_group_file(bundled_catalog_dir() / "024_s4.grp")
+    subs = all_subgroups(G)
+    assert len(subs) == 30
+    for S in subs:
+        for read in ("checked", "engine", "neither"):
+            checked = subgroup(G, reversed(S.elements))
+            engine = Subgroup(G, _close(G, 1, S.elements))
+            if read == "checked":
+                assert checked.elements == S.elements
+            elif read == "engine":
+                assert engine.elements == S.elements
+            assert checked == engine == S and hash(checked) == hash(engine) == hash(S)
+            assert len({checked, engine, S}) == 1
+    assert subgroup(G, [0]) == center(G) != Subgroup(G, 0b11)
 
 
 def test_light_checks_reject_broken_tables():

@@ -7,7 +7,7 @@ import pytest
 from groupeq.algebra import AbelianGroupSpec, AlgebraElement, AlgebraMatrix, RowFamily
 from groupeq.config import Config
 from groupeq.errors import ValidationError
-from groupeq.groups import Subgroup, cyclic
+from groupeq.groups import cyclic, subgroup
 from groupeq.record import Record
 
 
@@ -112,9 +112,11 @@ def test_torsion_orders_are_derived_once_and_stay_out_of_the_fields():
     (lambda: Config(jobs=0), "jobs must be >= 1"),
     (lambda: Config(brute_force_cap=0), "cap brute_force_cap must be positive"),
     (lambda: Config().replace(output_format="xml"), "unknown output format 'xml'"),
-    (lambda: Subgroup(cyclic(4), (1,)), "subgroup must contain the identity"),
-    (lambda: Subgroup(cyclic(4), (0, 1)), "subgroup not closed under inverse at 'g'"),
-    (lambda: Subgroup(cyclic(4), (0, 1, 3)), "subgroup not closed under product at ('g', 'g')"),
+    (lambda: subgroup(cyclic(4), (1,)), "subgroup must contain the identity"),
+    (lambda: subgroup(cyclic(4), (0, 1)), "subgroup not closed under inverse at 'g'"),
+    (lambda: subgroup(cyclic(4), (0, 1, 3)), "subgroup not closed under product at ('g', 'g')"),
+    (lambda: subgroup(cyclic(4), (0, 7)), "subgroup element index 7 is out of range 0..3"),
+    (lambda: subgroup(cyclic(4), (0, -1)), "subgroup element index -1 is out of range 0..3"),
 ])
 def test_validation_messages_are_unchanged(build, message):
     with pytest.raises(ValidationError) as exc:

@@ -12,8 +12,9 @@ from groupeq.equations import (EquationSystem, compile_word, evaluate_compiled,
 from groupeq.errors import CapExceeded, GroupEqError, ValidationError
 from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup,
                             affine_group_over_prime_field, commutator_subgroup,
-                            cyclic, dicyclic, dihedral, is_normal, load_group,
-                            load_group_file, prime_factors, quaternion_group,
+                            cyclic, dicyclic, dihedral, from_generators,
+                            is_normal, isomorphic, load_group, load_group_file,
+                            normal_subgroups, prime_factors, quaternion_group,
                             trivial_group)
 from groupeq.verifiers import (AuditEntry, abelian_by_abelian_p_witness,
                                audit_catalog, brute_force_solve, classify_group,
@@ -205,6 +206,54 @@ def test_order_42_equation_over_f42_itself():
         res = brute_force_solve(equation.bind(G, {"a": a, "b": b, "c": c}))
         assert res.solution is None and res.exhaustive and res.searched == 42
     assert time.time() - t0 < 1.0
+
+
+# F(p, q, r) = C_r : C_pq with C_pq acting faithfully (pq divides r - 1): every
+# such group of order at most 512, the default subgroup_order_cap
+FROBENIUS_FAMILY = [(2, 3, r) for r in (7, 13, 19, 31, 37, 43, 61, 67, 73, 79)] + [
+    (2, 5, 11), (2, 5, 31), (2, 5, 41), (2, 7, 29), (2, 11, 23), (3, 5, 31)]
+
+
+def frobenius_group(p: int, q: int, r: int) -> FiniteGroup:
+    """The maps x -> m*x + b over Z_r, for m of multiplicative order pq."""
+    m = next(m for m in range(2, r)
+             if min(k for k in range(1, r) if pow(m, k, r) == 1) == p * q)
+    shift = [(x + 1) % r for x in range(r)]
+    scale = [m * x % r for x in range(r)]
+    return from_generators([shift, scale], name=f"C{r}:C{p * q}")
+
+
+def test_order_42_obstruction_on_the_frobenius_family():
+    # F42 = F(2, 3, 7) is the least member; on every member the derived
+    # subgroup C_r is abelian and normal, no normal subgroup is a witness,
+    # the group half of the (p, q) obstruction holds at every triple, and
+    # the (p, q) equation bound to the first triple has no solution in G
+    t0 = time.time()
+    assert len(FROBENIUS_FAMILY) == 16
+    for p, q, r in FROBENIUS_FAMILY:
+        G = frobenius_group(p, q, r)
+        assert G.order == p * q * r <= Config().subgroup_order_cap
+        if r == 7:
+            assert isomorphic(G, load_group_file(resolve_data_path("@catalog/042_f42.grp")))
+        report = classify_group(G)
+        assert report.metabelian and report.witness is None
+        assert report.normals_examined == len(normal_subgroups(G))
+        D = commutator_subgroup(G)
+        assert D.order == r and D.is_abelian() and is_normal(G, D)
+        by_order = {k: [g for g in G.elements() if G.element_order(g) == k] for k in (p, q, r)}
+        commuting = [(a, b) for a in by_order[p] for b in by_order[q]
+                     if G.mul(a, b) == G.mul(b, a)]
+        triples = [(a, b, c) for a, b in commuting for c in by_order[r]]
+        assert len(triples) == (p - 1) * (q - 1) * r * (r - 1)
+        for a, b, c in triples:
+            assert G.mul(c, G.conj(c, G.mul(a, b))) in D
+            lhs, rhs = group_obstruction(G, a, b, c)
+            assert lhs != rhs
+        a, b, c = triples[0]
+        equation = counterexample_build(p, q, symbolic=True).system
+        res = brute_force_solve(equation.bind(G, {"a": a, "b": b, "c": c}))
+        assert res.solution is None and res.exhaustive and res.searched == G.order
+    assert time.time() - t0 < 3.0
 
 
 def test_brute_force_examples_and_determinism():
