@@ -39,6 +39,13 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]   # (torsion exps, free exps)
 
 MAX_ORDER_DIGITS = 4300    # the interpreter's int-to-str limit; describe() prints p^k
 ORDER_LIMIT = 10 ** MAX_ORDER_DIGITS   # least order with more digits than that
+MAX_GENERATORS = 64        # torsion factors plus free rank: the length of every monomial
+
+
+def _check_generators(torsion: tuple[int, ...], free_rank: int) -> None:
+    if len(torsion) + free_rank > MAX_GENERATORS:
+        raise ValidationError(f"{len(torsion) + free_rank} generators (torsion factors "
+                              f"plus free rank) exceed the cap {MAX_GENERATORS}")
 
 
 def _group_desc(torsion_orders: tuple[int, ...], free_rank: int) -> str:
@@ -56,6 +63,7 @@ class AbelianGroupSpec(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "torsion_exponents", tuple(self.torsion_exponents))
+        _check_generators(self.torsion_exponents, self.free_rank)
         if not is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
         if any(k < 1 for k in self.torsion_exponents):
@@ -84,6 +92,7 @@ class IntegralGroupSpec(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "torsion_orders", tuple(self.torsion_orders))
+        _check_generators(self.torsion_orders, self.free_rank)
         if any(n < 2 for n in self.torsion_orders):
             raise ValidationError("torsion orders must be >= 2")
         if self.free_rank < 0:
@@ -521,6 +530,8 @@ def parse_algebra_header(line: str) -> Spec:
         if "=" not in tok:
             raise ParseError(f"bad header token {tok!r}")
         k, v = tok.split("=", 1)
+        if k in fields:
+            raise ParseError(f"repeated header key {k!r}")
         fields[k] = v
     try:
         free = int(fields.get("free", "0"))

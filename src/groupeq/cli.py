@@ -204,7 +204,7 @@ def cmd_wreath_transform(args, config: Config) -> int:
     if system.binding is None:
         raise GroupEqError("the system file must bind its coefficients "
                            "(use 'bind: @group sym=name ...')")
-    norm = normalize_top_component(system, args.prime, config)
+    norm = normalize_top_component(system, args.prime)
     ts = coordinatewise_transform(norm.system)
     ex = extract_rows(ts, args.prime)
     cert = certify_row_independence(ex.rows)
@@ -220,8 +220,7 @@ def cmd_wreath_transform(args, config: Config) -> int:
                                       for l in word]) for word in out.words]
     row_lines = ["# rows m[j,1] over the top-group algebra",
                  format_row_file(ex.rows).rstrip()]
-    W2 = norm.system.binding.group
-    beta_desc = {i: W2.top.names[t] for i, t in norm.beta.items()}
+    beta_desc = {i: top.names[t] for i, t in norm.beta.items()}
     payload = {
         "beta": beta_desc,
         "translation_identity_holds": ex.translation_holds,
@@ -231,7 +230,7 @@ def cmd_wreath_transform(args, config: Config) -> int:
         "rows": format_row_file(ex.rows),
     }
     lines = [f"wreath product: {base.name} wr {top.name} "
-             f"(order {W2.order})",
+             f"(order {W.order})",
              "variable change beta: " + ", ".join(
                  f"{i} -> {i}*{n}" for i, n in beta_desc.items())]
     lines += sys_lines + row_lines

@@ -122,75 +122,57 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
         for r in range(cols):
             V[r][i], V[r][j] = V[r][j], V[r][i]
 
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        reduced = False
-        for i in range(t + 1, rows):
-            if D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                row_op(i, t, q)
+    def reduce(t: int, end_row: int, end_col: int) -> None:
+        """Diagonalize the block of rows t..end_row-1 and columns t..end_col-1."""
+        end = min(end_row, end_col)
+        while t < end:
+            pivot = None
+            best = None
+            for i in range(t, end_row):
+                for j in range(t, end_col):
+                    if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
+                        best = abs(D[i][j])
+                        pivot = (i, j)
+            if pivot is None:
+                return
+            pi, pj = pivot
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            reduced = False
+            for i in range(t + 1, end_row):
                 if D[i][t] != 0:
-                    reduced = True
-        for j in range(t + 1, cols):
-            if D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                col_op(j, t, q)
+                    q = D[i][t] // D[t][t]
+                    row_op(i, t, q)
+                    if D[i][t] != 0:
+                        reduced = True
+            for j in range(t + 1, end_col):
                 if D[t][j] != 0:
-                    reduced = True
-        if reduced:
-            continue  # a smaller remainder appeared; pick a new pivot
-        if D[t][t] < 0:
-            for j in range(cols):
-                D[t][j] = -D[t][j]
-            U[t] = [-x for x in U[t]]
-        t += 1
-        if t >= min(rows, cols):
-            break
+                    q = D[t][j] // D[t][t]
+                    col_op(j, t, q)
+                    if D[t][j] != 0:
+                        reduced = True
+            if reduced:
+                continue  # a smaller remainder appeared; pick a new pivot
+            if D[t][t] < 0:
+                for j in range(cols):
+                    D[t][j] = -D[t][j]
+                U[t] = [-x for x in U[t]]
+            t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    r = min(rows, cols)
+    reduce(0, rows, cols)
+    # enforce the divisibility chain d_i | d_{i+1}: fold d_{i+1} into column
+    # i and rediagonalize rows and columns i, i+1 in place, until d_i | d_{i+1}
     changed = True
     while changed:
         changed = False
-        for i in range(r - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # fold entry (i+1,i+1) into row i and rediagonalize the pair
+        for i in range(min(rows, cols) - 1):
+            while D[i][i] != 0 and D[i + 1][i + 1] % D[i][i] != 0:
                 col_op(i, i + 1, -1)  # col_i += col_{i+1}
-                inner = smith_normal_form([[D[i][i], D[i][i + 1]],
-                                           [D[i + 1][i], D[i + 1][i + 1]]])
-                _apply_2x2(D, U, V, i, inner, rows, cols)
+                reduce(i, i + 2, i + 2)
                 changed = True
     return SmithDecomposition(U, D, V)
-
-
-def _apply_2x2(D: IntMatrix, U: IntMatrix, V: IntMatrix, i: int,
-               inner: SmithDecomposition, rows: int, cols: int) -> None:
-    u, d, v = inner.U, inner.D, inner.V
-    for r in range(2):
-        for c in range(2):
-            D[i + r][i + c] = d[r][c]
-    newU = [[u[r][0] * U[i + 0][c] + u[r][1] * U[i + 1][c] for c in range(rows)]
-            for r in range(2)]
-    U[i], U[i + 1] = newU[0], newU[1]
-    newVcols = [[V[rr][i + 0] * v[0][c] + V[rr][i + 1] * v[1][c] for rr in range(cols)]
-                for c in range(2)]
-    for rr in range(cols):
-        V[rr][i], V[rr][i + 1] = newVcols[0][rr], newVcols[1][rr]
 
 
 class Echelon(Record):
@@ -354,14 +336,15 @@ def parse_system(text: str, base_dir: str | Path | None = None,
                  group: object | None = None) -> EquationSystem:
     """Parse a system file.
 
-    Format: a ``vars:`` line, an optional ``coeffs:`` line, an optional
-    ``bind:`` line (``bind: <group-file>|@group sym=element ...``), then one
-    ``eq: <word>`` line per equation. ``#`` comments and blank lines are
-    ignored. ``@group`` binds to the group passed by the caller.
+    Format: a ``vars:`` line, an optional ``coeffs:`` line, at most one
+    ``bind:`` line (``bind: <group-file>|@group sym=element ...``, each sym
+    a declared coefficient named once), then one ``eq: <word>`` line per
+    equation. ``#`` comments and blank lines are ignored. ``@group`` binds
+    to the group passed by the caller.
     """
     variables: list[str] = []
     coefficients: list[str] = []
-    bind_spec: tuple[str, list[tuple[str, str]]] | None = None
+    bind_spec: tuple[str, dict[str, str]] | None = None
     eq_texts: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = strip_comment(raw).strip()
@@ -380,12 +363,16 @@ def parse_system(text: str, base_dir: str | Path | None = None,
             toks = rest.split()
             if not toks:
                 raise ParseError(f"line {lineno}: empty bind clause")
-            pairs = []
+            if bind_spec is not None:
+                raise ParseError(f"line {lineno}: a system has one bind clause")
+            pairs = {}
             for tok in toks[1:]:
                 if "=" not in tok:
                     raise ParseError(f"line {lineno}: bind entries look like sym=element")
                 sym, elem = tok.split("=", 1)
-                pairs.append((sym, elem))
+                if sym in pairs:
+                    raise ParseError(f"line {lineno}: {sym!r} is bound twice")
+                pairs[sym] = elem
             bind_spec = (toks[0], pairs)
         elif key == "eq":
             eq_texts.append(rest)
@@ -396,6 +383,9 @@ def parse_system(text: str, base_dir: str | Path | None = None,
     if bind_spec is None:
         return system
     source, pairs = bind_spec
+    for sym in pairs:
+        if sym not in coefficients:
+            raise ParseError(f"bind: {sym!r} is not a declared coefficient")
     if source == "@group":
         if group is None:
             raise ParseError("system binds to @group but no group was supplied")
@@ -408,7 +398,7 @@ def parse_system(text: str, base_dir: str | Path | None = None,
             path = Path(base_dir) / path
         target = load_group_file(path)
     values = {}
-    for sym, elem in pairs:
+    for sym, elem in pairs.items():
         if elem.startswith("#"):
             k = elem[1:]
             if not k.isdecimal() or int_literal(k) >= target.order:
@@ -534,8 +524,7 @@ class AbelianSolution(Record):
     basis: tuple[int, ...]             # direct basis of group (element indices)
 
 
-def solve_abelian_p_system(system: EquationSystem, p: int,
-                           basis: Sequence[int] | None = None) -> AbelianSolution:
+def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
     """Solve a non-singular system over a finite abelian p-group B.
 
     One Smith form U*E*V = D of the exponent matrix E does all the work:
@@ -554,9 +543,7 @@ def solve_abelian_p_system(system: EquationSystem, p: int,
     B = system.binding.group
     if not isinstance(B, FiniteGroup):
         raise ValidationError("abelian solver needs a FiniteGroup binding")
-    if basis is None:
-        basis = abelian_p_basis(B, p)
-    basis = list(basis)
+    basis = abelian_p_basis(B, p)
     cyc_orders = [B.element_order(b) for b in basis]
     if B.order > 1 and not basis:
         raise ValidationError("no decomposition for the bound group")

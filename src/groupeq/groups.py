@@ -70,6 +70,8 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
         if len(set(cyc)) != len(cyc):
             raise ParseError(f"repeated point inside a cycle: {text!r}")
         maxpt = max(maxpt, max(cyc))
+        if maxpt > MAX_TABLE_ORDER:     # the point list below has maxpt entries
+            raise ParseError(f"cycle point {maxpt} exceeds the point cap {MAX_TABLE_ORDER}")
         cycles.append(cyc)
     flat = [p for cyc in cycles for p in cyc]
     if len(set(flat)) != len(flat):

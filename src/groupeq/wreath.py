@@ -15,9 +15,10 @@ an ordinary `EquationSystem` to the next, so `solve`'s scan, `satisfies`
 and `brute_force_solve` read every one of them as is:
 
 1. `normalize_top_component` changes variables so every coefficient lies
-   in the base (the image system over the abelian top is solved first,
-   extending the top p-group if needed); its output is bound to the
-   wreath product, the change x -> x*beta written with bound top elements.
+   in the base. The system must be p-nonsingular, so the image system over
+   the abelian top solves in the top itself and the wreath product never
+   grows; the output is bound to the same wreath product, the change
+   x -> x*beta written with bound top elements.
 2. `coordinatewise_transform` rewrites each equation of a system bound to
    H wr B whose top parts cancel into |B| equations over H in the
    variables y_<i>_<b>, bound to H.
@@ -224,49 +225,33 @@ def _bound_wreath(system: EquationSystem) -> WreathGroup:
 
 
 class NormalizedSystem(Record):
-    system: EquationSystem           # bound to W, or W rebuilt over an extended top
+    system: EquationSystem           # bound to the same wreath product
     beta: dict[str, int]             # top solution used for the variable change
-    top_embedding: Homomorphism | None   # old top -> new top, when extended
 
 
-def normalize_top_component(system: EquationSystem, p: int,
-                            config: Config = DEFAULT_CONFIG,
-                            allow_extension: bool = False) -> NormalizedSystem:
+def normalize_top_component(system: EquationSystem, p: int) -> NormalizedSystem:
     """Change variables x -> x*beta so all coefficients land in the base.
 
-    beta solves the image system over the abelian top. By default the
-    system must be p-nonsingular, in which case the image solves inside
-    the top itself and the wreath product is kept. With
-    allow_extension=True any non-singular system is accepted: the image
-    may then solve only in a p-group extension of the top, and the wreath
-    product is rebuilt over the extended top. Either way the coefficients
-    are carried coordinatewise along the solver's embedding of the top,
-    which is the identity when the top did not grow; ``top_embedding`` is
-    set only when it grew. The change writes x as x followed by a fresh
-    coefficient "beta x" (a name no parsed word can use) bound to beta[x].
+    beta solves the image system over the abelian top. The system must be
+    p-nonsingular, so the image solves inside the top itself and the wreath
+    product is kept. The change writes x as x followed by a fresh
+    coefficient "beta x" (a name no parsed word can use) bound to beta[x];
+    the other coefficients keep their values.
     """
     W = _bound_wreath(system)
     top = W.top
     if not top.is_abelian:
         raise ValidationError("the top group must be abelian")
-    if not allow_extension and not is_p_nonsingular(system, p):
+    if not is_p_nonsingular(system, p):
         raise ValidationError(f"system is not {p}-nonsingular")
 
     image_values = {c: W.top_of(v) for c, v in system.binding.values.items()}
     sol = solve_abelian_p_system(system.bind(top, image_values), p)
-    topg, embed, beta = sol.group, sol.embedding, sol.assignment
-    W2 = W if topg is top else WreathGroup(W.base, topg, config)
-
-    def lift_coeff(x: int) -> int:
-        f, t = W.decode(x)
-        g = [0] * topg.order
-        for b in top.elements():
-            g[embed(b)] = f[b]
-        return W2.encode(tuple(g), embed(t))
-
-    values = {c: lift_coeff(v) for c, v in system.binding.values.items()}
+    if sol.lift_exponent:     # rank mod p and the Smith form disagree
+        raise ValidationError("internal error: a p-nonsingular image needs a larger top")
     shift = {x: f"beta {x}" for x in system.variables}
-    values.update((shift[x], W2.embed_top(beta[x])) for x in system.variables)
+    values = dict(system.binding.values)
+    values.update((shift[x], W.embed_top(sol.assignment[x])) for x in system.variables)
 
     def substitute(letter: Letter) -> tuple[Letter, ...]:      # x -> x*beta
         if letter.kind == COEFF:
@@ -278,8 +263,7 @@ def normalize_top_component(system: EquationSystem, p: int,
                   for word in system.words)
     normalized = EquationSystem(system.variables,
                                 system.coefficients + tuple(shift.values()), words)
-    return NormalizedSystem(normalized.bind(W2, values), dict(beta),
-                            None if topg is top else embed)
+    return NormalizedSystem(normalized.bind(W, values), sol.assignment)
 
 
 # ---------------------------------------------------------------------------

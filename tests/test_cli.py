@@ -231,6 +231,18 @@ MALFORMED = {
                       {"r.alg": b"algebra p=2 torsion=20000\nrow: 0\n"}),
     "torsion=1000000000": (["certify-rows", "r.alg"],
                            {"r.alg": b"algebra p=2 torsion=1000000000\nrow: 0\n"}),
+    "p=2 ... p=3": (["certify-rows", "r.alg"],
+                    {"r.alg": b"algebra p=2 torsion=1 free=0 p=3\nrow: 1\n"}),
+    # a system binds once, and only its declared coefficients
+    "two bind lines": (["solve", "s.sys"],
+                       {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1\n"
+                                 b"bind: @catalog/002_c2.grp g=#1\neq: x = g\n"}),
+    "g=#1 g=#2": (["solve", "s.sys"],
+                  {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1 g=#2\n"
+                            b"eq: x = g\n"}),
+    "h=#1": (["solve", "s.sys"],
+             {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1 h=#1\n"
+                       b"eq: x = g\n"}),
 }
 
 
@@ -431,13 +443,13 @@ def test_wreath_transform_golden_output(tmp_path):
 
 
 def test_p_singular_wreath_refusal_names_only_the_condition():
-    # allow_extension exists only in the Python API, so the CLI does not offer it
+    # normalization solves the top image inside the top, so a p-singular
+    # system is refused rather than given a larger wreath product
     code, out, err = run_cli(["wreath-transform", "@examples/wreath_demo.sys",
                               "--base", "@examples/s3.grp", "--top", "@examples/c3.grp",
                               "--prime", "3"])
     assert (code, out) == (2, "")
     assert err == "error: system is not 3-nonsingular\n"
-    assert "allow_extension" not in err
 
 
 @pytest.mark.parametrize("torsion", [22, 40])
@@ -481,22 +493,34 @@ def test_huge_primes_are_decided_at_once(tmp_path, monkeypatch):
 
 
 def test_group_file_over_the_table_cap_is_refused_before_its_body(tmp_path):
-    # without the cap this file builds a 40,320 x 40,320 table (about 13 GB),
-    # so it runs in a child process whose address space is capped at 600 MB
+    # without their caps these inputs need gigabytes: a 40,320 x 40,320
+    # table (about 13 GB), a 10^8-point permutation, and exponent tuples of
+    # length 10^8 or 10^6 in every algebra term; so each runs in a child
+    # process whose address space is capped at 600 MB
     resource = pytest.importorskip("resource")
-    grp = tmp_path / "s8.grp"
-    grp.write_text("group S8 order 40320\ngenerators:\n(1 2)\n(1 2 3 4 5 6 7 8)\n")
+    cases = [
+        ("group", "s8.grp", "group S8 order 40320\ngenerators:\n(1 2)\n(1 2 3 4 5 6 7 8)\n",
+         "group order 40320 exceeds the table cap 4096"),
+        ("group", "far.grp", "group G order 3\ngenerators:\n(1 99999999)\n",
+         "cycle point 99999999 exceeds the point cap 4096"),
+        ("certify-rows", "free.alg", "algebra p=2 torsion=1 free=100000000\nrow: 1\n",
+         "100000001 generators (torsion factors plus free rank) exceed the cap 64"),
+        ("certify-rows", "torsion.alg",
+         "algebra p=2 torsion=" + ",".join(["1"] * 10 ** 6) + "\nrow: 1\n",
+         "1000000 generators (torsion factors plus free rank) exceed the cap 64"),
+    ]
     script = "import sys; from groupeq.cli import main; sys.exit(main(sys.argv[1:]))"
     src = str(Path(groupeq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     limit = 600_000 * 1024
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "group", str(grp)], env=env,
-        capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: group order 40320 exceeds the table cap 4096\n"
+    for command, name, text, message in cases:
+        (tmp_path / name).write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, str(tmp_path / name)], env=env,
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def _cli_cases(st):

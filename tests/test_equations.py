@@ -99,6 +99,79 @@ def test_smith_properties_random():
                     assert g == 0
 
 
+# (A, U, D, V) for matrices whose diagonal after the main pivoting loop
+# breaks the chain d_i | d_{i+1}, so the repair pass chooses part of U and
+# V. U and V choose beta in `wreath-transform` whenever a system has more
+# variables than equations, so they are pinned exactly, not only up to
+# the properties above. The last two are diagonal and need the repair on
+# two and three pairs; the one before them needs it twice.
+SMITH_GOLDEN = [
+    ([[6, -2], [-5, -6], [3, -2]],
+     [[5, 1, -8], [11, 2, -16], [14, 3, -23]],
+     [[1, 0], [0, 2], [0, 0]],
+     [[1, 0], [4, -1]]),
+    ([[2, 6], [-2, 3]],
+     [[-3, 1], [-7, 2]],
+     [[1, 0], [0, 18]],
+     [[-2, 15], [1, -8]]),
+    ([[2, -1, 3], [-6, -3, -6], [0, -1, -5], [0, -2, -1]],
+     [[-1, 0, 0, 0], [-4, -1, -1, 4], [-9, -2, -1, 8], [9, 3, 4, -11]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 6], [0, 0, 0]],
+     [[0, -3, 5], [1, -3, 4], [0, 1, -2]]),
+    ([[0, 2, 2], [5, -5, -4], [0, -3, -2]],
+     [[3, 1, 0], [-9, -3, -1], [-23, -8, -2]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 10]],
+     [[0, 1, -4], [1, 3, -10], [0, -4, 15]]),
+    ([[6, 0, 4], [-4, 0, -3], [6, -5, 3]],
+     [[0, -1, 0], [5, 7, -1], [11, 16, -2]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 10]],
+     [[1, -3, 15], [0, 1, -4], [-1, 4, -20]]),
+    ([[0, -5], [3, -3]],
+     [[-1, -1], [-6, -5]],
+     [[1, 0], [0, 15]],
+     [[-3, 8], [-1, 3]]),
+    ([[-6, -4, 0, 6], [-1, 6, 6, 3], [-3, -3, 6, 6]],
+     [[0, -1, 0], [1, 3, -3], [3, 6, -8]],
+     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 12, 0]],
+     [[1, -6, 15, 21], [0, -1, 3, 3], [0, 4, -12, -11], [0, -8, 23, 23]]),
+    ([[6, -2, 6], [4, -4, -5]],
+     [[2, -1], [5, -2]],
+     [[1, 0, 0], [0, 2, 0]],
+     [[-2, 0, 17], [-2, -1, 27], [1, 0, -8]]),
+    ([[-6, -4, 5, 3], [-6, 3, -3, -5], [-4, 4, -5, 2]],
+     [[0, 0, 1], [1, 1, 4], [6, 5, 6]],
+     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 0]],
+     [[0, -1, 0, 3], [0, -27, 2, 80], [1, -22, 2, 64], [3, -3, 1, 6]]),
+    ([[0, 4, 2, -6], [3, 0, 0, 6], [4, -4, 0, 0]],
+     [[0, -1, 1], [-1, -2, 2], [0, 4, -3]],
+     [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 12, 0]],
+     [[1, 0, 4, -2], [0, 0, 1, -2], [1, -1, -2, 7], [0, 0, 0, 1]]),
+    ([[-5, -6, 6], [4, 2, 4]],
+     [[1, 3], [2, 5]],
+     [[1, 0, 0], [0, 2, 0]],
+     [[-5, 0, 18], [7, -1, -22], [2, 0, -7]]),
+    ([[6, 2, -4, 2], [5, 0, -5, -5], [-4, 0, 3, -6]],
+     [[0, 1, 2], [2, -7, -13], [5, -16, -30]],
+     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 10, 0]],
+     [[0, 1, -4, -9], [3, 2, -7, 6], [1, 3, -12, -10], [0, 0, 0, 1]]),
+    ([[2, 0, 0], [0, 4, 0], [0, 0, 3]],
+     [[-1, 0, 1], [-3, -1, 2], [6, 3, -4]],
+     [[1, 0, 0], [0, 2, 0], [0, 0, 12]],
+     [[1, -3, -6], [0, 1, 3], [1, -2, -4]]),
+    ([[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 9, 0]],
+     [[-2, 1, -1], [-3, 1, -2], [9, -6, 4]],
+     [[1, 0, 0, 0], [0, 6, 0, 0], [0, 0, 36, 0]],
+     [[-2, 3, -9, 0], [-1, 1, -6, 0], [1, -2, 4, 0], [0, 0, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("A,U,D,V", SMITH_GOLDEN)
+def test_smith_operations_are_pinned(A, U, D, V):
+    snf = smith_normal_form(A)
+    assert (snf.U, snf.D, snf.V) == (U, D, V)
+    assert mat_mul(mat_mul(U, A), V) == D
+
+
 def test_rank_errors():
     with pytest.raises(ValidationError):
         rank_mod_p([[1]], 4)
@@ -213,12 +286,12 @@ def test_abelian_solver_p_nonsingular_stays_inside():
 NON_PRIME_BASIS = textwrap.dedent("""
     from groupeq.equations import parse_system, solve_abelian_p_system
     from groupeq.errors import ValidationError
-    from groupeq.groups import abelian_p_basis, cyclic
+    from groupeq.groups import cyclic
     G = cyclic(4)
     s = parse_system("vars: x\\ncoeffs: g\\neq: x^2 g").bind(G, {"g": 2})
     for p in (1, 0, 4):
         try:
-            solve_abelian_p_system(s, p, basis=abelian_p_basis(G, 2))
+            solve_abelian_p_system(s, p)
         except ValidationError as exc:
             assert str(exc) == f"{p} is not prime", exc
         else:

@@ -18,6 +18,7 @@ from groupeq.groups import (FiniteGroup, cyclic, dihedral, direct_product,
                             from_generators, generated_subgroup, isomorphic,
                             load_group_file, normal_subgroups)
 from groupeq.verifiers import brute_force_solve, classify_group
+from groupeq import wreath
 from groupeq.words import COEFF, VAR, Letter
 from groupeq.wreath import (WreathGroup, extract_rows, kaloujnine_krasner,
                             coordinatewise_transform, normalize_top_component,
@@ -298,29 +299,6 @@ def test_transform_refuses_uncancelled_top_parts():
         coordinatewise_transform(system.bind(W.base, {"c": 1, "t": 1}))
 
 
-def test_normalize_with_extension_rebuilds_the_top():
-    # x^2 * c with a top-nontrivial c is 2-singular but still non-singular;
-    # with extensions allowed the top grows from C2 to C4
-    W = wreath_product(cyclic(2), cyclic(2))
-    cval = W.encode((1, 0), 1)
-    system = EquationSystem(("x",), ("c",), (
-        (Letter(VAR, "x", 1), Letter(VAR, "x", 1), Letter(COEFF, "c", 1)),
-    )).bind(W, {"c": cval})
-    norm = normalize_top_component(system, 2, allow_extension=True)
-    assert norm.system.binding.group.top.order == 4
-    assert norm.top_embedding is not None
-    ts = coordinatewise_transform(norm.system)
-    ex = extract_rows(ts, 2)
-    assert ex.translation_holds and ex.augmentation_matches
-    # equivalence of solution sets still holds; here both sides are empty
-    # (the equation is 2-singular, so solvability is not guaranteed)
-    pointwise = bound_solutions(ts.system)
-    base_sols = bound_solutions(norm.system, base_elements(norm.system.binding.group))
-    recon = [reconstruct_solution(ts, pw) for pw in pointwise]
-    assert recon == base_sols
-    assert recon == []
-
-
 def reference_wreath_solutions(system, domain):
     """One assignment at a time, with the wreath group law itself."""
     W, values = system.binding.group, system.binding.values
@@ -365,16 +343,20 @@ def test_normalize_keeps_the_wreath_product_unless_the_top_grows():
     for _ in range(10):
         norm = normalize_top_component(random_wreath_system(W, rng), 2)
         assert norm.system.binding.group is W
-        assert norm.top_embedding is None
-    # x^2 c is 2-singular: the top grows from C2 to C4 along the embedding
+
+
+def test_normalize_refuses_a_top_that_would_grow(monkeypatch):
+    # x^2 c is non-singular but 2-singular: its image needs C4 over the top
+    # C2. With the rank test bypassed, the solver's lift exponent still stops it.
     W = c2wrc2()
-    system = EquationSystem(("x",), ("c",), (
-        (Letter(VAR, "x", 1), Letter(VAR, "x", 1), Letter(COEFF, "c", 1)),
-    )).bind(W, {"c": W.encode((1, 0), 1)})
-    norm = normalize_top_component(system, 2, allow_extension=True)
-    emb, top = norm.top_embedding, norm.system.binding.group.top
-    assert emb.source is W.top and emb.target is top
-    assert emb.is_injective() and top.order == 4
+    system = wreath_system(W, "x", [[("x", 1), ("x", 1), ("c", 1)]],
+                           {"c": W.encode((1, 0), 1)})
+    with pytest.raises(ValidationError, match="^system is not 2-nonsingular$"):
+        normalize_top_component(system, 2)
+    monkeypatch.setattr(wreath, "is_p_nonsingular", lambda system, p: True)
+    with pytest.raises(ValidationError, match="^internal error: a p-nonsingular "
+                                              "image needs a larger top$"):
+        normalize_top_component(system, 2)
 
 
 def _scan_index(W):
