@@ -530,8 +530,8 @@ def parse_algebra_header(line: str) -> Spec:
         if "=" not in tok:
             raise ParseError(f"bad header token {tok!r}")
         k, v = tok.split("=", 1)
-        if k in fields:
-            raise ParseError(f"repeated header key {k!r}")
+        if k in fields or k not in ("p", "torsion", "free"):
+            raise ParseError(f"{'repeated' if k in fields else 'unknown'} header key {k!r}")
         fields[k] = v
     try:
         free = int(fields.get("free", "0"))
@@ -539,6 +539,8 @@ def parse_algebra_header(line: str) -> Spec:
         if rational:
             if torsion:
                 raise ParseError("rational algebras here are torsion-free")
+            if "p" in fields:
+                raise ParseError("rational algebras take no p=")
             return IntegralGroupSpec((), free)
         if "p" not in fields:
             raise ParseError("header needs p=<prime> (or 'rational')")

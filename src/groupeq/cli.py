@@ -94,7 +94,7 @@ def cmd_analyze_system(args, config: Config) -> int:
 
 
 def cmd_group(args, config: Config) -> int:
-    G = load_group_file(resolve_data_path(args.file), config)
+    G = load_group_file(resolve_data_path(args.file))
     series = derived_series(G)
     Z = center(G)
     metabelian, nilpotent = is_metabelian(G), is_nilpotent(G)
@@ -134,7 +134,7 @@ def cmd_group(args, config: Config) -> int:
 
 
 def cmd_classify(args, config: Config) -> int:
-    G = load_group_file(resolve_data_path(args.file), config)
+    G = load_group_file(resolve_data_path(args.file))
     report = classify_group(G, config)
     lines = [f"group {report.group_id}: order {report.order}",
              f"metabelian: {report.metabelian}"]
@@ -197,8 +197,8 @@ def cmd_audit_catalog(args, config: Config) -> int:
 
 
 def cmd_wreath_transform(args, config: Config) -> int:
-    base = load_group_file(resolve_data_path(args.base), config)
-    top = load_group_file(resolve_data_path(args.top), config)
+    base = load_group_file(resolve_data_path(args.base))
+    top = load_group_file(resolve_data_path(args.top))
     W = wreath_product(base, top, config)
     system = parse_system_file(resolve_data_path(args.file), group=W)
     if system.binding is None:
@@ -248,8 +248,8 @@ def cmd_certify_rows(args, config: Config) -> int:
         cert = certify_row_independence_rational(rows)
         verdict = "certified" if cert else "unknown"
     else:
-        verdict = decide_row_independence(rows, config.brute_force_cap)
         cert = certify_row_independence(rows)
+        verdict = "certified" if cert else decide_row_independence(rows, config.brute_force_cap)
     payload = {"algebra": rows.spec.describe(), "rows": len(rows.rows),
                "verdict": verdict}
     lines = [f"algebra: {rows.spec.describe()}",
@@ -268,7 +268,7 @@ def cmd_certify_rows(args, config: Config) -> int:
 def cmd_counterexample(args, config: Config) -> int:
     inst = counterexample_build(args.p, args.q, symbolic=args.symbolic,
                                 config=config)
-    rep = obstruction_check(inst, config)
+    rep = obstruction_check(inst)
     eq_text = counterexample_text(inst.p, inst.q, inst.n, inst.m)
     payload = {
         "p": inst.p, "q": inst.q, "n": inst.n, "m": inst.m,
@@ -308,7 +308,7 @@ def cmd_counterexample(args, config: Config) -> int:
 def cmd_solve(args, config: Config) -> int:
     group = None
     if args.group:
-        group = load_group_file(resolve_data_path(args.group), config)
+        group = load_group_file(resolve_data_path(args.group))
     system = parse_system_file(resolve_data_path(args.file), group=group)
     if system.binding is None:
         raise GroupEqError("the system is not bound to a group; pass --group "
@@ -461,10 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format is None:
             args.format = config.output_format
         return args.func(args, config)
-    except GroupEqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GroupEqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

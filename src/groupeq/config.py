@@ -23,9 +23,7 @@ class Config(Record):
     # caps: exceeding any of them raises CapExceeded, never truncates
     subgroup_order_cap: int = 512      # all_subgroups / normal_subgroups
     iso_order_cap: int = 128           # isomorphism search
-    closure_cap: int = 10**6           # from_generators closure
     wreath_order_cap: int = 10**6      # wreath product element count
-    wreath_table_cap: int = 4096       # WreathGroup.realize only; no command calls it
     brute_force_cap: int = 10**6       # assignments scanned by brute_force_solve
     enumeration_cap: int = 12          # exhaustive small-group enumeration
     classify_primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)

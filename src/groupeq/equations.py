@@ -428,11 +428,11 @@ def format_system(system: EquationSystem) -> str:
 # ---------------------------------------------------------------------------
 # evaluation and exhaustive search
 
-def compile_word(word: Word, group, coeff_values: Mapping[str, int]) -> list[tuple]:
+def compile_word(word: Word, group, coeffs: Mapping[str, int]) -> list[tuple]:
     """A word as letters (variable name, sign) | (None, element); a
     coefficient letter is its element, inverted when the sign is -1."""
     return [(name, sign) if kind == VAR else
-            (None, coeff_values[name] if sign > 0 else group.inv(coeff_values[name]))
+            (None, coeffs[name] if sign > 0 else group.inv(coeffs[name]))
             for kind, name, sign in word]
 
 
@@ -445,10 +445,10 @@ def evaluate_compiled(group, word: Sequence[tuple], values) -> int:
     return acc
 
 
-def evaluate_word(word: Word, group, coeff_values: Mapping[str, int],
+def evaluate_word(word: Word, group, coeffs: Mapping[str, int],
                   var_values: Mapping[str, int]) -> int:
     """Product of a word's letters in a group-like object."""
-    return evaluate_compiled(group, compile_word(word, group, coeff_values), var_values)
+    return evaluate_compiled(group, compile_word(word, group, coeffs), var_values)
 
 
 def scan_solutions(group, words: Sequence[Sequence[tuple]], variables: Sequence,
@@ -502,14 +502,12 @@ def scan_solutions(group, words: Sequence[Sequence[tuple]], variables: Sequence,
                 yield block * len(xs) + i + 1, (prefix + (xs[i],))[:nvars]
 
 
-def satisfies(system: EquationSystem, var_values: Mapping[str, int],
-              group=None, coeff_values: Mapping[str, int] | None = None) -> bool:
-    if group is None:
-        if system.binding is None:
-            raise ValidationError("system is not bound to a group")
-        group = system.binding.group
-        coeff_values = system.binding.values
-    return all(evaluate_word(w, group, coeff_values or {}, var_values) == group.identity
+def satisfies(system: EquationSystem, var_values: Mapping[str, int]) -> bool:
+    """Whether every word of a bound system is the identity at *var_values*."""
+    if system.binding is None:
+        raise ValidationError("system is not bound to a group")
+    group, values = system.binding.group, system.binding.values
+    return all(evaluate_word(w, group, values, var_values) == group.identity
                for w in system.words)
 
 
@@ -584,7 +582,7 @@ def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
                   for var, y in zip(system.variables, mat_mul(snf.V, z))}
 
     coeffs = {c: embedding(values[c]) for c in system.coefficients}
-    if not satisfies(system, assignment, group, coeffs):
+    if not satisfies(system.bind(group, coeffs), assignment):
         raise ValidationError("internal error: abelian solution fails to verify")
     return AbelianSolution(group, embedding, assignment, v, tuple(basis))
 

@@ -29,7 +29,7 @@ from .record import Record
 from .words import strip_comment
 
 Perm = tuple[int, ...]
-MAX_TABLE_ORDER = 4096     # largest order a group file may declare (order^2 table)
+MAX_TABLE_ORDER = 4096     # largest order of any Cayley table built (order^2 entries)
 
 
 # ---------------------------------------------------------------------------
@@ -752,15 +752,16 @@ def affine_group_over_prime_field(p: int) -> FiniteGroup:
     return FiniteGroup(table, names, name=f"Aff{p}")
 
 
-def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG,
-                    name: str = "G", max_order: int | None = None) -> FiniteGroup:
+def from_generators(perms: Sequence[Perm | str], name: str = "G",
+                    max_order: int | None = None) -> FiniteGroup:
     """Closure of permutations under composition, as a Cayley table.
 
     Elements are numbered breadth-first from the identity and named in
     cycle notation when their names are first read. The search
     records right[j][a] = a*g_j and, for each new element b = parent*g_j,
     (parent, j), so column b is column parent read through right[j]:
-    a*b = (a*parent)*g_j. Passing *max_order* elements raises ParseError.
+    a*b = (a*parent)*g_j. Before any table is built, passing *max_order*
+    elements raises ParseError and passing MAX_TABLE_ORDER CapExceeded.
     """
     parsed = [parse_cycles(p) if isinstance(p, str) else tuple(p) for p in perms]
     degree = max((len(p) for p in parsed), default=1)
@@ -780,12 +781,12 @@ def from_generators(perms: Sequence[Perm | str], config: Config = DEFAULT_CONFIG
             prod = perm_compose(e, g)
             x = pos.get(prod)
             if x is None:
-                if len(elems) >= config.closure_cap:
-                    raise CapExceeded(
-                        f"generator closure exceeds cap {config.closure_cap}")
                 if max_order is not None and len(elems) >= max_order:
                     raise ParseError(f"generators produce a group of order more than "
                                      f"{max_order}, header says {max_order}")
+                if len(elems) >= MAX_TABLE_ORDER:
+                    raise CapExceeded(
+                        f"generator closure exceeds the table cap {MAX_TABLE_ORDER}")
                 x = pos[prod] = len(elems)
                 elems.append(prod)
                 steps.append((a, right_g))
@@ -965,7 +966,7 @@ def group_header(text: str) -> tuple[str, int]:
     return header[1], order
 
 
-def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
+def load_group(text: str) -> FiniteGroup:
     """Parse and fully validate a group file (see package docs for the format)."""
     name, order = group_header(text)
     lines = [strip_comment(ln).rstrip() for ln in text.splitlines()]
@@ -987,7 +988,7 @@ def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
         G = FiniteGroup(table, None, name=name)
     elif mode == "generators:":
         perms = [parse_cycles(ln) for ln in body]
-        G = from_generators(perms, config, name=name, max_order=order)
+        G = from_generators(perms, name=name, max_order=order)
         if G.order != order:
             raise ParseError(
                 f"generators produce a group of order {G.order}, header says {order}")
@@ -997,8 +998,8 @@ def load_group(text: str, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
     return G
 
 
-def load_group_file(path: str | Path, config: Config = DEFAULT_CONFIG) -> FiniteGroup:
-    return load_group(read_text_file(path), config)
+def load_group_file(path: str | Path) -> FiniteGroup:
+    return load_group(read_text_file(path))
 
 
 def format_group_file(G: FiniteGroup, style: str = "generators") -> str:

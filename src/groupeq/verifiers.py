@@ -38,7 +38,7 @@ from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic, derived_series,
 from .record import Record
 from .words import (COEFF, VAR, Letter, Word, _check_length, word_conjugate,
                     word_inverse, word_power)
-from .wreath import WreathGroup, wreath_order, wreath_product
+from .wreath import wreath_order, wreath_product
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ class PqOrderReport(Record):
     witness: Witness
 
 
-def pq_structure_check(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> PqOrderReport:
+def pq_structure_check(G: FiniteGroup) -> PqOrderReport:
     """For |G| = p*q (p < q primes): the Sylow q-subgroup is unique, hence
     normal, giving a witness (C_q, p)."""
     ps = prime_factors(G.order)
@@ -262,7 +262,7 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
             text = read_text_file(path)
             if orders is not None and group_header(text)[1] not in orders:
                 continue
-            G = load_group(text, config)
+            G = load_group(text)
         except GroupEqError as exc:
             entries.append(AuditEntry(path.name, None, str(exc)))
             continue
@@ -307,13 +307,12 @@ class CounterexampleInstance(Record):
     q: int
     n: int
     m: int
-    wreath: WreathGroup | None       # None in symbolic mode
-    a: int | None                    # top generator of order p (wreath index)
-    b: int | None                    # top generator of order q
-    c: int | None                    # base generator at the identity coordinate
-    system: EquationSystem
+    system: EquationSystem           # bound to C2 wr (Cp x Cq) unless symbolic
     classification: Classification
-    realized: bool
+
+    @property
+    def realized(self) -> bool:
+        return self.system.binding is not None
 
     @property
     def order(self) -> int:
@@ -373,15 +372,13 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
         raise ValidationError("internal error: the equation must be unimodular")
 
     if symbolic:
-        return CounterexampleInstance(p, q, n, m, None, None, None, None,
-                                      system, cls, False)
+        return CounterexampleInstance(p, q, n, m, system, cls)
     top = direct_product(cyclic(p), cyclic(q))
     W = wreath_product(cyclic(2, gen_symbol="c"), top, config)
-    a = W.embed_top(q)         # (g_p, 1): index 1*q + 0
-    b = W.embed_top(1)         # (1, g_q): index 0*q + 1
-    c = W.embed_base((1,) + (0,) * (top.order - 1))
-    bound = system.bind(W, {"a": a, "b": b, "c": c})
-    return CounterexampleInstance(p, q, n, m, W, a, b, c, bound, cls, True)
+    bound = system.bind(W, {"a": W.embed_top(q),      # (g_p, 1): index 1*q + 0
+                            "b": W.embed_top(1),      # (1, g_q): index 0*q + 1
+                            "c": W.embed_base((1,) + (0,) * (top.order - 1))})
+    return CounterexampleInstance(p, q, n, m, bound, cls)
 
 
 class ObstructionReport(Record):
@@ -434,8 +431,7 @@ def group_obstruction(G, a: int, b: int, c: int) -> tuple[int, int]:
     return mul(w, conj(w, ab)), mul(conj(w, a), conj(w, b))
 
 
-def obstruction_check(inst: CounterexampleInstance,
-                      config: Config = DEFAULT_CONFIG) -> ObstructionReport:
+def obstruction_check(inst: CounterexampleInstance) -> ObstructionReport:
     """Exact check of both halves of the obstruction.
 
     (i)  S*(1+ab) = S*(a+b) in Z[Cp x Cq], by expansion.
@@ -452,8 +448,8 @@ def obstruction_check(inst: CounterexampleInstance,
     if not inst.realized:
         return ObstructionReport(ring_ok, S, S.is_zero(), None, None)
 
-    W = inst.wreath
-    lhs, rhs = group_obstruction(W, inst.a, inst.b, inst.c)
+    W, values = inst.system.binding.group, inst.system.binding.values
+    lhs, rhs = group_obstruction(W, values["a"], values["b"], values["c"])
     return ObstructionReport(ring_ok, S, S.is_zero(), lhs != rhs,
                              (W.element_name(lhs), W.element_name(rhs)))
 

@@ -38,8 +38,8 @@ from .config import DEFAULT_CONFIG, Config
 from .equations import (EquationSystem, is_p_nonsingular, satisfies,
                         solve_abelian_p_system)
 from .errors import CapExceeded, ValidationError
-from .groups import (FiniteGroup, Homomorphism, Subgroup, abelian_p_basis,
-                     dlog_table, quotient)
+from .groups import (MAX_TABLE_ORDER, FiniteGroup, Homomorphism, Subgroup,
+                     abelian_p_basis, dlog_table, quotient)
 from .record import Record
 from .words import COEFF, VAR, Letter, exponent_sum
 
@@ -62,7 +62,6 @@ class WreathGroup:
         self.order = wreath_order(base.order, top.order, config)
         self.base = base
         self.top = top
-        self._config = config
         self._group: FiniteGroup | None = None
 
     # -- packing -------------------------------------------------------------
@@ -152,10 +151,9 @@ class WreathGroup:
         """Materialize the Cayley table (cached); capped because the table
         is quadratic in the order."""
         if self._group is None:
-            if self.order > self._config.wreath_table_cap:
-                raise CapExceeded(
-                    f"wreath order {self.order} exceeds the table cap "
-                    f"{self._config.wreath_table_cap}")
+            if self.order > MAX_TABLE_ORDER:
+                raise CapExceeded(f"wreath order {self.order} exceeds the table cap "
+                                  f"{MAX_TABLE_ORDER}")
             table = [[self.mul(a, b) for b in range(self.order)]
                      for a in range(self.order)]
             names = [self.element_name(x) for x in range(self.order)]

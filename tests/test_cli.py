@@ -209,6 +209,11 @@ MALFORMED = {
                             {"c.conf": b"brute_force_cap = 0\n"}),
     "output_format = xml": (["--config", "c.conf", "classify", S3],
                             {"c.conf": b"output_format = xml\n"}),
+    # MAX_TABLE_ORDER bounds every table; there is no table-cap key
+    "closure_cap = 5": (["--config", "c.conf", "classify", S3],
+                        {"c.conf": b"closure_cap = 5\n"}),
+    "wreath_table_cap = 5": (["--config", "c.conf", "classify", S3],
+                             {"c.conf": b"wreath_table_cap = 5\n"}),
     "algebra p=x": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=x\nrow: 1\n"}),
     "torsion=z": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 torsion=z\nrow: 1\n"}),
     "free=y": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 free=y\nrow: 1\n"}),
@@ -233,6 +238,11 @@ MALFORMED = {
                            {"r.alg": b"algebra p=2 torsion=1000000000\nrow: 0\n"}),
     "p=2 ... p=3": (["certify-rows", "r.alg"],
                     {"r.alg": b"algebra p=2 torsion=1 free=0 p=3\nrow: 1\n"}),
+    # every header key is one of p, torsion, free; rational takes no p
+    "tosion=3": (["certify-rows", "r.alg"],
+                 {"r.alg": b"algebra p=2 torsion=1 tosion=3\nrow: 1\n"}),
+    "rational p=3": (["certify-rows", "r.alg"],
+                     {"r.alg": b"algebra rational p=3 free=1\nrow: 1\n"}),
     # a system binds once, and only its declared coefficients
     "two bind lines": (["solve", "s.sys"],
                        {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1\n"

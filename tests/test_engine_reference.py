@@ -13,6 +13,7 @@ beyond the solvable groups of the catalog.
 """
 
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,7 +21,6 @@ import pytest
 
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.cli import main
-from groupeq.config import Config
 from groupeq.errors import CapExceeded, ParseError
 from groupeq.groups import (all_subgroups, automorphisms, commutator_subgroup,
                             cycles_str, cyclic, derived_series, direct_product,
@@ -133,8 +133,15 @@ def test_table_edge_cases(perms):
 
 
 def test_closure_cap_message():
-    with pytest.raises(CapExceeded, match=r"^generator closure exceeds cap 50$"):
-        from_generators(["(1 2 3 4 5)", "(1 2)"], Config(closure_cap=50))
+    # S7 has 5,040 elements: the closure stops at the table cap, before the
+    # quadratic table; a header's declared order still takes precedence
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^generator closure exceeds the table cap 4096$"):
+        from_generators(["(1 2)", "(1 2 3 4 5 6 7)"])
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(ParseError, match=r"^generators produce a group of order more "
+                                         r"than 4096, header says 4096$"):
+        load_group("group S7 order 4096\ngenerators:\n(1 2)\n(1 2 3 4 5 6 7)\n")
 
 
 S6_UNDER_ORDER_6 = "group bad order 6\ngenerators:\n(1 2 3 4 5 6)\n(1 2)\n"

@@ -16,7 +16,8 @@ from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup,
                             is_normal, isomorphic, load_group, load_group_file,
                             normal_subgroups, prime_factors, quaternion_group,
                             trivial_group)
-from groupeq.verifiers import (AuditEntry, abelian_by_abelian_p_witness,
+from groupeq.verifiers import (AuditEntry, CounterexampleInstance,
+                               abelian_by_abelian_p_witness,
                                audit_catalog, brute_force_solve, classify_group,
                                counterexample_build, counterexample_equation,
                                counterexample_text, group_obstruction,
@@ -136,6 +137,16 @@ def test_counterexample_cap_and_symbolic():
     rep = obstruction_check(inst)
     assert rep.ring_identity_holds
     assert rep.group_inequality_holds is None and rep.confirmed is None
+
+
+def test_counterexample_keeps_its_group_in_the_binding():
+    assert CounterexampleInstance._fields == ("p", "q", "n", "m", "system", "classification")
+    symbolic = counterexample_build(2, 3, symbolic=True)
+    assert not symbolic.realized and symbolic.system.binding is None
+    inst = counterexample_build(2, 3)
+    assert inst.realized and inst.system.binding.group.order == 384
+    assert set(inst.system.binding.values) == {"a", "b", "c"}
+    assert obstruction_check(inst).confirmed
 
 
 def test_obstruction_2_3_confirmed():
@@ -620,7 +631,7 @@ def test_obstruction_confirmed_for_all_prime_pairs_up_to_13():
     assert len(pairs) == 30
     for p, q in pairs:
         inst = counterexample_build(p, q, config=config)
-        rep = obstruction_check(inst, config)
+        rep = obstruction_check(inst)
         assert rep.ring_identity_holds and rep.group_inequality_holds, (p, q)
         assert rep.confirmed, (p, q)
         text = counterexample_text(p, q, inst.n, inst.m)

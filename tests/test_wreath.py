@@ -14,9 +14,9 @@ from groupeq.config import Config
 from groupeq.equations import (EquationSystem, evaluate_word,
                                exponent_matrix, parse_system, satisfies)
 from groupeq.errors import CapExceeded, ValidationError
-from groupeq.groups import (FiniteGroup, cyclic, dihedral, direct_product,
-                            from_generators, generated_subgroup, isomorphic,
-                            load_group_file, normal_subgroups)
+from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup, cyclic, dihedral,
+                            direct_product, from_generators, generated_subgroup,
+                            isomorphic, load_group_file, normal_subgroups)
 from groupeq.verifiers import brute_force_solve, classify_group
 from groupeq import wreath
 from groupeq.words import COEFF, VAR, Letter
@@ -55,9 +55,8 @@ def test_orders_and_isomorphism_type():
 def test_wreath_cap():
     with pytest.raises(CapExceeded):
         wreath_product(cyclic(2), cyclic(6), Config(wreath_order_cap=100))
-    with pytest.raises(CapExceeded):
-        wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(3)),
-                       Config(wreath_table_cap=100)).realize()
+    with pytest.raises(CapExceeded, match=r"^wreath order 4608 exceeds the table cap 4096$"):
+        wreath_product(cyclic(2), cyclic(9)).realize()
 
 
 def test_group_axioms_sampled_at_384():
@@ -110,7 +109,7 @@ def test_kaloujnine_krasner_embeddings():
 
 def test_kaloujnine_krasner_embeds_every_witnessed_catalog_group():
     # G embeds in A wr (G/A) for each witness A, checked on the packed
-    # product; 7 targets (orders 5,184 to 40,000) exceed wreath_table_cap
+    # product; 7 targets (orders 5,184 to 40,000) exceed MAX_TABLE_ORDER
     t0 = time.time()
     targets = []
     for path in sorted(bundled_catalog_dir().glob("*.grp")):
@@ -125,7 +124,7 @@ def test_kaloujnine_krasner_embeds_every_witnessed_catalog_group():
         assert (W.base.order, W.top.order) == (A.order, G.order // A.order)
         targets.append(W.order)
     assert len(targets) == 106
-    big = sorted(o for o in targets if o > Config().wreath_table_cap)
+    big = sorted(o for o in targets if o > MAX_TABLE_ORDER)
     assert len(big) == 7 and big[0] == 5184 and big[-1] == 40000
     assert time.time() - t0 < 2.0
 
