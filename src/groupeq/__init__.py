@@ -19,39 +19,50 @@ The package covers four connected areas:
 
 __version__ = "0.1.0"
 
-from .algebra import (AbelianGroupSpec, AlgebraElement, AlgebraMatrix,
-                      IntegralGroupSpec, RowFamily, augmentation,
-                      augmentation_matrix, certify_non_zero_divisor,
-                      certify_row_independence,
-                      certify_row_independence_rational,
-                      decide_row_independence, find_annihilating_combination,
-                      is_zero_divisor, nilpotent_basis_expansion,
-                      regular_representation)
-from .config import Config, DEFAULT_CONFIG, load_config
-from .equations import (AbelianSolution, Classification, EquationSystem,
-                        SmithDecomposition, classify, classify_matrix,
-                        det_int, evaluate_word, exponent_matrix, parse_system,
-                        parse_system_file, rank_mod_p, rank_rational,
-                        smith_normal_form, solve_abelian_p_system)
-from .errors import CapExceeded, GroupEqError, ParseError, ValidationError
-from .groups import (FiniteGroup, Homomorphism, Subgroup,
-                     affine_group_over_prime_field, all_subgroups,
-                     automorphisms, center, commutator_subgroup, cyclic,
-                     derived_series, dicyclic, dihedral, direct_product,
-                     from_generators, is_metabelian, is_nilpotent, isomorphic,
-                     load_group, load_group_file, normal_subgroups, quotient,
-                     semidirect_product, subgroup, sylow_subgroup, trivial_group)
-from .smallgroups import enumerate_groups
-from .verifiers import (AuditReport, BruteForceResult, ClassificationReport,
-                        CounterexampleInstance, ObstructionReport,
-                        PGroupReport, PqOrderReport, Witness,
-                        abelian_by_abelian_p_witness, audit_catalog,
-                        brute_force_solve, classify_group,
-                        counterexample_build, group_obstruction,
-                        obstruction_check, p_group_equation_check,
-                        pq_structure_check)
-from .words import Letter, Word, exponent_sum, format_word, parse_word
-from .wreath import (TransformedSystem, WreathGroup, extract_rows,
-                     kaloujnine_krasner, coordinatewise_transform,
-                     normalize_top_component, reconstruct_solution,
-                     wreath_product)
+# Each public name by the module that defines it. A module is imported when one of
+# its names is first read (PEP 562), so a command loads only the layers it uses.
+_EXPORTS = {
+    "algebra": "AbelianGroupSpec AlgebraElement AlgebraMatrix IntegralGroupSpec RowFamily "
+               "augmentation augmentation_matrix certify_non_zero_divisor "
+               "certify_row_independence certify_row_independence_rational "
+               "decide_row_independence find_annihilating_combination is_zero_divisor "
+               "nilpotent_basis_expansion regular_representation",
+    "catalog": "", "record": "",            # submodules that export no name
+    "config": "Config DEFAULT_CONFIG load_config",
+    "equations": "AbelianSolution Classification EquationSystem SmithDecomposition classify "
+                 "classify_matrix det_int evaluate_word exponent_matrix parse_system "
+                 "parse_system_file rank_mod_p rank_rational smith_normal_form "
+                 "solve_abelian_p_system",
+    "errors": "CapExceeded GroupEqError ParseError ValidationError",
+    "groups": "FiniteGroup Homomorphism Subgroup affine_group_over_prime_field all_subgroups "
+              "automorphisms center commutator_subgroup cyclic derived_series dicyclic dihedral "
+              "direct_product from_generators is_metabelian is_nilpotent isomorphic load_group "
+              "load_group_file normal_subgroups quotient semidirect_product subgroup "
+              "sylow_subgroup trivial_group",
+    "smallgroups": "enumerate_groups",
+    "verifiers": "AuditReport BruteForceResult ClassificationReport CounterexampleInstance "
+                 "ObstructionReport PGroupReport PqOrderReport Witness "
+                 "abelian_by_abelian_p_witness audit_catalog brute_force_solve classify_group "
+                 "counterexample_build group_obstruction obstruction_check "
+                 "p_group_equation_check pq_structure_check",
+    "words": "Letter Word exponent_sum format_word parse_word",
+    "wreath": "TransformedSystem WreathGroup extract_rows kaloujnine_krasner "
+              "coordinatewise_transform normalize_top_component reconstruct_solution "
+              "wreath_product",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+    if name in _EXPORTS:                 # a submodule: importing it binds it here
+        return import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -505,6 +505,11 @@ def decide_row_independence(rows: RowFamily, work_cap: int = 10 ** 6) -> str:
     matrix over ``work_cap``); any other error of the oracle propagates."""
     if certify_row_independence(rows) is not None:
         return "certified"
+    return search_row_independence(rows, work_cap)
+
+
+def search_row_independence(rows: RowFamily, work_cap: int) -> str:
+    """`decide_row_independence` for rows that no certificate covers."""
     if rows.spec.free_rank or _exceeds_work_cap(rows, work_cap):
         return "unknown"
     witness = find_annihilating_combination(rows, work_cap)

@@ -16,24 +16,8 @@ import argparse
 import sys
 
 from . import __version__
-from .algebra import (IntegralGroupSpec, certify_row_independence,
-                      certify_row_independence_rational,
-                      decide_row_independence, format_element,
-                      format_row_file, parse_row_file)
-from .catalog import bundled_catalog_dir, resolve_data_path
 from .config import DEFAULT_CONFIG, Config, load_config
-from .equations import (classify, det_int, exponent_matrix, parse_system_file,
-                        rank_mod_p)
 from .errors import GroupEqError, ParseError, ValidationError, read_text_file
-from .groups import (all_subgroups, center, derived_series, is_metabelian,
-                     is_nilpotent, load_group_file, normal_subgroups,
-                     prime_factors, sylow_subgroup)
-from .smallgroups import enumerate_groups
-from .verifiers import (audit_catalog, brute_force_solve, classify_group,
-                        counterexample_build, counterexample_text,
-                        obstruction_check)
-from .wreath import (extract_rows, coordinatewise_transform, normalize_top_component,
-                     wreath_product)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -57,6 +41,8 @@ def _matrix_lines(M: list[list[int]]) -> list[str]:
 # subcommands
 
 def cmd_analyze_system(args, config: Config) -> int:
+    from .catalog import resolve_data_path
+    from .equations import classify, det_int, exponent_matrix, parse_system_file, rank_mod_p
     system = parse_system_file(resolve_data_path(args.file))
     E = exponent_matrix(system)
     cls = classify(system)
@@ -94,6 +80,9 @@ def cmd_analyze_system(args, config: Config) -> int:
 
 
 def cmd_group(args, config: Config) -> int:
+    from .catalog import resolve_data_path
+    from .groups import (all_subgroups, center, derived_series, is_metabelian, is_nilpotent,
+                         load_group_file, normal_subgroups, prime_factors, sylow_subgroup)
     G = load_group_file(resolve_data_path(args.file))
     series = derived_series(G)
     Z = center(G)
@@ -134,6 +123,9 @@ def cmd_group(args, config: Config) -> int:
 
 
 def cmd_classify(args, config: Config) -> int:
+    from .catalog import resolve_data_path
+    from .groups import load_group_file
+    from .verifiers import classify_group
     G = load_group_file(resolve_data_path(args.file))
     report = classify_group(G, config)
     lines = [f"group {report.group_id}: order {report.order}",
@@ -152,6 +144,8 @@ def cmd_classify(args, config: Config) -> int:
 
 
 def cmd_audit_catalog(args, config: Config) -> int:
+    from .catalog import bundled_catalog_dir, resolve_data_path
+    from .verifiers import audit_catalog
     directory = resolve_data_path(args.directory) if args.directory else bundled_catalog_dir()
     orders = None
     if args.orders:
@@ -197,6 +191,12 @@ def cmd_audit_catalog(args, config: Config) -> int:
 
 
 def cmd_wreath_transform(args, config: Config) -> int:
+    from .algebra import certify_row_independence, format_row_file
+    from .catalog import resolve_data_path
+    from .equations import parse_system_file
+    from .groups import load_group_file
+    from .wreath import (coordinatewise_transform, extract_rows, normalize_top_component,
+                         wreath_product)
     base = load_group_file(resolve_data_path(args.base))
     top = load_group_file(resolve_data_path(args.top))
     W = wreath_product(base, top, config)
@@ -243,13 +243,16 @@ def cmd_wreath_transform(args, config: Config) -> int:
 
 
 def cmd_certify_rows(args, config: Config) -> int:
+    from .algebra import (IntegralGroupSpec, certify_row_independence, parse_row_file,
+                          certify_row_independence_rational, search_row_independence)
+    from .catalog import resolve_data_path
     rows = parse_row_file(read_text_file(resolve_data_path(args.file)))
     if isinstance(rows.spec, IntegralGroupSpec):
         cert = certify_row_independence_rational(rows)
         verdict = "certified" if cert else "unknown"
     else:
         cert = certify_row_independence(rows)
-        verdict = "certified" if cert else decide_row_independence(rows, config.brute_force_cap)
+        verdict = "certified" if cert else search_row_independence(rows, config.brute_force_cap)
     payload = {"algebra": rows.spec.describe(), "rows": len(rows.rows),
                "verdict": verdict}
     lines = [f"algebra: {rows.spec.describe()}",
@@ -266,6 +269,8 @@ def cmd_certify_rows(args, config: Config) -> int:
 
 
 def cmd_counterexample(args, config: Config) -> int:
+    from .algebra import format_element
+    from .verifiers import counterexample_build, counterexample_text, obstruction_check
     inst = counterexample_build(args.p, args.q, symbolic=args.symbolic,
                                 config=config)
     rep = obstruction_check(inst)
@@ -306,6 +311,10 @@ def cmd_counterexample(args, config: Config) -> int:
 
 
 def cmd_solve(args, config: Config) -> int:
+    from .catalog import resolve_data_path
+    from .equations import parse_system_file
+    from .groups import load_group_file
+    from .verifiers import brute_force_solve
     group = None
     if args.group:
         group = load_group_file(resolve_data_path(args.group))
@@ -333,6 +342,7 @@ def cmd_solve(args, config: Config) -> int:
 
 def cmd_enumerate(args, config: Config) -> int:
     from .catalog import EXPECTED_COUNTS
+    from .smallgroups import enumerate_groups
     groups = enumerate_groups(args.n, config)
     payload = {"order": args.n, "count": len(groups),
                "order_multisets": [list(G.order_multiset) for G in groups]}

@@ -801,16 +801,13 @@ def from_generators(perms: Sequence[Perm | str], name: str = "G",
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981   # Sorenson and Webster 2015
-_SMALL_PRIMES = frozenset(range(2, 43 * 43)).difference(   # a composite n has a factor
-    *(range(b * b, 43 * 43, b) for b in _MR_BASES))         # b <= 41 with b * b <= n
 
 
 def is_prime(n: int) -> bool:
-    """A set lookup below 43^2; above, Miller-Rabin to the 13 prime bases up
-    to 41 (a base sharing a factor with n is a witness), exact below
-    ``_MR_EXACT_BELOW`` and CapExceeded from there on."""
-    if n < 43 * 43:
-        return n in _SMALL_PRIMES
+    """Trial division below 43^2, else Miller-Rabin to the 13 prime bases to 41 (a base
+    sharing a factor with n is a witness): exact below ``_MR_EXACT_BELOW``, then CapExceeded."""
+    if n < 43 * 43:         # a composite n has a factor b <= 41 with b * b <= n
+        return n >= 2 and all(n % b for b in _MR_BASES if b * b <= n)
     if n >= _MR_EXACT_BELOW:
         raise CapExceeded(f"cannot decide whether {n} is prime (exact below {_MR_EXACT_BELOW})")
     s = ((n - 1) & (1 - n)).bit_length() - 1       # n - 1 = d * 2^s with d odd

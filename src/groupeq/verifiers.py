@@ -24,8 +24,6 @@ import random
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import (MAX_ORDER_DIGITS, ORDER_LIMIT, AlgebraElement,
-                      IntegralGroupSpec, format_element)
 from .catalog import AUDIT_ORDERS, EXPECTED_COUNTS
 from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
@@ -38,7 +36,6 @@ from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic, derived_series,
 from .record import Record
 from .words import (COEFF, VAR, Letter, Word, _check_length, word_conjugate,
                     word_inverse, word_power)
-from .wreath import wreath_order, wreath_product
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +348,8 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     group is packed-index arithmetic with no Cayley table, bounded by
     ``wreath_order_cap``; symbolic mode builds no group. The order's digit
     count, that cap and the word length are checked before anything is built."""
+    from .algebra import MAX_ORDER_DIGITS, ORDER_LIMIT
+    from .wreath import wreath_order, wreath_product
     if not (is_prime(p) and is_prime(q)):
         raise ValidationError(f"{p} and {q} must be prime")
     if p == q:
@@ -395,6 +394,7 @@ class ObstructionReport(Record):
         return self.ring_identity_holds and self.group_inequality_holds
 
     def to_dict(self) -> dict:
+        from .algebra import format_element
         return {
             "ring_identity_holds": self.ring_identity_holds,
             "s": format_element(self.s_element),
@@ -405,6 +405,7 @@ class ObstructionReport(Record):
 
 
 def obstruction_s_element(p: int, q: int, n: int, m: int) -> AlgebraElement:
+    from .algebra import AlgebraElement, IntegralGroupSpec
     spec = IntegralGroupSpec((p, q), 0)
     one = AlgebraElement.one(spec)
     a = AlgebraElement.monomial(spec, (1, 0))
@@ -438,6 +439,7 @@ def obstruction_check(inst: CounterexampleInstance) -> ObstructionReport:
     (ii) `group_obstruction` in the wreath group, unless the instance is
          symbolic.
     """
+    from .algebra import AlgebraElement, IntegralGroupSpec
     spec = IntegralGroupSpec((inst.p, inst.q), 0)
     one = AlgebraElement.one(spec)
     a = AlgebraElement.monomial(spec, (1, 0))

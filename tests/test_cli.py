@@ -303,25 +303,73 @@ def test_cli_starts_without_dataclasses_or_inspect():
     assert proc.returncode == 0, proc.stderr
 
 
+PUBLIC_NAMES = """
+    AbelianGroupSpec AlgebraElement AlgebraMatrix IntegralGroupSpec RowFamily augmentation
+    augmentation_matrix certify_non_zero_divisor certify_row_independence
+    certify_row_independence_rational decide_row_independence find_annihilating_combination
+    is_zero_divisor nilpotent_basis_expansion regular_representation Config DEFAULT_CONFIG
+    load_config AbelianSolution Classification EquationSystem SmithDecomposition classify
+    classify_matrix det_int evaluate_word exponent_matrix parse_system parse_system_file
+    rank_mod_p rank_rational smith_normal_form solve_abelian_p_system CapExceeded GroupEqError
+    ParseError ValidationError FiniteGroup Homomorphism Subgroup affine_group_over_prime_field
+    all_subgroups automorphisms center commutator_subgroup cyclic derived_series dicyclic
+    dihedral direct_product from_generators is_metabelian is_nilpotent isomorphic load_group
+    load_group_file normal_subgroups quotient semidirect_product subgroup sylow_subgroup
+    trivial_group enumerate_groups AuditReport BruteForceResult ClassificationReport
+    CounterexampleInstance ObstructionReport PGroupReport PqOrderReport Witness
+    abelian_by_abelian_p_witness audit_catalog brute_force_solve classify_group
+    counterexample_build group_obstruction obstruction_check p_group_equation_check
+    pq_structure_check Letter Word exponent_sum format_word parse_word TransformedSystem
+    WreathGroup extract_rows kaloujnine_krasner coordinatewise_transform
+    normalize_top_component reconstruct_solution wreath_product""".split()
+
+
+# commands run in one fresh interpreter, and the groupeq modules they must not load
+IMPORT_CASES = [
+    ([(["certify-rows", "r.alg"], 0), (["certify-rows", "@examples/rows_demo.alg"], 0),
+      (["certify-rows", "refuted.alg"], 1)], ["verifiers", "wreath", "smallgroups"]),
+    ([(["--format", "structured", "classify", "@catalog/012_a4.grp"], 0),
+      (["solve", "@examples/solve_demo.sys"], 0),
+      (["audit-catalog", "--orders", "12"], 0)], ["algebra", "wreath"]),
+]
+
+
 def test_cli_imports_fractions_and_json_only_where_used(tmp_path):
     (tmp_path / "r.alg").write_text("algebra rational free=1\nrow: 1 ; 2\nrow: t1 ; 3\n")
+    (tmp_path / "refuted.alg").write_text("algebra p=2 torsion=1\nrow: 1 + x1\n")
     script = textwrap.dedent("""
-        import contextlib, io, sys
+        import ast, contextlib, io, os, sys
+        runs, unloaded, names = ast.literal_eval(sys.argv[1])
+        os.chdir(sys.argv[2])
+        ours = lambda: {m for m in sys.modules if m.split(".")[0] == "groupeq"}
         before = set(sys.modules)
         from groupeq.cli import main
         loaded = {"fractions", "decimal", "json"} & (set(sys.modules) - before)
         assert not loaded, f"importing the CLI loaded {sorted(loaded)}"
+        assert ours() == {"groupeq", "groupeq.cli", "groupeq.config", "groupeq.errors",
+                          "groupeq.record"}, sorted(ours())
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(["certify-rows", sys.argv[1]]) == 0
-            assert main(["--format", "structured", "classify", "@catalog/012_a4.grp"]) == 0
-        rational, structured = out.getvalue().splitlines()[-2:]
-        assert rational == "verdict: certified", out.getvalue()
-        import json
-        assert json.loads(structured)["metabelian"] is True, structured
+            codes = [main(argv) for argv, _ in runs]
+        assert codes == [code for _, code in runs], (codes, out.getvalue())
+        loaded = ours() & {"groupeq." + m for m in unloaded}
+        assert not loaded, f"the commands loaded {sorted(loaded)}"
+        import groupeq
+        assert groupeq.smallgroups.__name__ == "groupeq.smallgroups"
+        assert not hasattr(groupeq, "nosuch")
+        assert groupeq.__all__ == names and set(names) <= set(dir(groupeq))
+        star = {}
+        exec("from groupeq import *", star)
+        assert all(star[n] is getattr(groupeq, n) for n in names)
+        print(out.getvalue(), end="")
     """)
-    proc = run_python(script, str(tmp_path / "r.alg"))
-    assert proc.returncode == 0, proc.stderr
+    outputs = []
+    for runs, unloaded in IMPORT_CASES:
+        proc = run_python(script, repr((runs, unloaded, PUBLIC_NAMES)), str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert "verdict: certified\n" in outputs[0]         # over Q, by Fraction
+    assert json.loads(outputs[1].splitlines()[0])["metabelian"] is True
 
 
 def test_audit_reports_a_non_utf8_file_and_goes_on(tmp_path):
@@ -481,6 +529,21 @@ def test_certify_rows_decides_families_past_the_old_search_space(tmp_path):
     code, out, err = run_cli(["certify-rows", str(alg)])
     assert (code, err) == (1, "")
     assert out.endswith("verdict: refuted\n")
+
+
+@pytest.mark.parametrize("header, rows, verdict", [
+    ("p=2 torsion=1", "1 + x1", "refuted"), ("p=2 torsion=1", "1 + x1 ; 1", "certified"),
+    ("p=2 free=1", "1 + t1", "unknown")])
+def test_certify_rows_certifies_once(tmp_path, monkeypatch, header, rows, verdict):
+    calls = []
+    certify = groupeq.algebra.certify_row_independence
+    monkeypatch.setattr(groupeq.algebra, "certify_row_independence",
+                        lambda family: calls.append(family) or certify(family))
+    alg = tmp_path / "r.alg"
+    alg.write_text(f"algebra {header}\nrow: {rows}\n")
+    code, out, err = run_cli(["certify-rows", str(alg)])
+    assert (out.splitlines()[-1], err) == (f"verdict: {verdict}", "")
+    assert len(calls) == 1
 
 
 def test_ragged_row_file_is_one_error_line(tmp_path):

@@ -491,6 +491,7 @@ def test_is_prime_matches_sympy():
     from groupeq.groups import is_prime
     assert [n for n in range(10 ** 5) if is_prime(n)] == list(sympy.primerange(10 ** 5))
     assert not any(is_prime(n) for n in range(-50, 2))
+    assert all(is_prime(n) == sympy.isprime(n) for n in range(-5, 5001))
     rng = random.Random(64)
     for _ in range(3000):
         n = rng.getrandbits(64) | 1
