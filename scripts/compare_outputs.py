@@ -9,7 +9,12 @@ BENCHMARK.json's ``run_seconds``, one deck per seed from A to B, made with
 ``perfbench.workloads.build`` and ``write_inputs`` from this checkout.
 ``--workload catalog`` (no seeds) instead runs ``group --subgroups`` and
 ``classify`` on every bundled catalog file. Each command runs twice, in
-text and in structured format.
+text and in structured format. ``--workload argv`` (no seeds) runs a fixed
+list of command lines once each: help and ``--version``, unknown commands,
+abbreviated options, ``--opt=value`` and ``--``, missing, non-integer,
+negative and badly chosen values, repeated and interleaved options, and
+global options after the command, so that help texts, usage errors and
+exit codes are compared too.
 
 Each tree runs in its own child interpreter (``PYTHONPATH=<tree>/src``, in
 the directory that holds the deck's input files), which calls
@@ -80,6 +85,60 @@ def catalog_commands() -> list[list[str]]:
             for cmd in (["group", "--subgroups"], ["classify"])]
 
 
+A4, S3 = "@catalog/012_a4.grp", "@catalog/006_s3.grp"
+WREATH = ["@examples/wreath_demo.sys", "--base", "@catalog/002_c2.grp",
+          "--top", "@catalog/002_c2.grp"]
+ARGV_FILES = {"bound.sys": "vars: x\ncoeffs: g\nbind: @group g=#1\neq: x^2 = g\n",
+              "catalog/006_s3.grp": None}          # None: a copy of the bundled file
+ARGV_CASES = [
+    [], ["--help"], ["-h"], ["--version"], ["--he"], ["--vers"],
+    *([name, "--help"] for name in ("analyze-system", "group", "classify", "audit-catalog",
+                                    "wreath-transform", "certify-rows", "counterexample",
+                                    "solve", "enumerate")),
+    ["nosuch"], ["classif", A4], ["classify"], ["classify", A4, "extra"], ["classify", "-"],
+    ["--form", "structured", "classify", A4], ["--format=structured", "classify", A4],
+    ["--format", "structured", "classify", A4], ["classify", A4],
+    ["--jobs=2", "--config=", "enumerate", "4"], ["group", S3, "--sub"],
+    ["group", "--subgroups", S3], ["group", S3, "--subgroups=yes"],
+    ["solve", "@examples/solve_demo.sys", "--desc"], ["solve", "--descending", "bound.sys",
+                                                      "--group", S3],
+    ["solve", "bound.sys", "--gr", S3], ["solve", "bound.sys"],
+    ["counterexample", "--p", "2", "--q", "3", "--sym"], ["counterexample", "--q", "3"],
+    ["counterexample", "--p", "2", "--q"], ["counterexample", "--p", "2", "--q", "x"],
+    ["counterexample", "--p", "-2", "--q", "3"], ["counterexample", "--p=2", "--q=5"],
+    ["classify", "--", A4], ["--", "classify", A4], ["classify", A4, "--"],
+    ["--jobs"], ["--jobs", "two", "enumerate", "4"], ["--jobs", "-1", "enumerate", "4"],
+    ["--jobs", " 2", "enumerate", "4"], ["--jobs", "0", "enumerate", "4"],
+    ["--format", "json", "enumerate", "4"], ["--format", "enumerate", "4"],
+    ["--config", "missing.conf", "enumerate", "4"],
+    ["enumerate", "four"], ["enumerate", "-1"], ["enumerate", "6", "7"], ["enumerate", "1_0"],
+    ["analyze-system", "@examples/example0.sys", "--prime", "5", "--prime", "7"],
+    ["analyze-system", "@examples/example0.sys", "--pr", "5", "--prime=11"],
+    ["analyze-system", "@examples/example0.sys", "--prime", "3.5"],
+    ["analyze-system", "@examples/example0.sys", "--prime", "-3"],
+    ["analyze-system", "--prime", "2", "@examples/example0.sys", "--prime", "3"],
+    ["wreath-transform", *WREATH, "--prime", "2"], ["wreath-transform", *WREATH],
+    ["wreath-transform", *WREATH, "--prime"], ["wreath-transform", *WREATH, "--prime", "2",
+                                               "--base", "@catalog/003_c3.grp"],
+    ["wreath-transform", "--base", "@catalog/002_c2.grp", "@examples/wreath_demo.sys",
+     "--top", "@catalog/002_c2.grp", "--prime", "2"],
+    ["audit-catalog", "--orders", "6", "catalog"], ["audit-catalog", "catalog", "--ord", "6"],
+    ["audit-catalog", "--orders"], ["audit-catalog", "--orders", "-6"],
+    ["certify-rows", "@examples/rows_demo.alg", "--format", "structured"],
+    ["classify", A4, "--format", "structured"], ["enumerate", "4", "--jobs", "2"],
+    ["enumerate", "4", "--config", "missing.conf"], ["classify", A4, "--version"],
+    ["certify-rows", "@examples/rows_demo.alg", "-h"],
+]
+
+
+def argv_commands(directory: Path) -> list[list[str]]:
+    for name, text in ARGV_FILES.items():
+        path = directory / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text if text is not None else (bench.CATALOG / path.name).read_text())
+    return ARGV_CASES
+
+
 def run_tree(tree: Path, argvs: list[list[str]], cwd: Path) -> list[list]:
     env = {k: v for k, v in os.environ.items()
            if k not in ("GROUPEQ_CONFIG", "PYTHONPATH", "PYTHONSTARTUP")}
@@ -114,11 +173,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--workload", required=True,
-                        choices=(*workloads.WORKLOADS, "catalog"))
+                        choices=(*workloads.WORKLOADS, "catalog", "argv"))
     parser.add_argument("--seeds", type=seed_range,
-                        help="A-B or A: the deck seeds (not with --workload catalog)")
+                        help="A-B or A: the deck seeds (not with --workload catalog or argv)")
     args = parser.parse_args(argv)
-    if (args.seeds is None) != (args.workload == "catalog"):
+    if (args.seeds is None) != (args.workload in ("catalog", "argv")):
         parser.error("--seeds goes with a perfbench workload and only with one")
     trees = [args.parent.resolve(), args.change.resolve()]
     for tree in trees:
@@ -129,9 +188,12 @@ def main(argv: list[str] | None = None) -> int:
     for seed in args.seeds or [None]:
         with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
             work = Path(tmp)
-            structured = (catalog_commands() if seed is None
-                          else deck_commands(args.workload, seed, work))
-            argvs = structured + [text_format(a) for a in structured]
+            if args.workload == "argv":
+                structured, argvs = [], argv_commands(work)
+            else:
+                structured = (catalog_commands() if seed is None
+                              else deck_commands(args.workload, seed, work))
+                argvs = structured + [text_format(a) for a in structured]
             parent, change = (run_tree(tree, argvs, work) for tree in trees)
         found = first_difference(argvs, parent, change)
         label = args.workload if seed is None else f"{args.workload} seed {seed}"
@@ -139,8 +201,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label}: {found}")
             return 1
         exits = sorted({code for _, _, code in parent})
-        print(f"{label}: {len(argvs)} runs ({len(structured)} commands x 2 formats) "
-              f"identical; exit codes {exits}")
+        shape = f" ({len(structured)} commands x 2 formats)" if structured else ""
+        print(f"{label}: {len(argvs)} runs{shape} identical; exit codes {exits}")
         total += len(argvs)
     print(f"all {total} runs identical")
     return 0

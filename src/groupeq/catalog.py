@@ -322,8 +322,7 @@ def slug(order: int, name: str) -> str:
 
 
 def bundled_catalog_dir() -> Path:
-    from importlib.resources import files
-    return Path(str(files("groupeq").joinpath("data", "catalog")))
+    return Path(__file__).parent / "data" / "catalog"
 
 
 def resolve_data_path(token: str) -> Path:
@@ -336,5 +335,4 @@ def resolve_data_path(token: str) -> Path:
 
 
 def bundled_examples_dir() -> Path:
-    from importlib.resources import files
-    return Path(str(files("groupeq").joinpath("data", "examples")))
+    return Path(__file__).parent / "data" / "examples"

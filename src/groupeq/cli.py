@@ -12,7 +12,6 @@ and re-serializing it is the identity, which keeps reports scriptable.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import __version__
@@ -20,10 +19,27 @@ from .config import DEFAULT_CONFIG, Config, load_config
 from .errors import GroupEqError, ParseError, ValidationError, read_text_file
 
 
+def dumps(x, quote) -> str:
+    """``json.dumps(x, sort_keys=True)`` for what a payload holds: dicts with
+    str keys, lists, tuples, str, int, bool and None, with *quote* the
+    string encoder json uses, ``_json.encode_basestring_ascii``."""
+    if isinstance(x, str):
+        return quote(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join(dumps(v, quote) for v in x) + "]"
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{quote(k)}: {dumps(v, quote)}" for k, v in sorted(x.items())) + "}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "structured":
-        import json                  # only structured output needs it
-        print(json.dumps(payload, sort_keys=True))
+        from _json import encode_basestring_ascii    # only structured output needs it
+        print(dumps(payload, encode_basestring_ascii))
     else:
         for line in text_lines:
             print(line)
@@ -362,6 +378,84 @@ def cmd_enumerate(args, config: Config) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The command table, read by `parse_args` and by `build_parser`. An argument is (kind,
+# required, help): kind is "str", "int", "append" (a repeatable int), "flag" or a tuple
+# of choices. A name starting with "--" is an option, any other a positional.
+
+FILE, INT = ("str", True, None), ("int", True, None)
+GLOBAL_OPTIONS = {
+    "--config": ("str", False, "path to a groupeq.conf file"),
+    "--jobs": ("int", False, "accepted and validated (must be >= 1); every command runs in "
+               "one thread, so output is identical for every N"),
+    "--format": (("text", "structured"), False, "text (default) or structured JSON output")}
+COMMANDS = {   # name: (handler, help, arguments)
+    "analyze-system": (cmd_analyze_system, "exponent matrix, determinant, singular primes, and "
+                       "unimodularity of a system file", {"file": FILE, "--prime": (
+                           "append", False, "additional prime to test (repeatable)")}),
+    "group": (cmd_group, "structural facts about a group file",
+              {"file": FILE, "--subgroups": ("flag", False, "also enumerate subgroups")}),
+    "classify": (cmd_classify, "metabelianity and the abelian-by-abelian-p witness search for "
+                 "one group", {"file": FILE}),
+    "audit-catalog": (cmd_audit_catalog, "classify every group file in a directory and check "
+                      "the catalog invariants", {
+                          "directory": ("str", False,
+                                        "directory of .grp files (default: bundled catalog)"),
+                          "--orders": ("str", False, "comma-separated filter on the order a "
+                                       "file's header declares; other files are not parsed "
+                                       "past the header")}),
+    "wreath-transform": (cmd_wreath_transform, "normalize a system over base wr top and emit the "
+                         "per-coordinate equations plus group-ring rows",
+                         {"file": FILE, "--base": FILE, "--top": FILE, "--prime": INT}),
+    "certify-rows": (cmd_certify_rows, "augmentation-based independence certificate for rows "
+                     "over a group algebra", {"file": FILE}),
+    "counterexample": (cmd_counterexample, "build the wreath-product instance with its "
+                       "unimodular equation and check the obstruction", {
+                           "--p": INT, "--q": INT, "--symbolic": (
+                               "flag", False, "skip the group realization; ring identity only")}),
+    "solve": (cmd_solve, "brute-force a bound system inside its group", {
+        "file": FILE, "--group": ("str", False, "group file for 'bind: @group' systems"),
+        "--descending": ("flag", False, "scan assignments in descending order")}),
+    "enumerate": (cmd_enumerate, "exhaustively enumerate groups of a small order up to "
+                  "isomorphism", {"n": INT}),
+}
+Namespace = type(sys.implementation)      # types.SimpleNamespace, without importing types
+
+
+def parse_args(argv: list[str]) -> Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives when *argv* is
+    an exact, complete use of one command, else None: help, --version,
+    abbreviations, "=" and "--", a token starting with "-" that is no option
+    of the command, and a bad or missing value or argument are argparse's."""
+    args = {"config": None, "jobs": None, "format": None}
+    spec, positionals, missing = GLOBAL_OPTIONS, [], set()
+    tokens = iter(argv)
+    for token in tokens:
+        if "command" not in args and token in COMMANDS:
+            func, _, spec = COMMANDS[token]
+            args.update({name.lstrip("-"): False if kind == "flag" else None
+                         for name, (kind, _, _) in spec.items()}, command=token, func=func)
+            positionals = [name for name in spec if not name.startswith("-")]
+            missing = {name for name, (_, required, _) in spec.items() if required}
+            continue
+        if token.startswith("-") and token in spec:
+            name = token
+            if spec[name][0] != "flag" and (token := next(tokens, "-")).startswith("-"):
+                return None
+        elif positionals and not token.startswith("-"):
+            name = positionals.pop(0)
+        else:
+            return None
+        kind, dest = spec[name][0], name.lstrip("-")
+        try:
+            value = True if kind == "flag" else int(token) if kind in ("int", "append") else token
+        except ValueError:
+            return None
+        if isinstance(kind, tuple) and value not in kind:
+            return None
+        args[dest] = (args[dest] or []) + [value] if kind == "append" else value
+        missing.discard(name)
+    return Namespace(**args) if "command" in args and not missing else None
+
 
 def _defaults_epilog() -> str:
     pairs = ", ".join(f"{name}={getattr(DEFAULT_CONFIG, name)}" for name in DEFAULT_CONFIG._fields)
@@ -369,107 +463,43 @@ def _defaults_epilog() -> str:
             f"GROUPEQ_CONFIG environment variable, or flags): {pairs}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_arguments(parser, arguments: dict) -> None:
+    for name, (kind, required, help) in arguments.items():
+        kw = {"str": {}, "int": {"type": int}, "append": {"type": int, "action": "append"},
+              "flag": {"action": "store_true"}}.get(kind, {"choices": kind})
+        if name.startswith("-"):
+            kw["required"] = required
+        elif not required:
+            kw["nargs"] = "?"
+        parser.add_argument(name, help=help, **kw)
+
+
+def build_parser():
+    """The argparse parser of the command table; only this function loads argparse."""
+    import argparse
     parser = argparse.ArgumentParser(
-        prog="groupeq",
-        description="Exact tools for systems of equations over finite "
-                    "groups: exponent-sum classification, group-ring "
-                    "certificates, wreath-product transformations, and a "
-                    "small-groups structure audit.",
-        epilog=_defaults_epilog())
+        prog="groupeq", epilog=_defaults_epilog(),
+        description="Exact tools for systems of equations over finite groups: exponent-sum "
+                    "classification, group-ring certificates, wreath-product transformations, "
+                    "and a small-groups structure audit.")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="path to a groupeq.conf file")
-    parser.add_argument("--jobs", type=int, help="accepted and validated "
-                        "(must be >= 1); every command runs in one thread, "
-                        "so output is identical for every N")
-    parser.add_argument("--format", choices=("text", "structured"),
-                        default=None,
-                        help="text (default) or structured JSON output")
+    _add_arguments(parser, GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze-system",
-                       help="exponent matrix, determinant, singular primes, "
-                            "and unimodularity of a system file")
-    p.add_argument("file")
-    p.add_argument("--prime", type=int, action="append",
-                   help="additional prime to test (repeatable)")
-    p.set_defaults(func=cmd_analyze_system)
-
-    p = sub.add_parser("group", help="structural facts about a group file")
-    p.add_argument("file")
-    p.add_argument("--subgroups", action="store_true",
-                   help="also enumerate subgroups")
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("classify",
-                       help="metabelianity and the abelian-by-abelian-p "
-                            "witness search for one group")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("audit-catalog",
-                       help="classify every group file in a directory and "
-                            "check the catalog invariants")
-    p.add_argument("directory", nargs="?",
-                   help="directory of .grp files (default: bundled catalog)")
-    p.add_argument("--orders", help="comma-separated filter on the order a file's header "
-                   "declares; other files are not parsed past the header")
-    p.set_defaults(func=cmd_audit_catalog)
-
-    p = sub.add_parser("wreath-transform",
-                       help="normalize a system over base wr top and emit "
-                            "the per-coordinate equations plus group-ring rows")
-    p.add_argument("file")
-    p.add_argument("--base", required=True)
-    p.add_argument("--top", required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.set_defaults(func=cmd_wreath_transform)
-
-    p = sub.add_parser("certify-rows",
-                       help="augmentation-based independence certificate "
-                            "for rows over a group algebra")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_certify_rows)
-
-    p = sub.add_parser("counterexample",
-                       help="build the wreath-product instance with its "
-                            "unimodular equation and check the obstruction")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--symbolic", action="store_true",
-                   help="skip the group realization; ring identity only")
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("solve",
-                       help="brute-force a bound system inside its group")
-    p.add_argument("file")
-    p.add_argument("--group", help="group file for 'bind: @group' systems")
-    p.add_argument("--descending", action="store_true",
-                   help="scan assignments in descending order")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("enumerate",
-                       help="exhaustively enumerate groups of a small order "
-                            "up to isomorphism")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_enumerate)
+    for command, (func, help, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        _add_arguments(p, arguments)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_args(argv) or build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if args.format is not None:
-            overrides["output_format"] = args.format
-        if overrides:
-            config = config.replace(**overrides)
-        if args.format is None:
-            args.format = config.output_format
+        flags = {"jobs": args.jobs, "output_format": args.format}
+        config = load_config(args.config).replace(**{k: v for k, v in flags.items()
+                                                     if v is not None})
+        args.format = config.output_format
         return args.func(args, config)
     except (GroupEqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,7 +67,9 @@ def abelian_by_abelian_p_witness(G: FiniteGroup,
     witness in canonical order (largest A, then smallest p) is returned;
     None certifies that no normal subgroup works.
     """
-    normals = normal_subgroups(G, config)
+    # an abelian G is its own witness, first in canonical order; past the cap, the lattice refuses
+    small_abelian = G.is_abelian and G.order <= config.subgroup_order_cap
+    normals = [Subgroup(G, (1 << G.order) - 1)] if small_abelian else normal_subgroups(G, config)
     derived = derived_series(G)[:2][-1].bits        # G', or G when G = G'
     examined = 0
     for A in sorted(normals, key=lambda S: (-S.order, S.elements)):

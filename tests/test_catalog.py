@@ -1,10 +1,15 @@
 import importlib.util
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import groupeq
 from groupeq.catalog import (AUDIT_ORDERS, CATALOG, EXPECTED_COUNTS,
                              build_all, bundled_catalog_dir, slug)
 from groupeq.config import Config
@@ -16,6 +21,26 @@ from groupeq.smallgroups import enumerate_groups
 def test_catalog_counts_match_classification():
     counts = Counter(order for order, _, _ in CATALOG)
     assert dict(counts) == EXPECTED_COUNTS
+
+
+def test_bundled_paths_resolve_without_importlib_resources():
+    script = textwrap.dedent("""
+        import sys
+        from groupeq.catalog import resolve_data_path
+        paths = [resolve_data_path("@catalog/012_a4.grp"),
+                 resolve_data_path("@examples/solve_demo.sys")]
+        assert "importlib.resources" not in sys.modules
+        from importlib.resources import files
+        data = files("groupeq").joinpath("data")
+        assert paths == [Path(str(data.joinpath("catalog", "012_a4.grp"))),
+                         Path(str(data.joinpath("examples", "solve_demo.sys")))], paths
+        assert all(path.is_file() for path in paths)
+    """)
+    src = str(Path(groupeq.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", "from pathlib import Path\n" + script],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_catalog_names_unique_per_order():

@@ -334,7 +334,14 @@ IMPORT_CASES = [
 ]
 
 
-def test_cli_imports_fractions_and_json_only_where_used(tmp_path):
+def _both_formats(runs):
+    """*runs* in text form, then each in structured form."""
+    text = [(argv[2:] if argv[:2] == ["--format", "structured"] else argv, code)
+            for argv, code in runs]
+    return text + [(["--format", "structured", *argv], code) for argv, code in text]
+
+
+def test_cli_loads_no_argparse_or_json_and_only_the_layers_a_command_uses(tmp_path):
     (tmp_path / "r.alg").write_text("algebra rational free=1\nrow: 1 ; 2\nrow: t1 ; 3\n")
     (tmp_path / "refuted.alg").write_text("algebra p=2 torsion=1\nrow: 1 + x1\n")
     script = textwrap.dedent("""
@@ -343,8 +350,10 @@ def test_cli_imports_fractions_and_json_only_where_used(tmp_path):
         os.chdir(sys.argv[2])
         ours = lambda: {m for m in sys.modules if m.split(".")[0] == "groupeq"}
         before = set(sys.modules)
+        argparse_or_json = lambda: {"argparse", "gettext", "locale", "json"} & (
+            set(sys.modules) - before)
         from groupeq.cli import main
-        loaded = {"fractions", "decimal", "json"} & (set(sys.modules) - before)
+        loaded = {"fractions", "decimal"} & (set(sys.modules) - before) | argparse_or_json()
         assert not loaded, f"importing the CLI loaded {sorted(loaded)}"
         assert ours() == {"groupeq", "groupeq.cli", "groupeq.config", "groupeq.errors",
                           "groupeq.record"}, sorted(ours())
@@ -354,6 +363,7 @@ def test_cli_imports_fractions_and_json_only_where_used(tmp_path):
         assert codes == [code for _, code in runs], (codes, out.getvalue())
         loaded = ours() & {"groupeq." + m for m in unloaded}
         assert not loaded, f"the commands loaded {sorted(loaded)}"
+        assert not argparse_or_json(), f"the commands loaded {sorted(argparse_or_json())}"
         import groupeq
         assert groupeq.smallgroups.__name__ == "groupeq.smallgroups"
         assert not hasattr(groupeq, "nosuch")
@@ -365,11 +375,165 @@ def test_cli_imports_fractions_and_json_only_where_used(tmp_path):
     """)
     outputs = []
     for runs, unloaded in IMPORT_CASES:
-        proc = run_python(script, repr((runs, unloaded, PUBLIC_NAMES)), str(tmp_path))
+        proc = run_python(script, repr((_both_formats(runs), unloaded, PUBLIC_NAMES)),
+                          str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert "verdict: certified\n" in outputs[0]         # over Q, by Fraction
-    assert json.loads(outputs[1].splitlines()[0])["metabelian"] is True
+    structured = [json.loads(line) for line in outputs[1].splitlines() if line[:1] == "{"]
+    assert structured[0]["metabelian"] is True and len(structured) == 3
+
+
+def test_help_version_and_usage_errors_come_from_argparse():
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from groupeq import __version__
+        from groupeq.cli import main
+        results = []
+        for argv in json.loads(sys.argv[1]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            results.append([code, out.getvalue(), err.getvalue()])
+        results.append([__version__, "argparse" in sys.modules, "json" in sys.modules])
+        print(json.dumps(results))
+    """)
+    cases = [["--help"], ["solve", "--help"], ["--version"],
+             ["solve", "@examples/solve_demo.sys", "--desc"],
+             ["solve", "@examples/solve_demo.sys", "--descending"], ["nosuch"]]
+    proc = run_python(script, json.dumps(cases))
+    assert proc.returncode == 0, proc.stderr
+    (top, solve, version, desc, descending, unknown, (number, argparse, _)) = \
+        json.loads(proc.stdout)
+    assert top[0] == 0 and top[1].startswith("usage: groupeq [-h] [--version]") and not top[2]
+    assert "{analyze-system,group,classify," in top[1] and "GROUPEQ_CONFIG" in top[1]
+    assert solve[0] == 0 and solve[1].startswith("usage: groupeq solve [-h] [--group GROUP]")
+    assert "scan assignments in descending order" in solve[1]
+    assert version == [0, number + "\n", ""]
+    assert desc == descending and desc[0] == 0
+    assert unknown[0] == 2 and not unknown[1]
+    assert unknown[2].endswith("error: argument command: invalid choice: 'nosuch' (choose from "
+                               "'analyze-system', 'group', 'classify', 'audit-catalog', "
+                               "'wreath-transform', 'certify-rows', 'counterexample', "
+                               "'solve', 'enumerate')\n")
+    assert argparse                                   # help and errors are argparse's
+
+
+def _table_argv(st):
+    """argv for `test_table_parser_reads_argv_as_argparse_does`: the required
+    arguments of a command with valid values, at times one left out, in any
+    order among pieces made of the command table's tokens, many of which only
+    argparse reads: abbreviations, "=" forms, "--", "-h", negative,
+    non-integer and missing values, stray positionals, and global options
+    after the command."""
+    from groupeq.cli import COMMANDS, GLOBAL_OPTIONS
+    value = st.sampled_from(["s.sys", "@catalog/006_s3.grp", "2", "5", " 7", "1_0", "text",
+                             "structured", "classify", "", "-3", "x", "3.5", "-", "--", "json"])
+
+    def piece(item):
+        name = item[0]
+        if not name.startswith("-"):
+            return value.map(lambda v: [v])
+        option = st.sampled_from([name] * 4 + [name[:-1], "-h", "--"])
+        pair = st.builds(lambda o, v: [o, v], option, value)
+        return st.one_of(option.map(lambda o: [o]), pair, pair,
+                         st.builds(lambda o, v: [f"{o}={v}"], option, value))
+
+    def exact(item):
+        name, (kind, _, _) = item
+        v = {"str": "s.sys", "int": "2", "append": "5", "flag": None}.get(kind, "structured")
+        return [name] * name.startswith("-") + [v] * (v is not None)
+
+    def pieces(items, size):
+        item = st.sampled_from(items)
+        return st.lists(item.map(exact) | item.flatmap(piece), max_size=size)
+
+    def after(command):
+        arguments = COMMANDS[command][2] if command in COMMANDS else {}
+        valid = [exact(item) for item in arguments.items() if item[1][1]]
+        kept = st.permutations(valid).flatmap(lambda vs: st.sampled_from([vs, vs, vs[1:]]))
+        more = pieces(list(arguments.items()) * 3 + list(GLOBAL_OPTIONS.items()), 3)
+        return st.tuples(kept, more).flatmap(lambda t: st.permutations(t[0] + t[1])).map(
+            lambda ps: [command] + sum(ps, []))
+
+    return st.builds(lambda before, rest: sum(before, []) + rest,
+                     pieces(list(GLOBAL_OPTIONS.items()), 2),
+                     st.sampled_from([*COMMANDS, "nosuch"]).flatmap(after))
+
+
+def _argparse_namespace(parser, argv) -> dict:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}")
+
+
+def test_table_parser_reads_argv_as_argparse_does():
+    """Whenever the table parser reads an argv, its namespace is argparse's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from groupeq.cli import build_parser, parse_args
+    parser, read = build_parser(), []
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_table_argv(hypothesis.strategies))
+    @hypothesis.example(["audit-catalog", "--orders", "6", "d", "--orders", "8"])
+    @hypothesis.example(["--format", "text", "--jobs", "0", "--format", "structured",
+                         "analyze-system", "--prime", "2", "s.sys", "--prime", " 3"])
+    @hypothesis.example(["--config", "classify", "classify", "classify"])
+    def check(argv):
+        ns = parse_args(argv)
+        read.append(ns is not None)
+        if ns is not None:
+            got, expected = vars(ns), _argparse_namespace(parser, argv)
+            assert got.pop("func") is expected.pop("func")
+            assert got == expected
+
+    check()
+    assert read.count(True) >= 50 and read.count(False) >= 50, read.count(True)
+
+
+def test_scenarios_are_read_without_argparse():
+    from groupeq.cli import build_parser, parse_args
+    parser = build_parser()
+    for argv, _ in _both_formats(SCENARIOS):
+        got, expected = vars(parse_args(argv)), _argparse_namespace(parser, argv)
+        assert got.pop("func") is expected.pop("func") and got == expected, argv
+
+
+def test_json_writer_matches_json_dumps(monkeypatch):
+    from _json import encode_basestring_ascii as quote
+    from groupeq import cli
+    payloads, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload)
+                        or emit(args, payload, lines))
+    for argv, expected in SCENARIOS:
+        assert run_cli(argv)[0] == expected
+    assert len(payloads) == len(SCENARIOS)
+    for payload in payloads:
+        assert cli.dumps(payload, quote) == json.dumps(payload, sort_keys=True)
+    for bad in (0.5, {"a": [1, 2.0]}, {"a": {1, 2}}, [Path(".")]):
+        with pytest.raises(TypeError):
+            cli.dumps(bad, quote)
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.text(st.characters(exclude_categories=()))          # surrogates included
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.integers(-10**30, 10**30) | text,
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(text, inner, max_size=4), max_leaves=12)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(values)
+    @hypothesis.example(["\U0001f600\ud800\x00\x1f\"\\\u2028/", {"": None, "\x7f": True}])
+    def check(x):
+        assert cli.dumps(x, quote) == json.dumps(x, sort_keys=True)
+
+    check()
 
 
 def test_audit_reports_a_non_utf8_file_and_goes_on(tmp_path):

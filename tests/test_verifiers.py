@@ -12,7 +12,7 @@ from groupeq.equations import (EquationSystem, compile_word, evaluate_compiled,
 from groupeq.errors import CapExceeded, GroupEqError, ValidationError
 from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup,
                             affine_group_over_prime_field, commutator_subgroup,
-                            cyclic, dicyclic, dihedral, from_generators,
+                            cyclic, dicyclic, dihedral, direct_product, from_generators,
                             is_normal, isomorphic, load_group, load_group_file,
                             normal_subgroups, prime_factors, quaternion_group,
                             trivial_group)
@@ -52,6 +52,21 @@ def test_abelian_groups_witness_themselves():
         w, _ = abelian_by_abelian_p_witness(G)
         assert w.subgroup.order == G.order and w.prime == p
         assert verify_witness(G, w)
+
+
+def test_abelian_groups_are_classified_without_the_lattice(monkeypatch):
+    from groupeq import groups
+    monkeypatch.setattr(groups, "_joins", lambda *args: pytest.fail("built the lattice"))
+    G = cyclic(2)
+    for _ in range(7):
+        G = direct_product(G, cyclic(2))
+    report = classify_group(G)                   # C2^8 has 417,199 subgroups
+    assert (report.order, report.normals_examined) == (256, 1)
+    assert report.witness.subgroup.order == 256 and report.witness.prime == 2
+    assert "quotient is an abelian 2-group of order 1" in report.note
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded, match="subgroup enumeration needs order <= 128, got 256"):
+        classify_group(G, Config(subgroup_order_cap=128))      # the cap holds as before
 
 
 def test_witness_reverification_catches_bad_pairs():
