@@ -14,7 +14,11 @@ list of command lines once each: help and ``--version``, unknown commands,
 abbreviated options, ``--opt=value`` and ``--``, missing, non-integer,
 negative and badly chosen values, repeated and interleaved options, and
 global options after the command, so that help texts, usage errors and
-exit codes are compared too.
+exit codes are compared too. ``--workload analyze`` (no seeds) runs a fixed
+list of ``analyze-system`` inputs, in text and in structured format: the
+determinant's sign, dependent and non-square exponent matrices, no
+equations or no variables, repeated, non-prime and configured primes, and
+last invariant factors with two primes above the trial-division bound.
 
 Each tree runs in its own child interpreter (``PYTHONPATH=<tree>/src``, in
 the directory that holds the deck's input files), which calls
@@ -131,12 +135,56 @@ ARGV_CASES = [
 ]
 
 
-def argv_commands(directory: Path) -> list[list[str]]:
-    for name, text in ARGV_FILES.items():
+def _system(matrix: list[list[int]]) -> str:
+    names = [f"x{i}" for i in range(1, len(matrix[0]) + 1)]
+    return "vars: " + " ".join(names) + "\n" + "".join(
+        "eq: " + " ".join(f"{v}^{e}" for v, e in zip(names, row) if e) + "\n" for row in matrix)
+
+
+EXAMPLE0 = "@examples/example0.sys"
+ANALYZE_FILES = {
+    "swaps.sys": "vars: x y z\neq: z^3\neq: y^2\neq: x^5\n",              # determinant -30
+    "transposed.sys": "vars: x y\neq: y\neq: x\n",                        # determinant -1
+    "dependent.sys": "vars: x y z\neq: x y^2 z\neq: x^2 y^4 z^2\neq: y z^3\n",
+    "wide.sys": "vars: x y z\neq: x^2 y^4\neq: y^6 z^9\n",
+    "tall.sys": "vars: x\neq: x^4\neq: x^6\n",
+    "no-equations.sys": "vars: x y\n",
+    "no-variables.sys": "coeffs: g\neq: g\neq: g^2\n",
+    "undeclared.sys": "vars: x\neq: x q\n",
+    # last invariant factors 10007 * 10009 and 3^2 * 1427 * 152531
+    "two-primes.sys": "vars: x y\neq: x^10007\neq: y^10009\n",
+    "dense.sys": _system([[12, -1, -7, -6, 1, -8, 20], [-12, 5, 2, -17, -12, -20, -16],
+                          [20, -4, 7, -10, -17, -15, 4], [12, -2, 18, -5, -2, -18, 9],
+                          [-9, -10, -3, 8, -20, -4, 3], [1, 15, 0, -5, -18, -1, -7],
+                          [2, -9, -20, 1, 4, -15, 10]]),
+    "primes.conf": "classify_primes = 19, 2, 1427\n",
+    "not-primes.conf": "classify_primes = 2, 9, 4\n",
+}
+ANALYZE_CASES = [
+    [EXAMPLE0], *([name] for name in ANALYZE_FILES if name.endswith(".sys")),
+    [EXAMPLE0, "--prime", "5", "--prime", "5"], [EXAMPLE0, "--prime", "17", "--prime", "2"],
+    [EXAMPLE0, "--prime", "4"], [EXAMPLE0, "--prime", "1"], [EXAMPLE0, "--prime", "0"],
+    [EXAMPLE0, "--prime", "1000000000000000003"],
+    [EXAMPLE0, "--prime", "3317044064679887385961981"],
+    ["undeclared.sys", "--prime", "4"], ["no-equations.sys", "--prime", "4"],
+    ["dense.sys", "--prime", "1427", "--prime", "152531"],
+]
+ANALYZE_CONFIGS = [["--config", "primes.conf"], ["--config", "not-primes.conf"]]
+
+
+def write_files(directory: Path, files: dict[str, str | None]) -> None:
+    for name, text in files.items():
         path = directory / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text if text is not None else (bench.CATALOG / path.name).read_text())
-    return ARGV_CASES
+
+
+def analyze_commands(directory: Path) -> list[list[str]]:
+    write_files(directory, ANALYZE_FILES)
+    cases = [["analyze-system", *case] for case in ANALYZE_CASES]
+    cases += [[*conf, "analyze-system", file] for conf in ANALYZE_CONFIGS
+              for file in (EXAMPLE0, "dense.sys", "undeclared.sys")]
+    return [["--format", "structured", *argv] for argv in cases]
 
 
 def run_tree(tree: Path, argvs: list[list[str]], cwd: Path) -> list[list]:
@@ -163,6 +211,9 @@ def first_difference(argvs, parent, change) -> str | None:
     return None
 
 
+FIXED_WORKLOADS = ("catalog", "argv", "analyze")      # fixed command lists, no seeds
+
+
 def seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -173,11 +224,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--workload", required=True,
-                        choices=(*workloads.WORKLOADS, "catalog", "argv"))
+                        choices=(*workloads.WORKLOADS, *FIXED_WORKLOADS))
     parser.add_argument("--seeds", type=seed_range,
-                        help="A-B or A: the deck seeds (not with --workload catalog or argv)")
+                        help="A-B or A: the deck seeds (not with --workload "
+                             + ", ".join(FIXED_WORKLOADS) + ")")
     args = parser.parse_args(argv)
-    if (args.seeds is None) != (args.workload in ("catalog", "argv")):
+    if (args.seeds is None) != (args.workload in FIXED_WORKLOADS):
         parser.error("--seeds goes with a perfbench workload and only with one")
     trees = [args.parent.resolve(), args.change.resolve()]
     for tree in trees:
@@ -189,9 +241,11 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
             work = Path(tmp)
             if args.workload == "argv":
-                structured, argvs = [], argv_commands(work)
+                write_files(work, ARGV_FILES)
+                structured, argvs = [], ARGV_CASES
             else:
-                structured = (catalog_commands() if seed is None
+                structured = (catalog_commands() if args.workload == "catalog"
+                              else analyze_commands(work) if args.workload == "analyze"
                               else deck_commands(args.workload, seed, work))
                 argvs = structured + [text_format(a) for a in structured]
             parent, change = (run_tree(tree, argvs, work) for tree in trees)

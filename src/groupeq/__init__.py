@@ -31,8 +31,7 @@ _EXPORTS = {
     "config": "Config DEFAULT_CONFIG load_config",
     "equations": "AbelianSolution Classification EquationSystem SmithDecomposition classify "
                  "classify_matrix det_int evaluate_word exponent_matrix parse_system "
-                 "parse_system_file rank_mod_p rank_rational smith_normal_form "
-                 "solve_abelian_p_system",
+                 "parse_system_file rank_mod_p smith_normal_form solve_abelian_p_system",
     "errors": "CapExceeded GroupEqError ParseError ValidationError",
     "groups": "FiniteGroup Homomorphism Subgroup affine_group_over_prime_field all_subgroups "
               "automorphisms center commutator_subgroup cyclic derived_series dicyclic dihedral "

@@ -331,6 +331,8 @@ def resolve_data_path(token: str) -> Path:
         return bundled_catalog_dir() / token[len("@catalog/"):]
     if token.startswith("@examples/"):
         return bundled_examples_dir() / token[len("@examples/"):]
+    if not token:           # Path("") is the current directory; open("") is ENOENT
+        raise FileNotFoundError(2, "No such file or directory", token)
     return Path(token)
 
 

@@ -58,13 +58,13 @@ def _matrix_lines(M: list[list[int]]) -> list[str]:
 
 def cmd_analyze_system(args, config: Config) -> int:
     from .catalog import resolve_data_path
-    from .equations import classify, det_int, exponent_matrix, parse_system_file, rank_mod_p
+    from .equations import classify_matrix, det_int, exponent_matrix, parse_system_file
     system = parse_system_file(resolve_data_path(args.file))
     E = exponent_matrix(system)
-    cls = classify(system)
+    cls = classify_matrix(E)
     primes = sorted(set(config.classify_primes) | set(args.prime or []))
-    verdicts = {p: rank_mod_p(E, p) == len(system.words) for p in primes}
-    det = det_int(E) if E and len(E) == len(E[0]) else None
+    verdicts = {p: cls.smith.p_nonsingular(p) for p in primes}
+    det = det_int(cls.smith) if E and len(E) == len(E[0]) else None
     payload = {
         "variables": list(system.variables),
         "equations": len(system.words),

@@ -1,13 +1,13 @@
 """Equation systems, exponent matrices, and their classification.
 
 An equation system is a list of words over declared variables and
-coefficient symbols, optionally bound to a concrete group. Classification
-(non-singular / p-nonsingular / unimodular) reads off the Smith normal
-form of the exponent-sum matrix. Ranks over Q and over prime fields come
-from one exact elimination routine, `echelon`, which also yields the
-pivot columns and minor determinants behind the group-ring certificates.
-The Smith normal form and elimination are independent routes to the same
-verdicts, so each checks the other.
+coefficient symbols, optionally bound to a concrete group. One Smith normal
+form U*E*V = D of the exponent-sum matrix E answers every question about E:
+the non-singular / p-nonsingular / unimodular verdicts, the rank mod p (the
+number of invariant factors p does not divide) and, through the sign
+det(U)*det(V) it records, the determinant (`det_int`). `echelon`, exact
+elimination over Q or a prime field, serves the group-ring certificates
+and oracles.
 
 Words compile to one letter form, which `evaluate_compiled` evaluates
 and `scan_solutions`, the one exhaustive search behind `solve`, solves; a
@@ -19,7 +19,7 @@ All integer arithmetic is arbitrary precision.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -49,43 +49,26 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
             for i in range(len(A))]
 
 
-def det_int(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    m = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 class SmithDecomposition(Record):
-    """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+    """U * A * V = D with U, V unimodular, D diagonal, d_i | d_{i+1}, and
+    sign = det(U) * det(V)."""
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    sign: int
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         k = min(len(self.D), len(self.D[0]) if self.D else 0)
         return tuple(self.D[i][i] for i in range(k) if self.D[i][i] != 0)
+
+    def p_nonsingular(self, p: int) -> bool:
+        """Whether A has full row rank mod the prime p: its rank mod p is the
+        number of invariant factors that p does not divide."""
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
+        factors = self.invariant_factors
+        return len(factors) == len(self.D) and (not factors or factors[-1] % p != 0)
 
 
 def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
@@ -101,6 +84,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
         raise ValueError("matrix is not rectangular")
     U = _identity(rows)
     V = _identity(cols)
+    sign = 1            # det(U) * det(V): each swap and each negation flips it
 
     def row_op(i: int, j: int, q: int) -> None:   # row_i -= q * row_j
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
@@ -112,53 +96,35 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
         for r in range(cols):
             V[r][i] -= q * V[r][j]
 
-    def swap_rows(i: int, j: int) -> None:
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in range(rows):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
     def reduce(t: int, end_row: int, end_col: int) -> None:
         """Diagonalize the block of rows t..end_row-1 and columns t..end_col-1."""
+        nonlocal sign
         end = min(end_row, end_col)
         while t < end:
-            pivot = None
-            best = None
-            for i in range(t, end_row):
-                for j in range(t, end_col):
-                    if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                        best = abs(D[i][j])
-                        pivot = (i, j)
+            pivot = min(((abs(D[i][j]), i, j) for i in range(t, end_row)
+                         for j in range(t, end_col) if D[i][j]), default=None)
             if pivot is None:
                 return
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
+            _, pi, pj = pivot
+            if pi != t:                                 # swap rows t and pi
+                D[t], D[pi], U[t], U[pi], sign = D[pi], D[t], U[pi], U[t], -sign
+            if pj != t:                                 # swap columns t and pj
+                for row in D + V:
+                    row[t], row[pj] = row[pj], row[t]
+                sign = -sign
             reduced = False
             for i in range(t + 1, end_row):
                 if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    row_op(i, t, q)
-                    if D[i][t] != 0:
-                        reduced = True
+                    row_op(i, t, D[i][t] // D[t][t])
+                    reduced |= D[i][t] != 0
             for j in range(t + 1, end_col):
                 if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, q)
-                    if D[t][j] != 0:
-                        reduced = True
+                    col_op(j, t, D[t][j] // D[t][t])
+                    reduced |= D[t][j] != 0
             if reduced:
                 continue  # a smaller remainder appeared; pick a new pivot
             if D[t][t] < 0:
-                for j in range(cols):
-                    D[t][j] = -D[t][j]
-                U[t] = [-x for x in U[t]]
+                D[t], U[t], sign = [-x for x in D[t]], [-x for x in U[t]], -sign
             t += 1
 
     reduce(0, rows, cols)
@@ -172,7 +138,14 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
                 col_op(i, i + 1, -1)  # col_i += col_{i+1}
                 reduce(i, i + 2, i + 2)
                 changed = True
-    return SmithDecomposition(U, D, V)
+    return SmithDecomposition(U, D, V, sign)
+
+
+def det_int(snf: SmithDecomposition) -> int:
+    """det A of the square A that *snf* decomposes: its sign times the invariant
+    factors' product, or 0 when they are fewer than the rows."""
+    factors = snf.invariant_factors
+    return snf.sign * prod(factors) if len(factors) == len(snf.D) else 0
 
 
 class Echelon(Record):
@@ -240,11 +213,6 @@ def rank_mod_p(A: Sequence[Sequence[int]], p: int) -> int:
     return echelon(A, p).rank
 
 
-def rank_rational(A: Sequence[Sequence[int]]) -> int:
-    """Rank over Q."""
-    return echelon(A).rank
-
-
 # ---------------------------------------------------------------------------
 # equation systems
 
@@ -291,33 +259,27 @@ class Classification(Record):
     unimodular: bool
     invariant_factors: tuple[int, ...]
     note: str
+    smith: SmithDecomposition          # of the exponent matrix; not in to_dict
 
     def to_dict(self) -> dict:
-        return {
-            "nonsingular": self.nonsingular,
-            "singular_primes": list(self.singular_primes)
-            if isinstance(self.singular_primes, tuple) else self.singular_primes,
-            "unimodular": self.unimodular,
-            "invariant_factors": list(self.invariant_factors),
-            "note": self.note,
-        }
+        return {f: self.__dict__[f] for f in self._fields if f != "smith"}
 
 
 def classify_matrix(A: Sequence[Sequence[int]]) -> Classification:
-    rows = len(A)
     snf = smith_normal_form(A)
     factors = snf.invariant_factors
-    if len(factors) < rows:
-        return Classification(
-            nonsingular=False, singular_primes="all", unimodular=False,
-            invariant_factors=factors,
-            note="exponent rows are dependent over Q; singular for all p")
+    if len(factors) < len(A):
+        return Classification(False, "all", False, factors,
+                              "exponent rows are dependent over Q; singular for all p", snf)
     last = factors[-1] if factors else 1
-    bad = tuple(prime_factors(last)) if last > 1 else ()
-    return Classification(
-        nonsingular=True, singular_primes=bad, unimodular=not bad,
-        invariant_factors=factors,
-        note=f"primes dividing the last invariant factor {last}")
+    bad, cofactor = tuple(prime_factors(last)), last
+    for p in bad:
+        while cofactor % p == 0:
+            cofactor //= p
+    # the primes of an unfactored cofactor are singular too, but unproved and unlisted
+    note = f"primes dividing the last invariant factor {last}" + (
+        f"; cofactor {cofactor} not factored" if cofactor > 1 else "")
+    return Classification(True, bad, last == 1, factors, note, snf)
 
 
 def classify(system: EquationSystem) -> Classification:
@@ -326,7 +288,7 @@ def classify(system: EquationSystem) -> Classification:
 
 
 def is_p_nonsingular(system: EquationSystem, p: int) -> bool:
-    return rank_mod_p(exponent_matrix(system), p) == len(system.words)
+    return smith_normal_form(exponent_matrix(system)).p_nonsingular(p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ undecodable bytes and unconvertible integer literals into one of them."""
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 
 class GroupEqError(Exception):
@@ -32,9 +31,11 @@ def int_literal(tok: str) -> int:
 
 
 def read_text_file(path: str | os.PathLike) -> str:
-    """Read a UTF-8 text file; undecodable bytes raise a ParseError naming it."""
+    """Read a UTF-8 text file; undecodable bytes raise a ParseError naming it. An
+    empty path is a missing file, as open() finds, not Path(""), the current directory."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at offset "
                          f"{exc.start})") from None

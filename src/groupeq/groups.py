@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
+from math import gcd
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -330,8 +331,8 @@ class Subgroup(Record):
         return bool(self.bits >> a & 1)
 
     def is_abelian(self) -> bool:
-        t = self.parent.table
-        return all(t[a][b] == t[b][a] for a in self.elements for b in self.elements)
+        t, gens = self.parent.table, _generating_sequence(self.parent, self.elements)
+        return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
     def as_group(self, name: str | None = None) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup on re-indexed elements."""
@@ -818,19 +819,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_BOUND, _RHO_STEPS = 1 << 10, 1 << 17       # the work bounds of prime_factors
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors in increasing order."""
+    """The distinct prime factors of n that bounded work proves, in increasing order:
+    trial division below ``_TRIAL_BOUND``, then, on what is left, `is_prime` and Brent's
+    variant of Pollard's rho (R. P. Brent, BIT 20, 1980) for ``_RHO_STEPS`` steps in all.
+    The primes of a cofactor left unfactored are not listed; below ``_TRIAL_BOUND ** 2``
+    none is left."""
     out = []
-    for p in itertools.chain([2], itertools.count(3, 2)):
+    for p in itertools.chain([2], range(3, _TRIAL_BOUND, 2)):
         if p * p > n:
             break
         if n % p == 0:
             out.append(p)
             while n % p == 0:
                 n //= p
-    if n > 1:
-        out.append(n)
-    return out
+    todo, steps = [n] if n > 1 else [], _RHO_STEPS
+    while todo:                 # no m has a prime factor below _TRIAL_BOUND
+        m = todo.pop()
+        if m < _TRIAL_BOUND ** 2 or m < _MR_EXACT_BELOW and is_prime(m):
+            out.append(m)
+            continue
+        x, y, c, i = 2, 2, 1, 1     # y -> y*y + c, compared with x, its value at step 2^k
+        while steps:
+            steps -= 1
+            y = (y * y + c) % m
+            g = gcd(x - y, m)
+            if 1 < g < m:
+                todo += [g, m // g]
+                break
+            if g == m:          # the cycle closed mod m itself: start again with c + 1
+                x, y, c, i = 2, 2, c + 1, 0
+            elif i & (i - 1) == 0:
+                x = y
+            i += 1
+    return sorted(set(out))
 
 
 # ---------------------------------------------------------------------------

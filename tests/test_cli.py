@@ -2,10 +2,12 @@ import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -253,6 +255,9 @@ MALFORMED = {
     "h=#1": (["solve", "s.sys"],
              {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1 h=#1\n"
                        b"eq: x = g\n"}),
+    # an empty path is a missing file, not Path(""), the current directory
+    "--config=": (["--config=", "enumerate", "4"], {}),
+    'classify ""': (["classify", ""], {}),
 }
 
 
@@ -264,6 +269,11 @@ def test_malformed_input_is_operational_error(tmp_path, monkeypatch, argv, files
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--config=", "enumerate", "4"], ["classify", ""]])
+def test_empty_path_is_named(argv):
+    assert run_cli(argv) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_cli_runs_without_numpy_or_a_thread_pool():
@@ -310,7 +320,7 @@ PUBLIC_NAMES = """
     is_zero_divisor nilpotent_basis_expansion regular_representation Config DEFAULT_CONFIG
     load_config AbelianSolution Classification EquationSystem SmithDecomposition classify
     classify_matrix det_int evaluate_word exponent_matrix parse_system parse_system_file
-    rank_mod_p rank_rational smith_normal_form solve_abelian_p_system CapExceeded GroupEqError
+    rank_mod_p smith_normal_form solve_abelian_p_system CapExceeded GroupEqError
     ParseError ValidationError FiniteGroup Homomorphism Subgroup affine_group_over_prime_field
     all_subgroups automorphisms center commutator_subgroup cyclic derived_series dicyclic
     dihedral direct_product from_generators is_metabelian is_nilpotent isomorphic load_group
@@ -715,6 +725,38 @@ def test_ragged_row_file_is_one_error_line(tmp_path):
     alg.write_text("algebra p=2 torsion=1\nrow: 1 ; x1\nrow: 1\n")
     assert run_cli(["certify-rows", str(alg)]) == (
         2, "", "error: rows have unequal lengths\n")
+
+
+def test_analyze_system_builds_one_smith_form(monkeypatch):
+    import groupeq.equations as equations
+    calls = []
+    snf = equations.smith_normal_form
+    monkeypatch.setattr(equations, "smith_normal_form", lambda A: calls.append(A) or snf(A))
+    monkeypatch.setattr(equations, "echelon", lambda *args: pytest.fail("echelon was called"))
+    for fmt in ("text", "structured"):
+        code, out, err = run_cli(["--format", fmt, "analyze-system", "@examples/example0.sys",
+                                  "--prime", "5", "--prime", "17"])
+        assert (code, err) == (0, "") and "-5" in out
+    assert len(calls) == 2
+
+
+def test_analyze_system_factoring_is_bounded(tmp_path):
+    """A 40x40 system whose last invariant factor, 36 digits, has the prime
+    factors 2, 3, 5, 89, 233 and a 30-digit prime that no trial division finds."""
+    rng = random.Random(5)
+    E = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    names = [f"x{i}" for i in range(1, 41)]
+    (tmp_path / "s.sys").write_text("vars: " + " ".join(names) + "\n" + "".join(
+        "eq: " + " ".join(f"{v}^{e}" for v, e in zip(names, row) if e) + "\n" for row in E))
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze-system", str(tmp_path / "s.sys")])
+    assert time.perf_counter() - start < 1
+    last, cofactor = 174675638156142092938784497897664010, 280779344739904667886361733291
+    assert last == 2 * 3 * 5 * 89 * 233 * cofactor
+    assert (code, err) == (0, "")
+    assert (f"singular primes: {{2, 3, 5, 89, 233}} (primes dividing the last invariant factor "
+            f"{last}; cofactor {cofactor} not factored)") in out.splitlines()
+    assert "unimodular: no" in out.splitlines()
 
 
 def test_huge_primes_are_decided_at_once(tmp_path, monkeypatch):

@@ -8,10 +8,9 @@ from conftest import run_python
 
 import groupeq.equations as equations
 from groupeq.equations import (EquationSystem, classify, classify_matrix,
-                               det_int, echelon, evaluate_word,
-                               exponent_matrix, format_system, mat_mul,
-                               parse_system, rank_mod_p, rank_rational,
-                               satisfies, smith_normal_form,
+                               det_int, echelon, evaluate_word, exponent_matrix,
+                               format_system, mat_mul, parse_system,
+                               rank_mod_p, satisfies, smith_normal_form,
                                solve_abelian_p_system)
 from groupeq.errors import ParseError, ValidationError
 from groupeq.groups import abelian_p_basis, cyclic, dihedral, direct_product
@@ -26,12 +25,18 @@ eq: x g2 y g3 z
 """
 
 
+def det(A):
+    """sympy's determinant, independent of groupeq."""
+    from sympy import Matrix
+    return int(Matrix(A).det())
+
+
 def minors_gcd(A, k):
     g = 0
     rows, cols = len(A), len(A[0])
     for ri in itertools.combinations(range(rows), k):
         for ci in itertools.combinations(range(cols), k):
-            g = math.gcd(g, det_int([[A[i][j] for j in ci] for i in ri]))
+            g = math.gcd(g, det([[A[i][j] for j in ci] for i in ri]))
     return g
 
 
@@ -39,14 +44,14 @@ def test_example_system_matrix_and_classification():
     s = parse_system(EXAMPLE0)
     E = exponent_matrix(s)
     assert E == [[2, -3, 0], [0, 0, 1], [1, 1, 1]]
-    assert det_int(E) == -5
     cls = classify(s)
+    assert det_int(cls.smith) == -5
     assert cls.nonsingular and not cls.unimodular
     assert cls.singular_primes == (5,)
     assert cls.invariant_factors == (1, 1, 5)
     assert rank_mod_p(E, 5) == 2
     assert rank_mod_p(E, 2) == 3 and rank_mod_p(E, 3) == 3
-    assert rank_rational(E) == 3
+    assert echelon(E).rank == 3
 
 
 def test_empty_and_commutator_rows():
@@ -76,6 +81,7 @@ def test_smith_trivial_cases():
 
 
 def test_smith_properties_random():
+    pytest.importorskip("sympy")
     rng = random.Random(0)
     for _ in range(400):
         rows = rng.randint(1, 6)
@@ -83,8 +89,9 @@ def test_smith_properties_random():
         A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         snf = smith_normal_form(A)
         assert mat_mul(mat_mul(snf.U, A), snf.V) == snf.D
-        assert abs(det_int(snf.U)) == 1
-        assert abs(det_int(snf.V)) == 1
+        assert abs(det(snf.U)) == 1
+        assert abs(det(snf.V)) == 1
+        assert snf.sign == det(snf.U) * det(snf.V)
         fs = snf.invariant_factors
         assert all(f > 0 for f in fs)
         assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
@@ -177,6 +184,48 @@ def test_rank_errors():
         rank_mod_p([[1]], 4)
 
 
+def test_smith_decomposition_matches_sympy():
+    """Determinant, invariant factors, singular primes and p-verdicts, all read
+    from one Smith form, against sympy on 0-8 x 0-8 matrices."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(25)
+    kinds = {"square": 0, "dependent": 0, "non-square": 0, "empty": 0}
+    for trial in range(360):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        if trial % 3 == 0:
+            cols = rows
+        A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and trial % 5 == 0:      # force a dependent row
+            A[-1] = [2 * a - 3 * b for a, b in zip(A[0], A[1])]
+        M = sympy.Matrix(rows, cols, [x for row in A for x in row])
+        snf = smith_normal_form(A)
+        cls = classify_matrix(A)
+        assert cls.smith == snf
+        d = sympy_snf(M, domain=sympy.ZZ)
+        expected = tuple(abs(int(d[i, i])) for i in range(min(rows, cols)) if d[i, i])
+        assert snf.invariant_factors == expected
+        if rows == cols:
+            assert det_int(snf) == M.det()
+        full = len(expected) == rows
+        last = expected[-1] if expected else 1
+        assert cls.singular_primes == (tuple(sorted(sympy.factorint(last))) if full else "all")
+        assert cls.unimodular == (full and last == 1) and "not factored" not in cls.note
+        for p in (2, 3, 5, 7, 11, 13, 17):
+            rank = DomainMatrix.from_list(A, sympy.GF(p)).rank() if rows and cols else 0
+            assert snf.p_nonsingular(p) == (rank == rows)
+        kinds["square" if rows == cols else "non-square"] += 1
+        kinds["dependent"] += not full
+        kinds["empty"] += not (rows and cols)
+    assert min(kinds.values()) >= 10, kinds
+    for p in (0, 1, 4, -3):
+        with pytest.raises(ValidationError, match=f"^{p} is not prime$"):
+            snf.p_nonsingular(p)
+        with pytest.raises(ValidationError, match=f"^{p} is not prime$"):
+            equations.is_p_nonsingular(parse_system(EXAMPLE0), p)
+
+
 def test_echelon_matches_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
@@ -187,7 +236,7 @@ def test_echelon_matches_sympy():
         if rows > 1 and rng.random() < 0.3:   # force a dependent row
             A[-1] = [a + 2 * b for a, b in zip(A[0], A[-2])]
         M = sympy.Matrix(A)
-        assert echelon(A).rank == M.rank() == rank_rational(A)
+        assert echelon(A).rank == M.rank()
         assert echelon(A).pivots == M.rref()[1]
         for p in (2, 3, 5, 7):
             Ap = DomainMatrix.from_list(A, sympy.GF(p))
@@ -322,7 +371,7 @@ def test_echelon_returns_reduced_rows_in_pivot_order():
         for p in (None, 2, 5):
             e = echelon(A, p)
             assert len(e.rows) == rows
-            assert e.rank == (rank_rational(e.rows) if p is None else rank_mod_p(e.rows, p))
+            assert e.rank == echelon(e.rows, p).rank
             for r, c in enumerate(e.pivots):
                 assert e.rows[r][c] != 0 and not any(e.rows[r][:c])
                 assert not any(row[c] for row in e.rows[r + 1:])
