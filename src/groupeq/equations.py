@@ -28,8 +28,8 @@ from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
                      direct_product, dlog_table, is_prime, load_group_file,
                      prime_factors)
 from .record import Record
-from .words import (VAR, Word, exponent_sum, format_word, parse_word,
-                    strip_comment)
+from .words import (VAR, Word, exponent_sum, format_word, parse_word, strip_comment,
+                    symbol_kinds)
 
 IntMatrix = list[list[int]]
 
@@ -228,15 +228,12 @@ class EquationSystem(Record):
     binding: Binding | None = None
 
     def __post_init__(self) -> None:
-        variables = set(self.variables)
-        declared = variables | set(self.coefficients)
-        if len(declared) != len(self.variables) + len(self.coefficients):
-            raise ValidationError("variable/coefficient names overlap")
+        kinds = symbol_kinds(self.variables, self.coefficients, ValidationError)
         # each distinct letter once, in order of first occurrence
         for letter in dict.fromkeys(itertools.chain.from_iterable(self.words)):
-            if letter.name not in declared:
+            if letter.name not in kinds:
                 raise ValidationError(f"undeclared symbol {letter.name!r} in word")
-            if (letter.kind == VAR) != (letter.name in variables):
+            if letter.kind != kinds[letter.name]:
                 raise ValidationError(f"symbol {letter.name!r} used as wrong kind")
         if self.binding is not None:
             for c in self.coefficients:

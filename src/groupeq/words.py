@@ -174,17 +174,24 @@ class _Parser:
             f"unexpected token {tok!r} at column {col + 1} of {self.text!r}")
 
 
+def symbol_kinds(variables: Iterable[str], coefficients: Iterable[str],
+                 error: type[Exception] = ParseError) -> dict[str, str]:
+    """Each declared symbol's kind; the first symbol declared twice raises *error*."""
+    symbols: dict[str, str] = {}
+    for kind, names in ((VAR, variables), (COEFF, coefficients)):
+        for name in names:
+            if name in symbols:
+                case = ("declared twice" if symbols[name] == kind
+                        else "both a variable and a coefficient")
+                raise error(f"symbol {name!r} is {case}")
+            symbols[name] = kind
+    return symbols
+
+
 def parse_word(text: str, variables: Iterable[str],
                coefficients: Iterable[str]) -> Word:
     """Parse one equation word; ``u = v`` is normalized to ``u v^-1``."""
-    symbols: dict[str, str] = {}
-    for v in variables:
-        symbols[v] = VAR
-    for c in coefficients:
-        if c in symbols:
-            raise ParseError(f"symbol {c!r} declared as both variable and coefficient")
-        symbols[c] = COEFF
-    parser = _Parser(text, symbols)
+    parser = _Parser(text, symbol_kinds(variables, coefficients))
     left = parser.parse_word(stop=("=",))
     if parser.peek() == "=":
         parser.next()

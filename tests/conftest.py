@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -8,6 +9,13 @@ import groupeq
 from groupeq.equations import (EquationSystem, compile_word, exponent_matrix,
                                rank_mod_p, scan_solutions)
 from groupeq.words import COEFF, VAR, Letter
+
+# the catalog constructions live in the script that writes the catalog files
+_spec = importlib.util.spec_from_file_location(
+    "make_catalog", Path(__file__).resolve().parents[1] / "scripts" / "make_catalog.py")
+make_catalog = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_catalog)
+CATALOG, build_all, slug = make_catalog.CATALOG, make_catalog.build_all, make_catalog.slug
 
 
 def run_python(script: str, *args: str, timeout: float = 120) -> subprocess.CompletedProcess:

@@ -6,7 +6,7 @@ import json
 import random
 import time
 
-from conftest import bound_solutions, random_wreath_system
+from conftest import bound_solutions, build_all, random_wreath_system
 from test_cli import SCENARIOS, run_cli
 
 from groupeq.algebra import (AbelianGroupSpec, AlgebraElement, AlgebraMatrix,
@@ -14,7 +14,7 @@ from groupeq.algebra import (AbelianGroupSpec, AlgebraElement, AlgebraMatrix,
                              certify_non_zero_divisor,
                              certify_row_independence, nilpotent_basis_expansion,
                              reassemble_expansion, regular_representation)
-from groupeq.catalog import AUDIT_ORDERS, build_all, bundled_catalog_dir
+from groupeq.catalog import AUDIT_ORDERS, bundled_catalog_dir
 from groupeq.equations import (classify_matrix, evaluate_word,
                                exponent_matrix, rank_mod_p)
 from groupeq.groups import cyclic as _cyclic

@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import os
 import subprocess
@@ -8,10 +7,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import CATALOG, build_all, make_catalog, run_python, slug
 
 import groupeq
-from groupeq.catalog import (AUDIT_ORDERS, CATALOG, EXPECTED_COUNTS,
-                             build_all, bundled_catalog_dir, slug)
+from groupeq.catalog import AUDIT_ORDERS, EXPECTED_COUNTS, bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.errors import CapExceeded
 from groupeq.groups import is_metabelian, isomorphic, load_group_file
@@ -40,6 +39,17 @@ def test_bundled_paths_resolve_without_importlib_resources():
     proc = subprocess.run([sys.executable, "-S", "-c", "from pathlib import Path\n" + script],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_catalog_module_loads_no_other_layer():
+    proc = run_python(textwrap.dedent("""
+        import sys
+        import groupeq, groupeq.catalog
+        assert [m for m in sys.modules if m.startswith("groupeq.")] == ["groupeq.catalog"]
+        for name in ("CATALOG", "build_all"):
+            assert not hasattr(groupeq.catalog, name) and not hasattr(groupeq, name), name
+    """))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -123,16 +133,7 @@ def test_metabelian_census():
     assert sorted(non_metabelian) == ["S4", "SL(2,3)"]
 
 
-def _make_catalog_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "make_catalog.py"
-    spec = importlib.util.spec_from_file_location("make_catalog", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_make_catalog_check_names_differing_files(tmp_path, capsys):
-    make_catalog = _make_catalog_script()
     assert make_catalog.main(["--check"]) == 0
     assert capsys.readouterr().out == ""
     files = make_catalog.expected_files()

@@ -255,6 +255,11 @@ MALFORMED = {
     "h=#1": (["solve", "s.sys"],
              {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1 h=#1\n"
                        b"eq: x = g\n"}),
+    # each symbol is declared once, as a variable or as a coefficient
+    "vars: x x": (["analyze-system", "s.sys"], {"s.sys": b"vars: x x\neq: x\n"}),
+    "coeffs: a a": (["analyze-system", "s.sys"], {"s.sys": b"vars: x\ncoeffs: a a\neq: x\n"}),
+    "vars: x coeffs: x": (["analyze-system", "s.sys"],
+                          {"s.sys": b"vars: x\ncoeffs: x\neq: x\n"}),
     # an empty path is a missing file, not Path(""), the current directory
     "--config=": (["--config=", "enumerate", "4"], {}),
     'classify ""': (["classify", ""], {}),
@@ -274,6 +279,16 @@ def test_malformed_input_is_operational_error(tmp_path, monkeypatch, argv, files
 @pytest.mark.parametrize("argv", [["--config=", "enumerate", "4"], ["classify", ""]])
 def test_empty_path_is_named(argv):
     assert run_cli(argv) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
+
+
+def test_duplicate_symbol_is_named(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for key, message in [("vars: x x", "symbol 'x' is declared twice"),
+                         ("coeffs: a a", "symbol 'a' is declared twice"),
+                         ("vars: x coeffs: x", "symbol 'x' is both a variable and a coefficient")]:
+        argv, files = MALFORMED[key]
+        (tmp_path / "s.sys").write_bytes(files["s.sys"])
+        assert run_cli(argv) == (2, "", f"error: {message}\n"), key
 
 
 def test_cli_runs_without_numpy_or_a_thread_pool():

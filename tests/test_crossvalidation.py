@@ -3,7 +3,8 @@
 import itertools
 import random
 
-from groupeq.catalog import build_all
+from conftest import build_all
+
 from groupeq.config import Config
 from groupeq.equations import parse_system, smith_normal_form
 from groupeq.groups import (abelian_p_basis, all_subgroups, cyclic,

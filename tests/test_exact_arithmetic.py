@@ -1,6 +1,7 @@
 """Every module of the package keeps to exact arithmetic.
 
-Each `src/groupeq/*.py` is parsed with `ast`. A float or complex literal,
+Each `src/groupeq/*.py`, and `scripts/make_catalog.py` that writes the
+catalog files, is parsed with `ast`. A float or complex literal,
 a `float(...)` call, or a `math` function outside the integer ones fails
 the test, whether `math` is imported plainly, under another name, or
 through `from math import ...`.
@@ -14,7 +15,8 @@ import pytest
 import groupeq
 
 INTEGER_MATH = {"gcd", "comb", "isqrt", "lcm", "prod"}
-MODULES = sorted(Path(groupeq.__file__).parent.glob("*.py"))
+MODULES = sorted(Path(groupeq.__file__).parent.glob("*.py")) + [
+    Path(__file__).resolve().parents[1] / "scripts" / "make_catalog.py"]
 
 
 def inexact_uses(source: str) -> list[tuple[int, str]]:

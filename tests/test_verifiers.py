@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from conftest import build_all
 
 from groupeq.algebra import AlgebraElement, IntegralGroupSpec
 from groupeq.catalog import bundled_catalog_dir, resolve_data_path
@@ -29,7 +30,6 @@ from groupeq.wreath import WreathGroup, wreath_product
 
 
 def build_a4():
-    from groupeq.catalog import build_all
     return dict(build_all((12,)))["A4"]
 
 
@@ -317,7 +317,6 @@ def test_brute_force_cap():
 def test_classify_group_notes():
     rep = classify_group(dicyclic(6))
     assert rep.metabelian and rep.witness is not None
-    from groupeq.catalog import build_all
     s4 = dict(build_all((24,)))["S4"]
     rep4 = classify_group(s4)
     assert not rep4.metabelian and rep4.witness is None
