@@ -19,6 +19,10 @@ list of ``analyze-system`` inputs, in text and in structured format: the
 determinant's sign, dependent and non-square exponent matrices, no
 equations or no variables, repeated, non-prime and configured primes, and
 last invariant factors with two primes above the trial-division bound.
+``--workload rows`` (no seeds) runs a fixed list of ``certify-rows``
+inputs, in text and in structured format: each verdict over Z_p and over
+Q, a family one entry past the row oracle's work cap, a free part, empty
+and ragged families, and elements with doubled or trailing signs.
 
 Each tree runs in its own child interpreter (``PYTHONPATH=<tree>/src``, in
 the directory that holds the deck's input files), which calls
@@ -172,6 +176,38 @@ ANALYZE_CASES = [
 ANALYZE_CONFIGS = [["--config", "primes.conf"], ["--config", "not-primes.conf"]]
 
 
+Z2C2 = "algebra p=2 torsion=1\n"
+ROWS_FILES = {
+    "zp-certified.alg": Z2C2 + "row: 1 ; 0\nrow: x1 ; 1\n",
+    "zp-refuted.alg": Z2C2 + "row: 1 + x1\n",
+    # the row oracle's [images | I] has 2*2 x (3+2)*2 = 40 entries
+    "zp-cap.alg": Z2C2 + "row: 1 ; x1 ; 1\nrow: x1 ; 1 ; x1\n",
+    "zp-wide.alg": "algebra p=3 torsion=1,1\nrow: 1 + 2*x1*x2 ; x2^2\nrow: x1 - x2 ; 2\n",
+    "zp-free.alg": "algebra p=2 torsion=1 free=1\nrow: 1 + t1\n",
+    "zp-free-certified.alg": "algebra p=2 torsion=1 free=1\nrow: t1^-1 ; x1*t1\n",
+    "q-certified.alg": "algebra rational free=2\nrow: 2*t1 - 3 ; t2^-1\nrow: t1*t2 ; -4\n",
+    "q-unknown.alg": "algebra rational free=1\nrow: 1 + t1 ; 2\nrow: t1 ; 1\n",
+    "zp-empty.alg": "algebra p=3 torsion=2\n",
+    "q-empty.alg": "algebra rational free=1\n",
+    "ragged.alg": Z2C2 + "row: 1 ; x1\nrow: 1\n",
+    "format-element.alg": "algebra p=5 torsion=1\nrow: 1 + -1*x1 ; 2\n",
+    # signs in a row multiply; a sign with no term after it is an error
+    "signs-minus-minus.alg": "algebra p=5 torsion=1\nrow: 1 - -1*x1\n",
+    "signs-minus-plus.alg": "algebra p=5 torsion=1\nrow: 1 - + x1\n",
+    "signs-trailing.alg": Z2C2 + "row: 1 -\n",
+    "cap-40.conf": "brute_force_cap = 40\n",
+    "cap-39.conf": "brute_force_cap = 39\n",
+}
+# No row family reaches 'certified-by-search': over Z_p[P], P a finite p-group,
+# the augmentation certificate is exact, so the search only refutes.
+ROWS_CASES = [
+    *([name] for name in ROWS_FILES if name.endswith(".alg")),
+    ["@examples/rows_demo.alg"], ["@examples/rows_rational.alg"],
+    ["--config", "cap-40.conf", "zp-cap.alg"], ["--config", "cap-39.conf", "zp-cap.alg"],
+    ["--config", "cap-39.conf", "zp-certified.alg"],
+]
+
+
 def write_files(directory: Path, files: dict[str, str | None]) -> None:
     for name, text in files.items():
         path = directory / name
@@ -185,6 +221,12 @@ def analyze_commands(directory: Path) -> list[list[str]]:
     cases += [[*conf, "analyze-system", file] for conf in ANALYZE_CONFIGS
               for file in (EXAMPLE0, "dense.sys", "undeclared.sys")]
     return [["--format", "structured", *argv] for argv in cases]
+
+
+def rows_commands(directory: Path) -> list[list[str]]:
+    write_files(directory, ROWS_FILES)
+    return [["--format", "structured", *case[:-1], "certify-rows", case[-1]]
+            for case in ROWS_CASES]
 
 
 def run_tree(tree: Path, argvs: list[list[str]], cwd: Path) -> list[list]:
@@ -211,7 +253,7 @@ def first_difference(argvs, parent, change) -> str | None:
     return None
 
 
-FIXED_WORKLOADS = ("catalog", "argv", "analyze")      # fixed command lists, no seeds
+FIXED_WORKLOADS = ("catalog", "argv", "analyze", "rows")   # fixed command lists, no seeds
 
 
 def seed_range(text: str) -> range:
@@ -246,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 structured = (catalog_commands() if args.workload == "catalog"
                               else analyze_commands(work) if args.workload == "analyze"
+                              else rows_commands(work) if args.workload == "rows"
                               else deck_commands(args.workload, seed, work))
                 argvs = structured + [text_format(a) for a in structured]
             parent, change = (run_tree(tree, argvs, work) for tree in trees)

@@ -24,9 +24,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": "AbelianGroupSpec AlgebraElement AlgebraMatrix IntegralGroupSpec RowFamily "
                "augmentation augmentation_matrix certify_non_zero_divisor "
-               "certify_row_independence certify_row_independence_rational "
-               "decide_row_independence find_annihilating_combination is_zero_divisor "
-               "nilpotent_basis_expansion regular_representation",
+               "certify_row_independence decide_row_independence "
+               "find_annihilating_combination is_zero_divisor nilpotent_basis_expansion "
+               "regular_representation",
     "catalog": "", "record": "",            # submodules that export no name
     "config": "Config DEFAULT_CONFIG load_config",
     "equations": "AbelianSolution Classification EquationSystem SmithDecomposition classify "

@@ -333,31 +333,6 @@ def reassemble_expansion(coeffs: Sequence[AlgebraElement], var: int) -> AlgebraE
 # ---------------------------------------------------------------------------
 # certificates
 
-class NonZeroDivisorCertificate(Record):
-    """Witness that a square matrix over Z_p[P x Z^r] is not a zero divisor:
-    its augmentation matrix is nonsingular over Z_p."""
-    augmented: tuple[tuple[int, ...], ...]
-    det_mod_p: int
-    p: int
-
-
-def certify_non_zero_divisor(M: AlgebraMatrix) -> NonZeroDivisorCertificate | None:
-    """Certificate exactly when the augmentation matrix is nonsingular.
-
-    None is NOT a claim that M is a zero divisor.
-    """
-    if not isinstance(M.spec, AbelianGroupSpec):
-        raise ValidationError("this certificate needs the prime-field setting")
-    if not M.is_square():
-        raise ValidationError("zero-divisor certification needs a square matrix")
-    p = M.spec.p
-    aug = augmentation_matrix(M)
-    d = echelon(aug, p).det
-    if d == 0:
-        return None
-    return NonZeroDivisorCertificate(tuple(tuple(r) for r in aug), d, p)
-
-
 class RowIndependenceCertificate(Record):
     """Witness of independence over the group algebra: a nonsingular square
     minor of the augmented rows over the base field."""
@@ -367,33 +342,36 @@ class RowIndependenceCertificate(Record):
     field: str          # "Z_p" or "Q"
 
 
-def _augmented_independence(rows: RowFamily, p: int | None,
-                            field: str) -> RowIndependenceCertificate | None:
-    aug = augmentation_matrix(rows)
-    e = echelon(aug, p)
-    if e.rank < len(aug):
-        return None
-    return RowIndependenceCertificate(tuple(map(tuple, aug)), e.pivots, e.det, field)
-
-
-def certify_row_independence(rows: RowFamily) -> RowIndependenceCertificate | None:
-    """Independence of rows over Z_p[P x Z^r] via augmentation to Z_p.
+def certify_row_independence(M: AlgebraMatrix) -> RowIndependenceCertificate | None:
+    """Independence of the rows of M over its group algebra, by augmenting
+    to the base field: Z_p for Z_p[P x Z^r], Q for a torsion-free Z[Z^r].
 
     Independent means no combination with algebra coefficients, not all
     zero, gives the zero row. None is not a dependence claim.
     """
-    if not isinstance(rows.spec, AbelianGroupSpec):
-        raise ValidationError("this certificate needs the prime-field setting")
-    return _augmented_independence(rows, rows.spec.p, f"Z_{rows.spec.p}")
-
-
-def certify_row_independence_rational(rows: RowFamily) -> RowIndependenceCertificate | None:
-    """The torsion-free analogue: integer group ring, augmentation to Q."""
-    if not isinstance(rows.spec, IntegralGroupSpec):
-        raise ValidationError("rational certification needs integer coefficients")
-    if rows.spec.torsion_orders:
+    p = M.spec.p if isinstance(M.spec, AbelianGroupSpec) else None
+    if p is None and M.spec.torsion_orders:
         raise ValidationError("rational certification needs a torsion-free group")
-    return _augmented_independence(rows, None, "Q")
+    aug = augmentation_matrix(M)
+    e = echelon(aug, p)
+    if e.rank < len(aug):
+        return None
+    return RowIndependenceCertificate(tuple(map(tuple, aug)), e.pivots, e.det,
+                                      "Q" if p is None else f"Z_{p}")
+
+
+def certify_non_zero_divisor(M: AlgebraMatrix) -> RowIndependenceCertificate | None:
+    """Certificate that a square M over Z_p[P x Z^r] is not a zero divisor,
+    exactly when its augmentation matrix is nonsingular; ``minor_det`` is
+    then that matrix's determinant mod p.
+
+    None is NOT a claim that M is a zero divisor.
+    """
+    if not isinstance(M.spec, AbelianGroupSpec):
+        raise ValidationError("this certificate needs the prime-field setting")
+    if not M.is_square():
+        raise ValidationError("zero-divisor certification needs a square matrix")
+    return certify_row_independence(M)
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +477,20 @@ def find_annihilating_combination(rows: RowFamily,
     return combo
 
 
-def decide_row_independence(rows: RowFamily, work_cap: int = 10 ** 6) -> str:
-    """Verdict 'certified', 'refuted', 'certified-by-search' or 'unknown'.
-    'unknown' means only that the row oracle cannot run (a free part, or a
-    matrix over ``work_cap``); any other error of the oracle propagates."""
-    if certify_row_independence(rows) is not None:
-        return "certified"
-    return search_row_independence(rows, work_cap)
-
-
-def search_row_independence(rows: RowFamily, work_cap: int) -> str:
-    """`decide_row_independence` for rows that no certificate covers."""
-    if rows.spec.free_rank or _exceeds_work_cap(rows, work_cap):
-        return "unknown"
+def decide_row_independence(rows: RowFamily, work_cap: int = 10 ** 6
+                            ) -> tuple[str, RowIndependenceCertificate | None]:
+    """Verdict 'certified', 'refuted', 'certified-by-search' or 'unknown',
+    with the augmentation certificate when there is one. 'unknown' means
+    only that the row oracle cannot run (integer coefficients, a free part,
+    or a matrix over ``work_cap``); any other error of the oracle propagates."""
+    cert = certify_row_independence(rows)
+    if cert is not None:
+        return "certified", cert
+    if (not isinstance(rows.spec, AbelianGroupSpec) or rows.spec.free_rank
+            or _exceeds_work_cap(rows, work_cap)):
+        return "unknown", None
     witness = find_annihilating_combination(rows, work_cap)
-    return "refuted" if witness is not None else "certified-by-search"
+    return ("refuted" if witness is not None else "certified-by-search"), None
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +536,8 @@ def parse_element(spec: Spec, text: str) -> AlgebraElement:
     text = text.strip()
     if not text or text == "0":
         return AlgebraElement.zero(spec)
-    # split into signed terms; +/- after '^' or '*' belongs to an exponent
+    # split into signed terms; +/- after '^' or '*' belongs to an exponent,
+    # and signs in a row multiply
     terms: list[tuple[int, str]] = []
     sign = +1
     buf = ""
@@ -568,7 +546,8 @@ def parse_element(spec: Spec, text: str) -> AlgebraElement:
         if ch in "+-" and prev not in ("^", "*"):
             if buf.strip():
                 terms.append((sign, buf.strip()))
-            sign = +1 if ch == "+" else -1
+                sign = +1
+            sign = sign if ch == "+" else -sign
             buf = ""
             prev = ""
             continue
@@ -577,6 +556,8 @@ def parse_element(spec: Spec, text: str) -> AlgebraElement:
             prev = ch
     if buf.strip():
         terms.append((sign, buf.strip()))
+    elif terms:      # the text ends in a sign
+        raise ParseError(f"sign with no term after it in {text!r}")
     if not terms:
         raise ParseError(f"empty element: {text!r}")
     ntors = len(spec.torsion_orders)

@@ -259,16 +259,10 @@ def cmd_wreath_transform(args, config: Config) -> int:
 
 
 def cmd_certify_rows(args, config: Config) -> int:
-    from .algebra import (IntegralGroupSpec, certify_row_independence, parse_row_file,
-                          certify_row_independence_rational, search_row_independence)
+    from .algebra import decide_row_independence, parse_row_file
     from .catalog import resolve_data_path
     rows = parse_row_file(read_text_file(resolve_data_path(args.file)))
-    if isinstance(rows.spec, IntegralGroupSpec):
-        cert = certify_row_independence_rational(rows)
-        verdict = "certified" if cert else "unknown"
-    else:
-        cert = certify_row_independence(rows)
-        verdict = "certified" if cert else search_row_independence(rows, config.brute_force_cap)
+    verdict, cert = decide_row_independence(rows, config.brute_force_cap)
     payload = {"algebra": rows.spec.describe(), "rows": len(rows.rows),
                "verdict": verdict}
     lines = [f"algebra: {rows.spec.describe()}",

@@ -991,25 +991,27 @@ def group_header(text: str) -> tuple[str, int]:
 def load_group(text: str) -> FiniteGroup:
     """Parse and fully validate a group file (see package docs for the format)."""
     name, order = group_header(text)
-    lines = [strip_comment(ln).rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [(n, strip_comment(ln).rstrip()) for n, ln in enumerate(text.splitlines(), 1)]
+    lines = [(n, ln) for n, ln in lines if ln.strip()]
     if len(lines) < 2:
         raise ParseError("missing body (table: or generators:)")
-    mode = lines[1].strip()
+    mode = lines[1][1].strip()
     body = lines[2:]
     if mode == "table:":
         try:
-            rows = [[int(tok) for tok in ln.split()] for ln in body]
+            rows = [[int(tok) for tok in ln.split()] for _, ln in body]
         except ValueError as exc:
             raise ParseError(f"bad table entry: {exc}") from exc
-        flat = [x for row in rows for x in row]
-        if len(flat) != order * order:
-            raise ParseError(
-                f"table has {len(flat)} entries, expected {order * order}")
-        table = [flat[i * order:(i + 1) * order] for i in range(order)]
-        G = FiniteGroup(table, None, name=name)
+        entries = sum(map(len, rows))
+        if entries != order * order:
+            raise ParseError(f"table has {entries} entries, expected {order * order}")
+        for (lineno, _), row in zip(body, rows):    # n lines of n entries
+            if len(row) != order:
+                raise ParseError(f"line {lineno}: table row has {len(row)} "
+                                 f"entries, expected {order}")
+        G = FiniteGroup(rows, None, name=name)
     elif mode == "generators:":
-        perms = [parse_cycles(ln) for ln in body]
+        perms = [parse_cycles(ln) for _, ln in body]
         G = from_generators(perms, name=name, max_order=order)
         if G.order != order:
             raise ParseError(

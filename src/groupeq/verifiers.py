@@ -268,24 +268,14 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
         entries.append(AuditEntry(path.name, classify_group(G, config), None))
         loaded.setdefault(G.order, []).append(G)
 
-    present_orders = sorted({e.report.order for e in entries if e.report})
-    deviations = []
-    exceptions = []
-    for e in entries:
-        r = e.report
-        if r is None or not r.metabelian:
-            continue
-        if r.witness is None:
-            if r.order in AUDIT_ORDERS:
-                deviations.append(f"{r.group_id} (order {r.order})")
-            else:
-                exceptions.append(f"{r.group_id} (order {r.order})")
-
-    counts_ok = True
-    for o in present_orders:
-        have = sum(1 for e in entries if e.report and e.report.order == o)
-        if o in EXPECTED_COUNTS and have != EXPECTED_COUNTS[o]:
-            counts_ok = False
+    unwitnessed = [e.report for e in entries
+                   if e.report and e.report.metabelian and e.report.witness is None]
+    deviations = [f"{r.group_id} (order {r.order})" for r in unwitnessed
+                  if r.order in AUDIT_ORDERS]
+    exceptions = [f"{r.group_id} (order {r.order})" for r in unwitnessed
+                  if r.order not in AUDIT_ORDERS]
+    counts_ok = all(len(groups) == EXPECTED_COUNTS[o] for o, groups in loaded.items()
+                    if o in EXPECTED_COUNTS)
 
     pairwise = True
     for lst in loaded.values():
@@ -293,7 +283,7 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
             if isomorphic(g1, g2, config) is not None:
                 pairwise = False
 
-    return AuditReport(tuple(entries), tuple(present_orders),
+    return AuditReport(tuple(entries), tuple(sorted(loaded)),
                        tuple(deviations), counts_ok, pairwise,
                        tuple(exceptions))
 

@@ -9,7 +9,6 @@ from groupeq.algebra import (MAX_ORDER_DIGITS, AbelianGroupSpec, AlgebraElement,
                              augmentation, augmentation_matrix,
                              certify_non_zero_divisor,
                              certify_row_independence,
-                             certify_row_independence_rational,
                              decide_row_independence, format_element,
                              format_row_file, find_annihilating_combination,
                              is_zero_divisor, nilpotent_basis_expansion,
@@ -140,7 +139,7 @@ def test_round_trip_random_multivariate():
 def test_certificates_on_named_examples():
     Mx = AlgebraMatrix(Z2C2, ((x(Z2C2),),))
     cert = certify_non_zero_divisor(Mx)
-    assert cert is not None and cert.det_mod_p == 1
+    assert cert is not None and cert.minor_det == 1
     assert not is_zero_divisor(Mx, "left") and not is_zero_divisor(Mx, "right")
 
     M1x = AlgebraMatrix(Z2C2, ((one(Z2C2) + x(Z2C2),),))
@@ -196,7 +195,7 @@ def test_row_independence_examples():
         for c, row in zip(combo, fam2.rows):
             acc = acc + c * row[j]
         assert acc.is_zero()
-    assert decide_row_independence(fam2) == "refuted"
+    assert decide_row_independence(fam2)[0] == "refuted"
 
     empty = RowFamily(Z2C2, ())
     assert certify_row_independence(empty) is not None
@@ -241,7 +240,7 @@ def test_certificates_recheck_by_bareiss():
             cert = certify_non_zero_divisor(M)
             assert (cert is None) == (_det(aug) % p == 0)
             if cert is not None:
-                assert cert.det_mod_p == _det(aug) % p
+                assert cert.minor_det == _det(aug) % p
             fam = RowFamily(spec, tuple(
                 tuple(rng.choice(pool) for _ in range(k)) for _ in range(n)))
             cert = certify_row_independence(fam)
@@ -255,7 +254,7 @@ def test_certificates_recheck_by_bareiss():
             AlgebraElement(free, [(((), (rng.randint(-2, 2),)), rng.randint(-3, 3))
                                   for _ in range(2)])
             for _ in range(k)) for _ in range(n)))
-        cert = certify_row_independence_rational(fam)
+        cert = certify_row_independence(fam)
         if cert is not None:
             certified += 1
             assert _minor_det(cert) == cert.minor_det != 0
@@ -268,16 +267,16 @@ def test_rational_certification():
     one_z = AlgebraElement.one(free)
     two = AlgebraElement.scalar(free, 2)
     zero = AlgebraElement.zero(free)
-    assert certify_row_independence_rational(
+    assert certify_row_independence(
         RowFamily(free, ((one_z, zero), (zero, one_z)))) is not None
-    assert certify_row_independence_rational(
+    assert certify_row_independence(
         RowFamily(free, ((one_z + t, two), (t, one_z)))) is None
-    assert certify_row_independence_rational(
+    assert certify_row_independence(
         RowFamily(free, ((one_z - t,),))) is None
-    assert certify_row_independence_rational(
+    assert certify_row_independence(
         RowFamily(free, ((t,),))) is not None
     with pytest.raises(ValidationError):
-        certify_row_independence_rational(
+        certify_row_independence(
             RowFamily(IntegralGroupSpec((2,), 0),
                       ((AlgebraElement.one(IntegralGroupSpec((2,), 0)),),)))
 
@@ -303,6 +302,16 @@ def test_text_format_roundtrip():
     for text in ("1 + x1^2*t1^-1 - 2*x2", "0", "x1*x2^3", "2", "-1 + x1"):
         e = parse_element(spec, text)
         assert parse_element(spec, format_element(e)) == e
+    # signs in a row multiply: format_element writes '+ -1*x' for -x
+    z5c5 = AbelianGroupSpec(5, (1,))
+    assert parse_element(z5c5, "1 - -1*x1") == parse_element(z5c5, "1 + x1")
+    assert parse_element(z5c5, "1 - + x1") == parse_element(z5c5, "1 - x1")
+    assert parse_element(z5c5, "- -x1 + - - 2") == parse_element(z5c5, "x1 + 2")
+    integral = IntegralGroupSpec((3,), 1)
+    for text in ("1 - x1 - 2*t1^-1", "-3*x1^2*t1 + -1", "-x1 - -x1^2"):
+        e = parse_element(integral, text)
+        assert parse_element(integral, format_element(e)) == e
+    assert format_element(parse_element(integral, "1 - x1")) == "1 + -1*x1"
     fam = parse_row_file(
         "algebra p=2 torsion=1 free=0\nrow: 1 ; 0\nrow: x1 ; 1\n")
     assert len(fam.rows) == 2
@@ -320,6 +329,13 @@ def test_text_format_errors():
         parse_element(Z2C2, "t1")
     with pytest.raises(ParseError):
         parse_row_file("row: 1\n")
+    # a sign needs a term after it; a text with no term at all is empty
+    for text in ("1 -", "1 +", "x1 - -", "1 + x1 -"):
+        with pytest.raises(ParseError, match="sign with no term after it"):
+            parse_element(Z2C2, text)
+    for text in ("-", "+ -", "- + -"):
+        with pytest.raises(ParseError, match="empty element"):
+            parse_element(Z2C2, text)
 
 
 # -- the row oracle against exhaustive search ---------------------------------
@@ -385,10 +401,10 @@ def test_annihilator_oracle_cap_bounds_the_augmented_matrix():
     fam = RowFamily(Z2C2, ((one(Z2C2), x(Z2C2), one(Z2C2)),
                            (x(Z2C2), one(Z2C2), x(Z2C2))))
     assert find_annihilating_combination(fam, work_cap=40) is not None
-    assert decide_row_independence(fam, 40) == "refuted"
+    assert decide_row_independence(fam, 40)[0] == "refuted"
     with pytest.raises(ValidationError):
         find_annihilating_combination(fam, work_cap=39)
-    assert decide_row_independence(fam, 39) == "unknown"
+    assert decide_row_independence(fam, 39)[0] == "unknown"
     huge = RowFamily(AbelianGroupSpec(2, (40,)),
                      ((AlgebraElement.zero(AbelianGroupSpec(2, (40,))),),))
     with pytest.raises(ValidationError):
@@ -434,10 +450,10 @@ def test_row_verdict_is_unknown_only_when_the_oracle_cannot_run(monkeypatch):
     # a free part or a matrix over the cap gives 'unknown' before any search
     free = AbelianGroupSpec(2, (1,), 1)
     t_plus_one = one(free) + AlgebraElement.free_gen(free, 0)
-    assert decide_row_independence(RowFamily(free, ((t_plus_one,),))) == "unknown"
+    assert decide_row_independence(RowFamily(free, ((t_plus_one,),)))[0] == "unknown"
     fam = RowFamily(Z2C2, ((one(Z2C2), one(Z2C2)), (x(Z2C2), x(Z2C2))))
-    assert decide_row_independence(fam, work_cap=31) == "unknown"
-    assert decide_row_independence(fam, work_cap=32) == "refuted"
+    assert decide_row_independence(fam, work_cap=31)[0] == "unknown"
+    assert decide_row_independence(fam, work_cap=32)[0] == "refuted"
     # an annihilator that fails its re-verification is a fault, not 'unknown'
     monkeypatch.setattr(AlgebraMatrix, "is_zero", lambda self: False)
     with pytest.raises(ValidationError, match="internal error"):

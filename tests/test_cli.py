@@ -245,6 +245,10 @@ MALFORMED = {
                  {"r.alg": b"algebra p=2 torsion=1 tosion=3\nrow: 1\n"}),
     "rational p=3": (["certify-rows", "r.alg"],
                      {"r.alg": b"algebra rational p=3 free=1\nrow: 1\n"}),
+    # a sign needs a term after it
+    "row: 1 -": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 torsion=1\nrow: 1 -\n"}),
+    # a table has n lines of n entries, not just n*n entries in all
+    "table: 0 1 1 / 0": (["group", "g.grp"], {"g.grp": b"group X order 2\ntable:\n0 1 1\n0\n"}),
     # a system binds once, and only its declared coefficients
     "two bind lines": (["solve", "s.sys"],
                        {"s.sys": b"vars: x\ncoeffs: g\nbind: @catalog/003_c3.grp g=#1\n"
@@ -331,7 +335,7 @@ def test_cli_starts_without_dataclasses_or_inspect():
 PUBLIC_NAMES = """
     AbelianGroupSpec AlgebraElement AlgebraMatrix IntegralGroupSpec RowFamily augmentation
     augmentation_matrix certify_non_zero_divisor certify_row_independence
-    certify_row_independence_rational decide_row_independence find_annihilating_combination
+    decide_row_independence find_annihilating_combination
     is_zero_divisor nilpotent_basis_expansion regular_representation Config DEFAULT_CONFIG
     load_config AbelianSolution Classification EquationSystem SmithDecomposition classify
     classify_matrix det_int evaluate_word exponent_matrix parse_system parse_system_file
@@ -722,17 +726,21 @@ def test_certify_rows_decides_families_past_the_old_search_space(tmp_path):
 
 @pytest.mark.parametrize("header, rows, verdict", [
     ("p=2 torsion=1", "1 + x1", "refuted"), ("p=2 torsion=1", "1 + x1 ; 1", "certified"),
-    ("p=2 free=1", "1 + t1", "unknown")])
+    ("p=2 free=1", "1 + t1", "unknown"), ("rational free=1", "1 - t1", "unknown"),
+    ("rational free=1", "1 + t1 ; 1", "certified")])
 def test_certify_rows_certifies_once(tmp_path, monkeypatch, header, rows, verdict):
-    calls = []
+    calls, decisions = [], []
     certify = groupeq.algebra.certify_row_independence
+    decide = groupeq.algebra.decide_row_independence
     monkeypatch.setattr(groupeq.algebra, "certify_row_independence",
                         lambda family: calls.append(family) or certify(family))
+    monkeypatch.setattr(groupeq.algebra, "decide_row_independence",
+                        lambda *args: decisions.append(args) or decide(*args))
     alg = tmp_path / "r.alg"
     alg.write_text(f"algebra {header}\nrow: {rows}\n")
     code, out, err = run_cli(["certify-rows", str(alg)])
     assert (out.splitlines()[-1], err) == (f"verdict: {verdict}", "")
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(decisions) == 1
 
 
 def test_ragged_row_file_is_one_error_line(tmp_path):

@@ -441,6 +441,10 @@ def test_group_file_errors():
         load_group("nonsense\n")
     with pytest.raises(ParseError):
         load_group("group X order 3\ntable:\n0 1\n")
+    with pytest.raises(ParseError, match="line 4: table row has 3 entries, expected 2"):
+        load_group("group X order 2\ntable:\n# rows\n0 1 1\n0\n")
+    with pytest.raises(ParseError, match="table has 3 entries, expected 4"):
+        load_group("group X order 2\ntable:\n0 1\n1\n")
     with pytest.raises(ParseError):
         load_group("group X order 4\ngenerators:\n(1 2)\n")  # order mismatch
     with pytest.raises(ParseError):
