@@ -28,7 +28,10 @@ Each tree runs in its own child interpreter (``PYTHONPATH=<tree>/src``, in
 the directory that holds the deck's input files), which calls
 ``groupeq.cli.main`` in-process for every command and records its stdout,
 stderr and exit code; a traceback is recorded as the interpreter would
-print it, with the tree's path replaced by ``<tree>``. The first command
+print it, with the tree's path replaced by ``<tree>``. ``--workload argv``
+instead runs each command in an interpreter of its own, through
+``sys.exit(main())`` as the ``groupeq`` console script does, so that the
+process entry and its exit are compared too. The first command
 whose stdout, stderr or exit code differs is reported with a diff, and the
 exit code is 1; 0 means every output was byte-identical.
 """
@@ -198,8 +201,8 @@ ROWS_FILES = {
     "cap-40.conf": "brute_force_cap = 40\n",
     "cap-39.conf": "brute_force_cap = 39\n",
 }
-# No row family reaches 'certified-by-search': over Z_p[P], P a finite p-group,
-# the augmentation certificate is exact, so the search only refutes.
+# Over Z_p[P], P a finite p-group, the augmentation certificate is exact: the
+# row oracle refutes every family it leaves open.
 ROWS_CASES = [
     *([name] for name in ROWS_FILES if name.endswith(".alg")),
     ["@examples/rows_demo.alg"], ["@examples/rows_rational.alg"],
@@ -229,10 +232,18 @@ def rows_commands(directory: Path) -> list[list[str]]:
             for case in ROWS_CASES]
 
 
-def run_tree(tree: Path, argvs: list[list[str]], cwd: Path) -> list[list]:
+def run_tree(tree: Path, argvs: list[list[str]], cwd: Path, entry: bool) -> list[list]:
+    """[stdout, stderr, exit code] of each command of *argvs*, all in one child
+    interpreter, or if *entry* each in its own, through the benchmark's
+    ``sys.exit(main())``."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("GROUPEQ_CONFIG", "PYTHONPATH", "PYTHONSTARTUP")}
     env["PYTHONPATH"] = str(tree / "src")
+    if entry:
+        procs = (subprocess.run([sys.executable, *bench.CLI, *argv], cwd=cwd, env=env,
+                                capture_output=True, check=False) for argv in argvs)
+        return [[p.stdout.decode(), p.stderr.decode().replace(str(tree), "<tree>"),
+                 p.returncode] for p in procs]
     proc = subprocess.run([sys.executable, "-c", CHILD, str(tree)], cwd=cwd, env=env,
                           input=json.dumps(argvs), capture_output=True, text=True,
                           check=False)
@@ -291,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
                               else rows_commands(work) if args.workload == "rows"
                               else deck_commands(args.workload, seed, work))
                 argvs = structured + [text_format(a) for a in structured]
-            parent, change = (run_tree(tree, argvs, work) for tree in trees)
+            parent, change = (run_tree(tree, argvs, work, args.workload == "argv")
+                              for tree in trees)
         found = first_difference(argvs, parent, change)
         label = args.workload if seed is None else f"{args.workload} seed {seed}"
         if found:

@@ -275,7 +275,7 @@ def cmd_certify_rows(args, config: Config) -> int:
                      f"(det {cert.minor_det} over {cert.field})")
     lines.append(f"verdict: {verdict}")
     _emit(args, payload, lines)
-    return 0 if verdict in ("certified", "certified-by-search") else 1
+    return 0 if verdict == "certified" else 1
 
 
 def cmd_counterexample(args, config: Config) -> int:
@@ -487,7 +487,21 @@ def build_parser():
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one command line and return its exit code. Without *argv*, main runs
+    ``sys.argv[1:]`` and owns the process: after the exit handlers and a flush of
+    stdout and stderr, ``os._exit`` ends it and skips only module teardown."""
+    if argv is None:
+        code = main(sys.argv[1:])
+        import atexit
+        import os
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:          # None when its fd was closed at start
+                    stream.flush()
+        except OSError:             # left to the interpreter's shutdown, which reports it
+            return code
+        os._exit(code)
     args = parse_args(argv) or build_parser().parse_args(argv)
     try:
         flags = {"jobs": args.jobs, "output_format": args.format}

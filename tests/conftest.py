@@ -18,13 +18,17 @@ _spec.loader.exec_module(make_catalog)
 CATALOG, build_all, slug = make_catalog.CATALOG, make_catalog.build_all, make_catalog.slug
 
 
+def python_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's groupeq."""
+    src = str(Path(groupeq.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(script: str, *args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run *script* in a fresh interpreter that imports this checkout's
     groupeq; a child still running after *timeout* seconds fails the test."""
-    src = str(Path(groupeq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return subprocess.run([sys.executable, "-c", script, *args], env=python_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import run_python
+from conftest import python_env, run_python
 
 import groupeq
 from groupeq.algebra import AlgebraMatrix
@@ -303,11 +303,7 @@ def test_cli_runs_without_numpy_or_a_thread_pool():
         assert main(["classify", "@catalog/042_f42.grp"]) == 0
         assert "concurrent.futures" not in sys.modules
     """)
-    src = str(Path(groupeq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -812,14 +808,11 @@ def test_group_file_over_the_table_cap_is_refused_before_its_body(tmp_path):
          "1000000 generators (torsion factors plus free rank) exceed the cap 64"),
     ]
     script = "import sys; from groupeq.cli import main; sys.exit(main(sys.argv[1:]))"
-    src = str(Path(groupeq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     limit = 600_000 * 1024
     for command, name, text, message in cases:
         (tmp_path / name).write_text(text)
         proc = subprocess.run(
-            [sys.executable, "-c", script, command, str(tmp_path / name)], env=env,
+            [sys.executable, "-c", script, command, str(tmp_path / name)], env=python_env(),
             capture_output=True, text=True, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
@@ -976,3 +969,91 @@ def test_certify_rows_exits_2_on_an_internal_fault(tmp_path, monkeypatch):
     code, out, err = run_cli(["certify-rows", str(rows)])
     assert (code, out) == (2, "")
     assert err.startswith("error: internal error") and err.count("\n") == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(groupeq.algebra, "find_annihilating_combination", lambda *args: None)
+    assert run_cli(["certify-rows", str(rows)]) == (
+        2, "", "error: internal error: open rows have no annihilating combination\n")
+
+
+# ---------------------------------------------------------------------------
+# the process entry: the `groupeq` console script and `python -m groupeq.cli`
+# call main() without argv, and main ends the process itself
+
+ENTRY = "import sys; from groupeq.cli import main; sys.exit(main())"
+A4 = "@catalog/012_a4.grp"
+
+
+def run_entry(argv, script=ENTRY, unbuffered=False, **kwargs) -> subprocess.CompletedProcess:
+    """*argv* through *script* in a fresh interpreter, stdout and stderr as
+    bytes; *unbuffered* sets PYTHONUNBUFFERED, which is otherwise unset."""
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+def test_process_entry_prints_and_exits_as_the_library_call(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")         # argparse's help width, in both processes
+    runs = [argv for argv, _ in SCENARIOS]
+    runs += [["classify", "no/such.grp"], ["enumerate", "four"], ["--help"]]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:           # help and usage errors
+                code = exc.code
+        proc = run_entry(argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            code, out.getvalue(), err.getvalue()), argv
+    assert code == 0 and out.getvalue().startswith("usage: groupeq")
+
+
+def test_process_entry_skips_module_teardown():
+    script = ("class Teardown:\n    def __del__(self):\n        print('torn down')\n"
+              "keep = Teardown()\n" + ENTRY)
+    proc = run_entry(["enumerate", "4"], script=script)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (
+        0, run_cli(["enumerate", "4"])[1], b"")
+    proc = run_entry(["enumerate", "4"], script=script.replace("main()", "main(sys.argv[1:])"))
+    assert proc.stdout.decode().endswith("True\ntorn down\n")
+
+
+def test_process_entry_skips_a_closed_stdout():
+    proc = run_entry(["classify", A4], stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["classify", A4], ["audit-catalog", "--orders", "24"]])
+def test_process_entry_reports_a_broken_pipe(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_entry(argv, unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    if unbuffered:          # print fails inside the command
+        assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+    else:                   # the flush fails at exit, and the interpreter reports it
+        assert proc.returncode == 120
+        assert proc.stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_process_entry_delivers_output_past_the_stream_buffer(unbuffered):
+    argv = ["--format", "structured", "audit-catalog"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "") and len(out) > 8192
+    proc = run_entry(argv, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+
+def test_process_entry_runs_exit_handlers_after_the_output():
+    script = "import atexit; atexit.register(print, 'handler ran'); " + ENTRY
+    proc = run_entry(["enumerate", "4"], script=script)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (
+        0, run_cli(["enumerate", "4"])[1] + "handler ran\n", b"")
