@@ -14,7 +14,8 @@ list of command lines once each: help and ``--version``, unknown commands,
 abbreviated options, ``--opt=value`` and ``--``, missing, non-integer,
 negative and badly chosen values, repeated and interleaved options, and
 global options after the command, so that help texts, usage errors and
-exit codes are compared too. ``--workload analyze`` (no seeds) runs a fixed
+exit codes are compared too, and ``group --subgroups`` and ``classify`` on a
+C2^10 generator file, past the subgroup cap. ``--workload analyze`` (no seeds) runs a fixed
 list of ``analyze-system`` inputs, in text and in structured format: the
 determinant's sign, dependent and non-square exponent matrices, no
 equations or no variables, repeated, non-prime and configured primes, and
@@ -99,8 +100,11 @@ def catalog_commands() -> list[list[str]]:
 A4, S3 = "@catalog/012_a4.grp", "@catalog/006_s3.grp"
 WREATH = ["@examples/wreath_demo.sys", "--base", "@catalog/002_c2.grp",
           "--top", "@catalog/002_c2.grp"]
+C2_10 = "c2_10.grp"      # order 1024, past subgroup_order_cap: both commands refuse it
 ARGV_FILES = {"bound.sys": "vars: x\ncoeffs: g\nbind: @group g=#1\neq: x^2 = g\n",
-              "catalog/006_s3.grp": None}          # None: a copy of the bundled file
+              "catalog/006_s3.grp": None,          # None: a copy of the bundled file
+              C2_10: "group C2^10 order 1024\ngenerators:\n" +
+                     "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(10))}
 ARGV_CASES = [
     [], ["--help"], ["-h"], ["--version"], ["--he"], ["--vers"],
     *([name, "--help"] for name in ("analyze-system", "group", "classify", "audit-catalog",
@@ -139,6 +143,7 @@ ARGV_CASES = [
     ["classify", A4, "--format", "structured"], ["enumerate", "4", "--jobs", "2"],
     ["enumerate", "4", "--config", "missing.conf"], ["classify", A4, "--version"],
     ["certify-rows", "@examples/rows_demo.alg", "-h"],
+    ["group", C2_10, "--subgroups"], ["classify", C2_10],
 ]
 
 

@@ -5,7 +5,8 @@ Each group is built from its name (see `build`) and written as one .grp
 file (permutation generators from the right-regular representation),
 plus the CITATIONS note, after reloading every file and checking it is
 isomorphic to the group built. With ``--check`` it writes nothing and
-exits 1, naming each bundled file that differs from what is built.
+exits 1, naming each bundled file that differs from what is built. No
+command builds these groups, so their constructions live here.
 """
 
 from __future__ import annotations
@@ -15,14 +16,145 @@ import re
 import sys
 from functools import partial, reduce
 from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from groupeq.catalog import EXPECTED_COUNTS
-from groupeq.groups import (FiniteGroup, affine_group_over_prime_field, cyclic, cyclic_action,
-                            dicyclic, dihedral, direct_product, format_group_file,
-                            from_generators, generated_subgroup, inversion_action, isomorphic,
-                            load_group, perm_identity, quotient, semidirect_product)
+from groupeq.errors import ValidationError
+from groupeq.groups import (FiniteGroup, Perm, closure, cycles_str, cyclic, direct_product,
+                            from_generators, is_prime, isomorphic, load_group, perm_compose,
+                            perm_identity, quotient, subgroup)
+
+Action = Mapping[int, Sequence[int]] | Callable[[int], Sequence[int]]
+
+
+def semidirect_product(A: FiniteGroup, B: FiniteGroup, action: Action,
+                       name: str | None = None) -> FiniteGroup:
+    """A |x B where B acts on A by the given automorphisms.
+
+    *action* maps each element index of B to a permutation of A's indices;
+    each image must be an automorphism of A, and the map must satisfy
+    act(b1*b2) = act(b1) o act(b2) (apply act(b2) innermost).
+    """
+    act_of = action if callable(action) else action.__getitem__
+    acts = [tuple(act_of(b)) for b in B.elements()]
+    for b, perm in enumerate(acts):
+        if sorted(perm) != list(A.elements()):
+            raise ValidationError(f"action of {B.names[b]!r} is not a bijection of A")
+        if perm[0] != 0 or any(perm[A.table[x][y]] != A.table[perm[x]][perm[y]]
+                               for x in A.elements() for y in A.elements()):
+            raise ValidationError(f"action of {B.names[b]!r} is not an automorphism")
+    for b1 in B.elements():
+        for b2 in B.elements():
+            composed = tuple(acts[b1][acts[b2][x]] for x in A.elements())
+            if acts[B.table[b1][b2]] != composed:
+                raise ValidationError(
+                    f"action is not a homomorphism at ({B.names[b1]!r}, {B.names[b2]!r})")
+    n, m = A.order, B.order
+    table = [[A.table[a1][acts[b1][a2]] * m + B.table[b1][b2]
+              for a2 in range(n) for b2 in range(m)]
+             for a1 in range(n) for b1 in range(m)]
+    names = [f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m)]
+    return FiniteGroup(table, names, name or f"{A.name}:{B.name}")
+
+
+def cyclic_action(B: FiniteGroup, generator_action: Perm) -> dict[int, Perm]:
+    """Action of a cyclic group B generated by element index 1."""
+    n = B.order
+    if n > 1 and closure(B, [1]) != tuple(range(n)):
+        raise ValidationError("cyclic_action needs element 1 to generate B")
+    powers = [perm_identity(len(generator_action))]
+    for _ in range(1, n):
+        powers.append(perm_compose(powers[-1], generator_action))
+    return dict(enumerate(powers))      # index k of a canonical cyclic group is generator**k
+
+
+def inversion_action(A: FiniteGroup) -> Perm:
+    if not A.is_abelian:
+        raise ValidationError("inversion is only an automorphism of abelian groups")
+    return tuple(A.inverse)
+
+
+def dihedral(n: int, name: str | None = None) -> FiniteGroup:
+    """Dihedral group of order 2n (symmetries of the n-gon)."""
+    if n == 1:
+        return cyclic(2, name or "Dih1")
+    act = {0: perm_identity(n), 1: inversion_action(cyclic(n))}
+    return semidirect_product(cyclic(n, gen_symbol="r"), cyclic(2, gen_symbol="s"),
+                              act, name or f"Dih{n}")
+
+
+def dicyclic(n: int, name: str | None = None) -> FiniteGroup:
+    """Dicyclic group of order 4n: <a,b | a^(2n)=1, b^2=a^n, a^b=a^-1>."""
+    if n < 1:
+        raise ValidationError("dicyclic parameter must be >= 1")
+    m = 2 * n
+
+    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
+        i, j = e1
+        k, l = e2
+        if j == 0:
+            return ((i + k) % m, l)
+        if l == 0:
+            return ((i - k) % m, 1)
+        return ((i - k + n) % m, 0)
+
+    elems = [(i, j) for j in range(2) for i in range(m)]
+    pos = {e: x for x, e in enumerate(elems)}
+    table = [[pos[mul(e1, e2)] for e2 in elems] for e1 in elems]
+
+    def nm(e: tuple[int, int]) -> str:
+        i, j = e
+        a = "" if i == 0 else ("a" if i == 1 else f"a^{i}")
+        b = "b" if j else ""
+        return (a + ("*" if a and b else "") + b) or "1"
+
+    return FiniteGroup(table, [nm(e) for e in elems], name or f"Dic{n}")
+
+
+def quaternion_group() -> FiniteGroup:
+    return dicyclic(2, name="Q8")
+
+
+def affine_group_over_prime_field(p: int) -> FiniteGroup:
+    """Maps x -> a*x + b over the p-element field under composition."""
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
+    elems = [(a, b) for a in range(1, p) for b in range(p)]
+    elems.sort(key=lambda e: e != (1, 0))  # identity first
+    pos = {e: i for i, e in enumerate(elems)}
+
+    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
+        # (e1*e2)(x) = e2 applied after e1: a2*(a1*x+b1)+b2
+        a1, b1 = e1
+        a2, b2 = e2
+        return ((a1 * a2) % p, (a2 * b1 + b2) % p)
+
+    table = [[pos[mul(e1, e2)] for e2 in elems] for e1 in elems]
+    names = [f"{a}x+{b}" for a, b in elems]
+    return FiniteGroup(table, names, name=f"Aff{p}")
+
+
+
+def format_group_file(G: FiniteGroup, style: str = "generators") -> str:
+    """Serialize a group; 'generators' uses its right-regular representation."""
+    out = [f"group {G.name} order {G.order}"]
+    if style == "table":
+        out.append("table:")
+        for row in G.table:
+            out.append(" ".join(map(str, row)))
+    elif style == "generators":
+        out.append("generators:")
+        gens = G._generators
+        if not gens:
+            out.append("()")
+        for g in gens:
+            perm = tuple(G.table[x][g] for x in G.elements())
+            out.append(cycles_str(perm))
+    else:
+        raise ValueError(f"unknown style {style!r}")
+    return "\n".join(out) + "\n"
 
 # The catalog names of each order, in the order `build_all` returns them. Dn is the
 # dihedral group of order 2n, Dicn the dicyclic group of order 4n, Fk the Frobenius group
@@ -48,7 +180,7 @@ NAMES = {
 def _c4_o_d4() -> FiniteGroup:
     # central product C4 o D4: kill the diagonal central involution (g^2, r^2)
     G = direct_product(cyclic(4), dihedral(4))
-    return quotient(G, generated_subgroup(G, [2 * 8 + 4]))[0]
+    return quotient(G, subgroup(G, closure(G, [2 * 8 + 4])))[0]
 
 
 def _by_d4(n: int) -> FiniteGroup:

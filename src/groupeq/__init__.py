@@ -33,11 +33,10 @@ _EXPORTS = {
                  "classify_matrix det_int evaluate_word exponent_matrix parse_system "
                  "parse_system_file rank_mod_p smith_normal_form solve_abelian_p_system",
     "errors": "CapExceeded GroupEqError ParseError ValidationError",
-    "groups": "FiniteGroup Homomorphism Subgroup affine_group_over_prime_field all_subgroups "
-              "automorphisms center commutator_subgroup cyclic derived_series dicyclic dihedral "
-              "direct_product from_generators is_metabelian is_nilpotent isomorphic load_group "
-              "load_group_file normal_subgroups quotient semidirect_product subgroup "
-              "sylow_subgroup trivial_group",
+    "groups": "FiniteGroup Homomorphism Subgroup all_subgroups automorphisms center "
+              "commutator_subgroup cyclic derived_series direct_product from_generators "
+              "is_metabelian is_nilpotent isomorphic load_group load_group_file "
+              "normal_subgroups quotient subgroup sylow_subgroup trivial_group",
     "smallgroups": "enumerate_groups",
     "verifiers": "AuditReport BruteForceResult ClassificationReport CounterexampleInstance "
                  "ObstructionReport PGroupReport PqOrderReport Witness "
@@ -46,8 +45,7 @@ _EXPORTS = {
                  "p_group_equation_check pq_structure_check",
     "words": "Letter Word exponent_sum format_word parse_word",
     "wreath": "TransformedSystem WreathGroup extract_rows kaloujnine_krasner "
-              "coordinatewise_transform normalize_top_component reconstruct_solution "
-              "wreath_product",
+              "coordinatewise_transform normalize_top_component reconstruct_solution",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_OWNER)

@@ -163,11 +163,6 @@ class AlgebraElement:
         tv = tuple(1 if j == i else 0 for j in range(len(spec.torsion_orders)))
         return AlgebraElement(spec, [((tv, (0,) * spec.free_rank), 1)])
 
-    @staticmethod
-    def free_gen(spec: Spec, i: int) -> "AlgebraElement":
-        fv = tuple(1 if j == i else 0 for j in range(spec.free_rank))
-        return AlgebraElement(spec, [(((0,) * len(spec.torsion_orders), fv), 1)])
-
     # -- ring operations -----------------------------------------------------
 
     def _need_same_spec(self, other: "AlgebraElement") -> None:

@@ -97,9 +97,13 @@ def cmd_analyze_system(args, config: Config) -> int:
 
 def cmd_group(args, config: Config) -> int:
     from .catalog import resolve_data_path
-    from .groups import (all_subgroups, center, derived_series, is_metabelian, is_nilpotent,
-                         load_group_file, normal_subgroups, prime_factors, sylow_subgroup)
-    G = load_group_file(resolve_data_path(args.file))
+    from .groups import (all_subgroups, center, check_subgroup_cap, derived_series,
+                         group_header, is_metabelian, is_nilpotent, load_group,
+                         normal_subgroups, prime_factors, sylow_subgroup)
+    text = read_text_file(resolve_data_path(args.file))
+    if args.subgroups:          # refused from the header, before any table is built
+        check_subgroup_cap(group_header(text)[1], config)
+    G = load_group(text)
     series = derived_series(G)
     Z = center(G)
     metabelian, nilpotent = is_metabelian(G), is_nilpotent(G)
@@ -211,11 +215,11 @@ def cmd_wreath_transform(args, config: Config) -> int:
     from .catalog import resolve_data_path
     from .equations import parse_system_file
     from .groups import load_group_file
-    from .wreath import (coordinatewise_transform, extract_rows, normalize_top_component,
-                         wreath_product)
+    from .wreath import (WreathGroup, coordinatewise_transform, extract_rows,
+                         normalize_top_component)
     base = load_group_file(resolve_data_path(args.base))
     top = load_group_file(resolve_data_path(args.top))
-    W = wreath_product(base, top, config)
+    W = WreathGroup(base, top, config)
     system = parse_system_file(resolve_data_path(args.file), group=W)
     if system.binding is None:
         raise GroupEqError("the system file must bind its coefficients "
@@ -486,10 +490,21 @@ def build_parser():
     return parser
 
 
+def _report(exc: Exception) -> int:
+    """Print *exc* as one ``error:`` line on stderr and give exit code 2, also
+    when stderr itself has failed."""
+    try:
+        print(f"error: {exc}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit code. Without *argv*, main runs
     ``sys.argv[1:]`` and owns the process: after the exit handlers and a flush of
-    stdout and stderr, ``os._exit`` ends it and skips only module teardown."""
+    stdout and stderr, ``os._exit`` ends it and skips only module teardown. A
+    failing flush is one ``error:`` line on stderr and exit code 2."""
     if argv is None:
         code = main(sys.argv[1:])
         import atexit
@@ -499,8 +514,8 @@ def main(argv: list[str] | None = None) -> int:
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:          # None when its fd was closed at start
                     stream.flush()
-        except OSError:             # left to the interpreter's shutdown, which reports it
-            return code
+        except OSError as exc:      # one line; os._exit then skips the shutdown flush
+            code = _report(exc)
         os._exit(code)
     args = parse_args(argv) or build_parser().parse_args(argv)
     try:
@@ -510,8 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         args.format = config.output_format
         return args.func(args, config)
     except (GroupEqError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(exc)
 
 
 if __name__ == "__main__":

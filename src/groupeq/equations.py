@@ -28,8 +28,7 @@ from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
                      direct_product, dlog_table, is_prime, load_group_file,
                      prime_factors)
 from .record import Record
-from .words import (VAR, Word, exponent_sum, format_word, parse_word, strip_comment,
-                    symbol_kinds)
+from .words import VAR, Word, exponent_sum, parse_word, strip_comment, symbol_kinds
 
 IntMatrix = list[list[int]]
 
@@ -371,17 +370,6 @@ def parse_system(text: str, base_dir: str | Path | None = None,
 
 def parse_system_file(path: str | Path, group: object | None = None) -> EquationSystem:
     return parse_system(read_text_file(path), Path(path).parent, group)
-
-
-def format_system(system: EquationSystem) -> str:
-    out = []
-    if system.variables:
-        out.append("vars: " + " ".join(system.variables))
-    if system.coefficients:
-        out.append("coeffs: " + " ".join(system.coefficients))
-    for w in system.words:
-        out.append("eq: " + format_word(w))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import CapExceeded, ParseError, ValidationError, read_text_file
@@ -393,13 +393,16 @@ def closure(G: FiniteGroup, seed: Sequence[int]) -> tuple[int, ...]:
     return _members(_close(G, 1, seed))
 
 
-def generated_subgroup(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
-    return Subgroup(G, _close(G, 1, seed))
-
-
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     """S^g is in S for each generator g, hence S^g = S, for every g in G."""
     return all(S.bits >> G.conj(s, g) & 1 for g in G._generators for s in S.elements)
+
+
+def check_subgroup_cap(order: int, config: Config) -> None:
+    """Refuse a subgroup enumeration in a group of *order* past the cap."""
+    if order > config.subgroup_order_cap:
+        raise CapExceeded(
+            f"subgroup enumeration needs order <= {config.subgroup_order_cap}, got {order}")
 
 
 def _joins(G: FiniteGroup, config: Config,
@@ -409,10 +412,7 @@ def _joins(G: FiniteGroup, config: Config,
     Each subgroup found is grown once by each atom it does not contain, and
     every join of atoms is a chain of such steps; a union that is already a
     subgroup found is its own join."""
-    if G.order > config.subgroup_order_cap:
-        raise CapExceeded(
-            f"subgroup enumeration needs order <= {config.subgroup_order_cap}, "
-            f"got {G.order}")
+    check_subgroup_cap(G.order, config)
     atoms = dict(atoms)
     found = dict(atoms)
     work = list(found)
@@ -593,12 +593,6 @@ class Homomorphism(Record):
     def is_injective(self) -> bool:
         return len(set(self.image)) == self.source.order
 
-    def is_surjective(self) -> bool:
-        return len(set(self.image)) == self.target.order
-
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.source, sum(1 << a for a, x in enumerate(self.image) if x == 0))
-
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     """The quotient G/N with its canonical projection; N must be normal."""
@@ -641,116 +635,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> F
              for a1 in range(n) for b1 in range(m)]
     names = [f"({G.names[a]},{H.names[b]})" for a in range(n) for b in range(m)]
     return FiniteGroup(table, names, name or f"{G.name}x{H.name}")
-
-
-Action = Mapping[int, Sequence[int]] | Callable[[int], Sequence[int]]
-
-
-def semidirect_product(A: FiniteGroup, B: FiniteGroup, action: Action,
-                       name: str | None = None) -> FiniteGroup:
-    """A |x B where B acts on A by the given automorphisms.
-
-    *action* maps each element index of B to a permutation of A's indices;
-    each image must be an automorphism of A, and the map must satisfy
-    act(b1*b2) = act(b1) o act(b2) (apply act(b2) innermost).
-    """
-    act_of = action if callable(action) else action.__getitem__
-    acts = [tuple(act_of(b)) for b in B.elements()]
-    for b, perm in enumerate(acts):
-        if sorted(perm) != list(A.elements()):
-            raise ValidationError(f"action of {B.names[b]!r} is not a bijection of A")
-        if perm[0] != 0 or any(perm[A.table[x][y]] != A.table[perm[x]][perm[y]]
-                               for x in A.elements() for y in A.elements()):
-            raise ValidationError(f"action of {B.names[b]!r} is not an automorphism")
-    for b1 in B.elements():
-        for b2 in B.elements():
-            composed = tuple(acts[b1][acts[b2][x]] for x in A.elements())
-            if acts[B.table[b1][b2]] != composed:
-                raise ValidationError(
-                    f"action is not a homomorphism at ({B.names[b1]!r}, {B.names[b2]!r})")
-    n, m = A.order, B.order
-    table = [[A.table[a1][acts[b1][a2]] * m + B.table[b1][b2]
-              for a2 in range(n) for b2 in range(m)]
-             for a1 in range(n) for b1 in range(m)]
-    names = [f"({A.names[a]},{B.names[b]})" for a in range(n) for b in range(m)]
-    return FiniteGroup(table, names, name or f"{A.name}:{B.name}")
-
-
-def cyclic_action(B: FiniteGroup, generator_action: Perm) -> dict[int, Perm]:
-    """Action of a cyclic group B generated by element index 1."""
-    n = B.order
-    if n > 1 and closure(B, [1]) != tuple(range(n)):
-        raise ValidationError("cyclic_action needs element 1 to generate B")
-    powers = [perm_identity(len(generator_action))]
-    for _ in range(1, n):
-        powers.append(perm_compose(powers[-1], generator_action))
-    return dict(enumerate(powers))      # index k of a canonical cyclic group is generator**k
-
-
-def inversion_action(A: FiniteGroup) -> Perm:
-    if not A.is_abelian:
-        raise ValidationError("inversion is only an automorphism of abelian groups")
-    return tuple(A.inverse)
-
-
-def dihedral(n: int, name: str | None = None) -> FiniteGroup:
-    """Dihedral group of order 2n (symmetries of the n-gon)."""
-    if n == 1:
-        return cyclic(2, name or "Dih1")
-    act = {0: perm_identity(n), 1: inversion_action(cyclic(n))}
-    return semidirect_product(cyclic(n, gen_symbol="r"), cyclic(2, gen_symbol="s"),
-                              act, name or f"Dih{n}")
-
-
-def dicyclic(n: int, name: str | None = None) -> FiniteGroup:
-    """Dicyclic group of order 4n: <a,b | a^(2n)=1, b^2=a^n, a^b=a^-1>."""
-    if n < 1:
-        raise ValidationError("dicyclic parameter must be >= 1")
-    m = 2 * n
-
-    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-        i, j = e1
-        k, l = e2
-        if j == 0:
-            return ((i + k) % m, l)
-        if l == 0:
-            return ((i - k) % m, 1)
-        return ((i - k + n) % m, 0)
-
-    elems = [(i, j) for j in range(2) for i in range(m)]
-    pos = {e: x for x, e in enumerate(elems)}
-    table = [[pos[mul(e1, e2)] for e2 in elems] for e1 in elems]
-
-    def nm(e: tuple[int, int]) -> str:
-        i, j = e
-        a = "" if i == 0 else ("a" if i == 1 else f"a^{i}")
-        b = "b" if j else ""
-        return (a + ("*" if a and b else "") + b) or "1"
-
-    return FiniteGroup(table, [nm(e) for e in elems], name or f"Dic{n}")
-
-
-def quaternion_group() -> FiniteGroup:
-    return dicyclic(2, name="Q8")
-
-
-def affine_group_over_prime_field(p: int) -> FiniteGroup:
-    """Maps x -> a*x + b over the p-element field under composition."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    elems = [(a, b) for a in range(1, p) for b in range(p)]
-    elems.sort(key=lambda e: e != (1, 0))  # identity first
-    pos = {e: i for i, e in enumerate(elems)}
-
-    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-        # (e1*e2)(x) = e2 applied after e1: a2*(a1*x+b1)+b2
-        a1, b1 = e1
-        a2, b2 = e2
-        return ((a1 * a2) % p, (a2 * b1 + b2) % p)
-
-    table = [[pos[mul(e1, e2)] for e2 in elems] for e1 in elems]
-    names = [f"{a}x+{b}" for a, b in elems]
-    return FiniteGroup(table, names, name=f"Aff{p}")
 
 
 def from_generators(perms: Sequence[Perm | str], name: str = "G",
@@ -1024,23 +908,3 @@ def load_group(text: str) -> FiniteGroup:
 
 def load_group_file(path: str | Path) -> FiniteGroup:
     return load_group(read_text_file(path))
-
-
-def format_group_file(G: FiniteGroup, style: str = "generators") -> str:
-    """Serialize a group; 'generators' uses its right-regular representation."""
-    out = [f"group {G.name} order {G.order}"]
-    if style == "table":
-        out.append("table:")
-        for row in G.table:
-            out.append(" ".join(map(str, row)))
-    elif style == "generators":
-        out.append("generators:")
-        gens = G._generators
-        if not gens:
-            out.append("()")
-        for g in gens:
-            perm = tuple(G.table[x][g] for x in G.elements())
-            out.append(cycles_str(perm))
-    else:
-        raise ValueError(f"unknown style {style!r}")
-    return "\n".join(out) + "\n"

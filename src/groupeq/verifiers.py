@@ -341,7 +341,7 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     ``wreath_order_cap``; symbolic mode builds no group. The order's digit
     count, that cap and the word length are checked before anything is built."""
     from .algebra import MAX_ORDER_DIGITS, ORDER_LIMIT
-    from .wreath import wreath_order, wreath_product
+    from .wreath import WreathGroup, wreath_order
     if not (is_prime(p) and is_prime(q)):
         raise ValidationError(f"{p} and {q} must be prime")
     if p == q:
@@ -365,7 +365,7 @@ def counterexample_build(p: int, q: int, symbolic: bool = False,
     if symbolic:
         return CounterexampleInstance(p, q, n, m, system, cls)
     top = direct_product(cyclic(p), cyclic(q))
-    W = wreath_product(cyclic(2, gen_symbol="c"), top, config)
+    W = WreathGroup(cyclic(2, gen_symbol="c"), top, config)
     bound = system.bind(W, {"a": W.embed_top(q),      # (g_p, 1): index 1*q + 0
                             "b": W.embed_top(1),      # (1, g_q): index 0*q + 1
                             "c": W.embed_base((1,) + (0,) * (top.order - 1))})

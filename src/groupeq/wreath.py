@@ -182,11 +182,6 @@ def _readings(text: str, names: Mapping[str, int], k: int) -> Iterator[tuple[int
         stack += [(b, m - 1, f + (v,)) for v, b in reversed(steps[a]) if m - 1 in left[b]]
 
 
-def wreath_product(base: FiniteGroup, top: FiniteGroup,
-                   config: Config = DEFAULT_CONFIG) -> WreathGroup:
-    return WreathGroup(base, top, config)
-
-
 def kaloujnine_krasner(G: FiniteGroup, N: Subgroup,
                        config: Config = DEFAULT_CONFIG) -> Homomorphism:
     """Embed G into the packed N wr (G/N) via the lex-least coset transversal.

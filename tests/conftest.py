@@ -10,10 +10,11 @@ from groupeq.equations import (EquationSystem, compile_word, exponent_matrix,
                                rank_mod_p, scan_solutions)
 from groupeq.words import COEFF, VAR, Letter
 
-# the catalog constructions live in the script that writes the catalog files
+# the catalog constructions live in the script that writes the catalog files;
+# a test imports them with `from make_catalog import ...`
 _spec = importlib.util.spec_from_file_location(
     "make_catalog", Path(__file__).resolve().parents[1] / "scripts" / "make_catalog.py")
-make_catalog = importlib.util.module_from_spec(_spec)
+make_catalog = sys.modules["make_catalog"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_catalog)
 CATALOG, build_all, slug = make_catalog.CATALOG, make_catalog.build_all, make_catalog.slug
 

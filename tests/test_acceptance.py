@@ -22,9 +22,9 @@ from groupeq.groups import is_prime, prime_factors
 from groupeq.verifiers import (audit_catalog, classify_group,
                                counterexample_build, p_group_equation_check,
                                obstruction_check)
-from groupeq.wreath import (extract_rows, coordinatewise_transform,
-                            normalize_top_component, reconstruct_solution,
-                            wreath_product)
+from groupeq.wreath import (WreathGroup as wreath_product, extract_rows,
+                            coordinatewise_transform, normalize_top_component,
+                            reconstruct_solution)
 
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
 
@@ -218,7 +218,7 @@ def test_criterion_6_structure_audit():
 
     # order 42: the affine group is metabelian with NO witness, certified
     # by exhaustive normal-subgroup search
-    from groupeq.groups import affine_group_over_prime_field
+    from make_catalog import affine_group_over_prime_field
     aff = classify_group(affine_group_over_prime_field(7))
     assert aff.metabelian and aff.witness is None
     assert aff.normals_examined == 5

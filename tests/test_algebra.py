@@ -263,7 +263,7 @@ def test_certificates_recheck_by_bareiss():
 
 def test_rational_certification():
     free = IntegralGroupSpec((), 1)
-    t = AlgebraElement.free_gen(free, 0)
+    t = AlgebraElement.monomial(free, (), (1,))
     one_z = AlgebraElement.one(free)
     two = AlgebraElement.scalar(free, 2)
     zero = AlgebraElement.zero(free)
@@ -290,7 +290,7 @@ def test_spec_mismatch_raises():
 
 def test_laurent_monomials_do_not_truncate():
     spec = AbelianGroupSpec(2, (), free_rank=1)
-    t = AlgebraElement.free_gen(spec, 0)
+    t = AlgebraElement.monomial(spec, (), (1,))
     tinv = AlgebraElement.monomial(spec, (), (-1,))
     assert t * tinv == AlgebraElement.one(spec)
     big = t ** 5
@@ -449,7 +449,7 @@ def test_regular_representation_of_any_shape(shape, side, zero_divisor):
 def test_row_verdict_is_unknown_only_when_the_oracle_cannot_run(monkeypatch):
     # a free part or a matrix over the cap gives 'unknown' before any search
     free = AbelianGroupSpec(2, (1,), 1)
-    t_plus_one = one(free) + AlgebraElement.free_gen(free, 0)
+    t_plus_one = one(free) + AlgebraElement.monomial(free, (), (1,))
     assert decide_row_independence(RowFamily(free, ((t_plus_one,),)))[0] == "unknown"
     fam = RowFamily(Z2C2, ((one(Z2C2), one(Z2C2)), (x(Z2C2), x(Z2C2))))
     assert decide_row_independence(fam, work_cap=31)[0] == "unknown"

@@ -336,17 +336,16 @@ PUBLIC_NAMES = """
     load_config AbelianSolution Classification EquationSystem SmithDecomposition classify
     classify_matrix det_int evaluate_word exponent_matrix parse_system parse_system_file
     rank_mod_p smith_normal_form solve_abelian_p_system CapExceeded GroupEqError
-    ParseError ValidationError FiniteGroup Homomorphism Subgroup affine_group_over_prime_field
-    all_subgroups automorphisms center commutator_subgroup cyclic derived_series dicyclic
-    dihedral direct_product from_generators is_metabelian is_nilpotent isomorphic load_group
-    load_group_file normal_subgroups quotient semidirect_product subgroup sylow_subgroup
-    trivial_group enumerate_groups AuditReport BruteForceResult ClassificationReport
+    ParseError ValidationError FiniteGroup Homomorphism Subgroup all_subgroups automorphisms
+    center commutator_subgroup cyclic derived_series direct_product from_generators
+    is_metabelian is_nilpotent isomorphic load_group load_group_file normal_subgroups
+    quotient subgroup sylow_subgroup trivial_group enumerate_groups AuditReport BruteForceResult ClassificationReport
     CounterexampleInstance ObstructionReport PGroupReport PqOrderReport Witness
     abelian_by_abelian_p_witness audit_catalog brute_force_solve classify_group
     counterexample_build group_obstruction obstruction_check p_group_equation_check
     pq_structure_check Letter Word exponent_sum format_word parse_word TransformedSystem
     WreathGroup extract_rows kaloujnine_krasner coordinatewise_transform
-    normalize_top_component reconstruct_solution wreath_product""".split()
+    normalize_top_component reconstruct_solution""".split()
 
 
 # commands run in one fresh interpreter, and the groupeq modules they must not load
@@ -818,6 +817,19 @@ def test_group_file_over_the_table_cap_is_refused_before_its_body(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
+def test_group_subgroups_past_the_cap_is_refused_from_the_header(tmp_path, monkeypatch):
+    import groupeq.groups as groups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(groups, "from_generators", refuse)
+    path = tmp_path / "c2_12.grp"          # C2^12: 12 transpositions on 24 points
+    path.write_text("group C2^12 order 4096\ngenerators:\n" +
+                    "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(12)))
+    assert run_cli(["group", str(path), "--subgroups"]) == (
+        2, "", "error: subgroup enumeration needs order <= 512, got 4096\n")
+
+
 def _cli_cases(st):
     """Small generated input files and argv for `test_exit_code_contract`.
 
@@ -991,8 +1003,8 @@ def run_entry(argv, script=ENTRY, unbuffered=False, **kwargs) -> subprocess.Comp
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=60, **kwargs)
 
 
 def test_process_entry_prints_and_exits_as_the_library_call(monkeypatch):
@@ -1036,11 +1048,30 @@ def test_process_entry_reports_a_broken_pipe(argv, unbuffered):
         proc = run_entry(argv, unbuffered=unbuffered, stdout=write)
     finally:
         os.close(write)
-    if unbuffered:          # print fails inside the command
-        assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
-    else:                   # the flush fails at exit, and the interpreter reports it
-        assert proc.returncode == 120
-        assert proc.stderr.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    # unbuffered, print fails inside the command; buffered, the flush at exit fails
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_process_entry_reports_a_full_device(unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = run_entry(["classify", A4], unbuffered=unbuffered, stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["classify", A4], ["--format", "structured", "audit-catalog"]])
+def test_process_entry_exits_2_when_stdout_and_stderr_fail(argv, unbuffered):
+    pipes = [os.pipe(), os.pipe()]
+    for read, _ in pipes:
+        os.close(read)
+    try:
+        proc = run_entry(argv, unbuffered=unbuffered, stdout=pipes[0][1], stderr=pipes[1][1])
+    finally:
+        for _, write in pipes:
+            os.close(write)
+    assert proc.returncode == 2
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

@@ -4,11 +4,12 @@ import itertools
 import random
 
 from conftest import build_all
+from make_catalog import dihedral
 
 from groupeq.config import Config
 from groupeq.equations import parse_system, smith_normal_form
 from groupeq.groups import (abelian_p_basis, all_subgroups, cyclic,
-                            direct_product, dihedral, isomorphic,
+                            direct_product, isomorphic,
                             normal_subgroups, quotient, sylow_subgroup,
                             prime_factors)
 from groupeq.verifiers import brute_force_solve
@@ -18,7 +19,7 @@ def test_isomorphic_reflexive_on_every_catalog_group():
     for name, G in build_all():
         hom = isomorphic(G, G, Config(iso_order_cap=128))
         assert hom is not None, name
-        assert hom.is_injective() and hom.is_surjective()
+        assert hom.is_injective() and set(hom.image) == set(G.elements())
 
 
 def brute_isomorphism_exists(G, H):
@@ -83,8 +84,8 @@ def test_quotient_projections_over_all_normal_subgroups():
         for N in normal_subgroups(G):
             Q, proj = quotient(G, N)
             assert Q.order * N.order == G.order
-            assert proj.is_surjective()
-            assert proj.kernel().elements == N.elements
+            assert set(proj.image) == set(Q.elements())
+            assert tuple(a for a, x in enumerate(proj.image) if x == 0) == N.elements
 
 
 def test_abelian_p_basis_recovers_random_products():

@@ -27,7 +27,7 @@ from groupeq.groups import (all_subgroups, automorphisms, commutator_subgroup,
                             from_generators, is_normal, load_group, load_group_file,
                             lower_central_series, normal_subgroups, parse_cycles,
                             perm_compose, prime_factors, quotient, sylow_subgroup)
-from groupeq.wreath import wreath_product
+from groupeq.wreath import WreathGroup
 
 CATALOG = sorted(bundled_catalog_dir().glob("*.grp"))
 NON_SOLVABLE = {"A5": ["(1 2 3)", "(3 4 5)"], "S5": ["(1 2)", "(1 2 3 4 5)"]}
@@ -179,7 +179,7 @@ def _load(source):
     if isinstance(source, Path):
         return load_group_file(source)
     if source == "C2wrC6":
-        return wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(3))).realize()
+        return WreathGroup(cyclic(2), direct_product(cyclic(2), cyclic(3))).realize()
     return from_generators(NON_SOLVABLE[source])
 
 

@@ -1,10 +1,11 @@
 import pytest
+from make_catalog import dicyclic, dihedral
 
 from groupeq.catalog import EXPECTED_COUNTS, bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.errors import ValidationError
-from groupeq.groups import (cyclic, dihedral, dicyclic, direct_product,
-                            is_nilpotent, isomorphic, load_group_file)
+from groupeq.groups import (cyclic, direct_product, is_nilpotent, isomorphic,
+                            load_group_file)
 from groupeq.smallgroups import enumerate_groups
 
 

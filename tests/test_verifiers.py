@@ -4,6 +4,7 @@ import time
 
 import pytest
 from conftest import build_all
+from make_catalog import affine_group_over_prime_field, dicyclic, dihedral, quaternion_group
 
 from groupeq.algebra import AlgebraElement, IntegralGroupSpec
 from groupeq.catalog import bundled_catalog_dir, resolve_data_path
@@ -11,12 +12,10 @@ from groupeq.config import Config
 from groupeq.equations import (EquationSystem, compile_word, evaluate_compiled,
                                evaluate_word, parse_system, scan_solutions)
 from groupeq.errors import CapExceeded, GroupEqError, ValidationError
-from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup,
-                            affine_group_over_prime_field, commutator_subgroup,
-                            cyclic, dicyclic, dihedral, direct_product, from_generators,
+from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup, closure, commutator_subgroup,
+                            cyclic, direct_product, from_generators,
                             is_normal, isomorphic, load_group, load_group_file,
-                            normal_subgroups, prime_factors, quaternion_group,
-                            trivial_group)
+                            normal_subgroups, prime_factors, subgroup, trivial_group)
 from groupeq.verifiers import (AuditEntry, CounterexampleInstance,
                                abelian_by_abelian_p_witness,
                                audit_catalog, brute_force_solve, classify_group,
@@ -26,7 +25,7 @@ from groupeq.verifiers import (AuditEntry, CounterexampleInstance,
                                obstruction_check, obstruction_s_element,
                                random_unimodular_equation, verify_witness)
 from groupeq.words import COEFF, VAR, Letter, exponent_sum, parse_word
-from groupeq.wreath import WreathGroup, wreath_product
+from groupeq.wreath import WreathGroup
 
 
 def build_a4():
@@ -70,15 +69,14 @@ def test_abelian_groups_are_classified_without_the_lattice(monkeypatch):
 
 
 def test_witness_reverification_catches_bad_pairs():
-    from groupeq.groups import generated_subgroup
     from groupeq.verifiers import Witness
     s3 = dihedral(3)
     rot = [e for e in s3.elements() if s3.element_order(e) == 3][0]
-    A3 = generated_subgroup(s3, [rot])
+    A3 = subgroup(s3, closure(s3, [rot]))
     assert verify_witness(s3, Witness(A3, 2))
     assert not verify_witness(s3, Witness(A3, 3))   # quotient C2, not a 3-group
     refl = [e for e in s3.elements() if s3.element_order(e) == 2][0]
-    C2 = generated_subgroup(s3, [refl])
+    C2 = subgroup(s3, closure(s3, [refl]))
     assert not verify_witness(s3, Witness(C2, 3))   # not normal
 
 
@@ -464,7 +462,7 @@ def test_block_scan_matches_reference_scan():
     rng = random.Random(4)
     groups = [load_group_file(f) for f in sorted(bundled_catalog_dir().glob("*.grp"))
               if int(f.name[:3]) <= 12]
-    groups.append(wreath_product(cyclic(2), cyclic(2)))
+    groups.append(WreathGroup(cyclic(2), cyclic(2)))
     seen = set()
     for _ in range(150):
         system = random_bound_system(rng.choice(groups), rng)
@@ -529,7 +527,7 @@ def test_block_scan_yields_every_solution_of_the_reference_scan():
     rng = random.Random(12)
     groups = [load_group_file(f) for f in sorted(bundled_catalog_dir().glob("*.grp"))
               if int(f.name[:3]) <= 24]
-    groups += [trivial_group(), wreath_product(cyclic(2), cyclic(2))]
+    groups += [trivial_group(), WreathGroup(cyclic(2), cyclic(2))]
     seen = set()
     for G in groups:
         for nvars in range(4):

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import bound_solutions, random_wreath_system
+from make_catalog import dihedral
 from groupeq.algebra import (AlgebraElement, augmentation,
                              certify_row_independence)
 from groupeq.catalog import bundled_catalog_dir
@@ -14,19 +15,19 @@ from groupeq.config import Config
 from groupeq.equations import (EquationSystem, evaluate_word,
                                exponent_matrix, parse_system, satisfies)
 from groupeq.errors import CapExceeded, ValidationError
-from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup, cyclic, dihedral,
-                            direct_product, from_generators, generated_subgroup,
-                            isomorphic, load_group_file, normal_subgroups)
+from groupeq.groups import (MAX_TABLE_ORDER, FiniteGroup, closure, cyclic, direct_product,
+                            from_generators, isomorphic, load_group_file, normal_subgroups,
+                            subgroup)
 from groupeq.verifiers import brute_force_solve, classify_group
 from groupeq import wreath
 from groupeq.words import COEFF, VAR, Letter
 from groupeq.wreath import (WreathGroup, extract_rows, kaloujnine_krasner,
                             coordinatewise_transform, normalize_top_component,
-                            reconstruct_solution, wreath_product)
+                            reconstruct_solution)
 
 
 def c2wrc2():
-    return wreath_product(cyclic(2), cyclic(2))
+    return WreathGroup(cyclic(2), cyclic(2))
 
 
 def wreath_system(W, variables, words, values):
@@ -45,22 +46,22 @@ def test_orders_and_isomorphism_type():
     W = c2wrc2()
     assert W.order == 8
     assert isomorphic(W.realize(), dihedral(4)) is not None
-    W384 = wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(3)))
+    W384 = WreathGroup(cyclic(2), direct_product(cyclic(2), cyclic(3)))
     assert W384.order == 2 ** 6 * 6
-    Wtriv = wreath_product(dihedral(3), cyclic(1))
+    Wtriv = WreathGroup(dihedral(3), cyclic(1))
     assert Wtriv.order == 6
     assert isomorphic(Wtriv.realize(), dihedral(3)) is not None
 
 
 def test_wreath_cap():
     with pytest.raises(CapExceeded):
-        wreath_product(cyclic(2), cyclic(6), Config(wreath_order_cap=100))
+        WreathGroup(cyclic(2), cyclic(6), Config(wreath_order_cap=100))
     with pytest.raises(CapExceeded, match=r"^wreath order 4608 exceeds the table cap 4096$"):
-        wreath_product(cyclic(2), cyclic(9)).realize()
+        WreathGroup(cyclic(2), cyclic(9)).realize()
 
 
 def test_group_axioms_sampled_at_384():
-    W = wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(3)))
+    W = WreathGroup(cyclic(2), direct_product(cyclic(2), cyclic(3)))
     rng = random.Random(0)
     for _ in range(300):
         a, b, c = (rng.randrange(W.order) for _ in range(3))
@@ -82,14 +83,14 @@ def coordinate_law_holds(W):
 
 def test_coordinate_action_law_exhaustive():
     assert coordinate_law_holds(c2wrc2())
-    assert coordinate_law_holds(wreath_product(cyclic(3), cyclic(2)))
+    assert coordinate_law_holds(WreathGroup(cyclic(3), cyclic(2)))
     assert coordinate_law_holds(
-        wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(3))))
+        WreathGroup(cyclic(2), direct_product(cyclic(2), cyclic(3))))
 
 
 def test_kaloujnine_krasner_embeddings():
     c4 = cyclic(4)
-    N = generated_subgroup(c4, [2])
+    N = subgroup(c4, closure(c4, [2]))
     hom = kaloujnine_krasner(c4, N)
     assert isinstance(hom.target, WreathGroup) and hom.target.order == 8
     assert hom.is_injective()
@@ -100,7 +101,7 @@ def test_kaloujnine_krasner_embeddings():
     assert hom2.target.order == 18
     assert hom2.is_injective()
 
-    full = generated_subgroup(s3, list(s3.elements()))
+    full = subgroup(s3, closure(s3, list(s3.elements())))
     hom3 = kaloujnine_krasner(s3, full)
     assert hom3.target.order == 6
     assert hom3.is_injective()
@@ -166,7 +167,7 @@ def test_normalize_rejects_singular_and_nonabelian_top():
         (Letter(VAR, "x", 1), Letter(VAR, "x", 1)),)).bind(W, {})
     with pytest.raises(ValidationError):
         normalize_top_component(sys_singular, 2)
-    Wbad = wreath_product(cyclic(2), dihedral(3))
+    Wbad = WreathGroup(cyclic(2), dihedral(3))
     sys2 = EquationSystem(("x",), (), (
         (Letter(VAR, "x", 1),),)).bind(Wbad, {})
     with pytest.raises(ValidationError):
@@ -321,7 +322,7 @@ def test_wreath_solutions_match_reference_scan():
     # not a range of indices), compared as full ordered lists
     rng = random.Random(23)
     several = restricted = 0
-    for W in (c2wrc2(), wreath_product(cyclic(3), cyclic(2))):
+    for W in (c2wrc2(), WreathGroup(cyclic(3), cyclic(2))):
         for _ in range(20):
             ns = normalize_top_component(random_wreath_system(W, rng), 2).system
             # with one equation fewer than variables, solutions come in families
@@ -338,7 +339,7 @@ def test_wreath_solutions_match_reference_scan():
 
 def test_normalize_keeps_the_wreath_product_unless_the_top_grows():
     rng = random.Random(20)
-    W = wreath_product(cyclic(2), direct_product(cyclic(2), cyclic(2)))
+    W = WreathGroup(cyclic(2), direct_product(cyclic(2), cyclic(2)))
     for _ in range(10):
         norm = normalize_top_component(random_wreath_system(W, rng), 2)
         assert norm.system.binding.group is W
@@ -377,7 +378,7 @@ def _index_or_none(W, name):
 
 def test_index_of_matches_the_scan_over_every_element():
     s3 = from_generators(["(1 2)", "(1 2 3)"])       # names with commas: (1,2)
-    for W in (c2wrc2(), wreath_product(s3, cyclic(2)), wreath_product(cyclic(3), s3)):
+    for W in (c2wrc2(), WreathGroup(s3, cyclic(2)), WreathGroup(cyclic(3), s3)):
         names = [W.element_name(x) for x in W.elements()]
         k = W.top.order
         junk = ["", "(", ")", "()", "(;)", "1,1", "(1;1)", "(" + ",".join(["1"] * k) + ";1)",
@@ -396,7 +397,7 @@ def test_index_of_returns_the_least_of_several_readings():
     pieces = ["1", "1,1", "a", "1,a", ",", ";"]
     rng = random.Random(5)
     for top in (cyclic(2), cyclic(3)):
-        W = wreath_product(H, top)
+        W = WreathGroup(H, top)
         names = [W.element_name(x) for x in W.elements()]
         assert len(set(names)) < len(names)
         made = ["(" + ",".join(rng.choice(pieces) for _ in range(rng.randint(1, 7)))
