@@ -18,8 +18,9 @@ exit codes are compared too, and ``group --subgroups`` and ``classify`` on a
 C2^10 generator file, past the subgroup cap. ``--workload analyze`` (no seeds) runs a fixed
 list of ``analyze-system`` inputs, in text and in structured format: the
 determinant's sign, dependent and non-square exponent matrices, no
-equations or no variables, repeated, non-prime and configured primes, and
-last invariant factors with two primes above the trial-division bound.
+equations or no variables, repeated, non-prime and configured primes,
+last invariant factors with two primes above the trial-division bound, and
+a seeded 64x64 system.
 ``--workload rows`` (no seeds) runs a fixed list of ``certify-rows``
 inputs, in text and in structured format: each verdict over Z_p and over
 Q, a family one entry past the row oracle's work cap, a free part, empty
@@ -44,6 +45,7 @@ import difflib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -153,6 +155,12 @@ def _system(matrix: list[list[int]]) -> str:
         "eq: " + " ".join(f"{v}^{e}" for v, e in zip(names, row) if e) + "\n" for row in matrix)
 
 
+def _seeded(n: int) -> list[list[int]]:
+    """The n x n matrix of random.Random(n), one randint(-3, 3) per entry, row by row."""
+    rng = random.Random(n)
+    return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+
 EXAMPLE0 = "@examples/example0.sys"
 ANALYZE_FILES = {
     "swaps.sys": "vars: x y z\neq: z^3\neq: y^2\neq: x^5\n",              # determinant -30
@@ -169,6 +177,8 @@ ANALYZE_FILES = {
                           [20, -4, 7, -10, -17, -15, 4], [12, -2, 18, -5, -2, -18, 9],
                           [-9, -10, -3, 8, -20, -4, 3], [1, 15, 0, -5, -18, -1, -7],
                           [2, -9, -20, 1, 4, -15, 10]]),
+    # the Smith form's transforms grow to thousands of digits here; the verdicts build none
+    "seeded-64.sys": _system(_seeded(64)),
     "primes.conf": "classify_primes = 19, 2, 1427\n",
     "not-primes.conf": "classify_primes = 2, 9, 4\n",
 }

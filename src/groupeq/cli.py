@@ -98,8 +98,8 @@ def cmd_analyze_system(args, config: Config) -> int:
 def cmd_group(args, config: Config) -> int:
     from .catalog import resolve_data_path
     from .groups import (all_subgroups, center, check_subgroup_cap, derived_series,
-                         group_header, is_metabelian, is_nilpotent, load_group,
-                         normal_subgroups, prime_factors, sylow_subgroup)
+                         group_header, is_metabelian, is_nilpotent, is_normal, load_group,
+                         prime_factors, sylow_subgroup)
     text = read_text_file(resolve_data_path(args.file))
     if args.subgroups:          # refused from the header, before any table is built
         check_subgroup_cap(group_header(text)[1], config)
@@ -128,7 +128,7 @@ def cmd_group(args, config: Config) -> int:
                  for o in sorted(set(G.order_multiset)))]
     if args.subgroups:
         subs = all_subgroups(G, config)
-        norms = normal_subgroups(G, config)
+        norms = [S for S in subs if is_normal(G, S)]
         payload["subgroup_orders"] = sorted(S.order for S in subs)
         payload["normal_subgroup_orders"] = sorted(S.order for S in norms)
         lines.append(f"subgroups: {len(subs)} "

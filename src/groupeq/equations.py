@@ -1,13 +1,13 @@
 """Equation systems, exponent matrices, and their classification.
 
 An equation system is a list of words over declared variables and
-coefficient symbols, optionally bound to a concrete group. One Smith normal
-form U*E*V = D of the exponent-sum matrix E answers every question about E:
-the non-singular / p-nonsingular / unimodular verdicts, the rank mod p (the
-number of invariant factors p does not divide) and, through the sign
-det(U)*det(V) it records, the determinant (`det_int`). `echelon`, exact
-elimination over Q or a prime field, serves the group-ring certificates
-and oracles.
+coefficient symbols, optionally bound to a concrete group. The diagonal D
+of a Smith normal form U*E*V = D of the exponent-sum matrix E answers every
+question about E: the non-singular / p-nonsingular / unimodular verdicts,
+the rank mod p (the number of invariant factors p does not divide) and,
+with the sign det(U)*det(V), the determinant; only the abelian solver reads
+U and V. `echelon`, exact elimination over Q or a prime field, serves the
+group-ring certificates and oracles.
 
 Words compile to one letter form, which `evaluate_compiled` evaluates
 and `scan_solutions`, the one exhaustive search behind `solve`, solves; a
@@ -36,10 +36,6 @@ IntMatrix = list[list[int]]
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
 
-def _identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     if A and B and len(A[0]) != len(B):
         raise ValueError("matrix shape mismatch")
@@ -49,11 +45,11 @@ def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 
 
 class SmithDecomposition(Record):
-    """U * A * V = D with U, V unimodular, D diagonal, d_i | d_{i+1}, and
-    sign = det(U) * det(V)."""
-    U: IntMatrix
+    """U * A * V = D with U, V unimodular (None for the verdicts, which read
+    only D and the sign), D diagonal, d_i | d_{i+1}, sign = det(U) * det(V)."""
+    U: IntMatrix | None
     D: IntMatrix
-    V: IntMatrix
+    V: IntMatrix | None
     sign: int
 
     @property
@@ -70,60 +66,46 @@ class SmithDecomposition(Record):
         return len(factors) == len(self.D) and (not factors or factors[-1] % p != 0)
 
 
-def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Diagonalize an integer matrix by gcd-driven row/column reduction.
-
-    The pivot is always a nonzero entry of minimal absolute value (lowest
-    row, then column, index breaking ties), so the output is deterministic.
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    D = [[int(x) for x in row] for row in A]
-    if any(len(row) != cols for row in D):
+def _diagonalize(M: IntMatrix, rows: int, cols: int) -> int:
+    """Diagonalize the top-left rows x cols block of M in place by gcd-driven
+    steps on whole rows and columns of M, so that an identity beside or below
+    it becomes U or V; return det(U) * det(V). The pivot is a nonzero block
+    entry of least absolute value, the lowest (row, column) on ties."""
+    if any(len(row) != len(M[0]) for row in M[:rows]):
         raise ValueError("matrix is not rectangular")
-    U = _identity(rows)
-    V = _identity(cols)
-    sign = 1            # det(U) * det(V): each swap and each negation flips it
-
-    def row_op(i: int, j: int, q: int) -> None:   # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i: int, j: int, q: int) -> None:   # col_i -= q * col_j
-        for r in range(rows):
-            D[r][i] -= q * D[r][j]
-        for r in range(cols):
-            V[r][i] -= q * V[r][j]
+    sign = 1            # each swap and each negation flips it
 
     def reduce(t: int, end_row: int, end_col: int) -> None:
         """Diagonalize the block of rows t..end_row-1 and columns t..end_col-1."""
         nonlocal sign
-        end = min(end_row, end_col)
-        while t < end:
-            pivot = min(((abs(D[i][j]), i, j) for i in range(t, end_row)
-                         for j in range(t, end_col) if D[i][j]), default=None)
+        while t < min(end_row, end_col):
+            pivot = min(((abs(x), i, j) for i in range(t, end_row)
+                         for j, x in enumerate(M[i][t:end_col], t) if x), default=None)
             if pivot is None:
                 return
             _, pi, pj = pivot
             if pi != t:                                 # swap rows t and pi
-                D[t], D[pi], U[t], U[pi], sign = D[pi], D[t], U[pi], U[t], -sign
+                M[t], M[pi], sign = M[pi], M[t], -sign
             if pj != t:                                 # swap columns t and pj
-                for row in D + V:
+                for row in M:
                     row[t], row[pj] = row[pj], row[t]
                 sign = -sign
             reduced = False
             for i in range(t + 1, end_row):
-                if D[i][t] != 0:
-                    row_op(i, t, D[i][t] // D[t][t])
-                    reduced |= D[i][t] != 0
-            for j in range(t + 1, end_col):
-                if D[t][j] != 0:
-                    col_op(j, t, D[t][j] // D[t][t])
-                    reduced |= D[t][j] != 0
+                if M[i][t] != 0:                        # row_i -= q * row_t
+                    q = M[i][t] // M[t][t]
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                    reduced |= M[i][t] != 0
+            qs = [(j, M[t][j] // M[t][t]) for j in range(t + 1, end_col) if M[t][j]]
+            for row in M:                               # col_j -= q * col_t
+                if row[t]:
+                    for j, q in qs:
+                        row[j] -= q * row[t]
+            reduced |= any(M[t][t + 1:end_col])
             if reduced:
                 continue  # a smaller remainder appeared; pick a new pivot
-            if D[t][t] < 0:
-                D[t], U[t], sign = [-x for x in D[t]], [-x for x in U[t]], -sign
+            if M[t][t] < 0:
+                M[t], sign = [-x for x in M[t]], -sign
             t += 1
 
     reduce(0, rows, cols)
@@ -133,11 +115,29 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
     while changed:
         changed = False
         for i in range(min(rows, cols) - 1):
-            while D[i][i] != 0 and D[i + 1][i + 1] % D[i][i] != 0:
-                col_op(i, i + 1, -1)  # col_i += col_{i+1}
+            while M[i][i] != 0 and M[i + 1][i + 1] % M[i][i] != 0:
+                for row in M:                           # col_i += col_{i+1}
+                    row[i] += row[i + 1]
                 reduce(i, i + 2, i + 2)
                 changed = True
-    return SmithDecomposition(U, D, V, sign)
+    return sign
+
+
+def smith_normal_form(A: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """U * A * V = D from [A | I_rows] over I_cols (rows of A's width only),
+    diagonalized: U is its top right, D its top left and V its bottom."""
+    rows, cols = len(A), len(A[0]) if A else 0
+    M = [[*map(int, row), *(int(i == j) for j in range(rows))] for i, row in enumerate(A)]
+    M += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    sign = _diagonalize(M, rows, cols)
+    return SmithDecomposition([row[cols:] for row in M[:rows]],
+                              [row[:cols] for row in M[:rows]], M[rows:], sign)
+
+
+def _smith_diagonal(A: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """D and the sign, for the verdicts: the diagonalization of A alone."""
+    D = [[int(x) for x in row] for row in A]
+    return SmithDecomposition(None, D, None, _diagonalize(D, len(D), len(D[0]) if D else 0))
 
 
 def det_int(snf: SmithDecomposition) -> int:
@@ -262,7 +262,7 @@ class Classification(Record):
 
 
 def classify_matrix(A: Sequence[Sequence[int]]) -> Classification:
-    snf = smith_normal_form(A)
+    snf = _smith_diagonal(A)
     factors = snf.invariant_factors
     if len(factors) < len(A):
         return Classification(False, "all", False, factors,
@@ -284,7 +284,7 @@ def classify(system: EquationSystem) -> Classification:
 
 
 def is_p_nonsingular(system: EquationSystem, p: int) -> bool:
-    return smith_normal_form(exponent_matrix(system)).p_nonsingular(p)
+    return _smith_diagonal(exponent_matrix(system)).p_nonsingular(p)
 
 
 # ---------------------------------------------------------------------------

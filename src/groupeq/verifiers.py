@@ -249,10 +249,10 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
 
     Files are selected by the order their header declares: one declaring an
     order outside ``orders`` is not parsed past its header. Per-file load
-    errors, bad headers included, are collected, not fatal. Within each
-    order the groups are checked pairwise non-isomorphic and, when the order
-    is one the catalog claims to cover completely, the count is compared
-    against the classification count.
+    errors, bad headers and unreadable files included, are collected, not
+    fatal. Within each order the groups are checked pairwise non-isomorphic
+    and, when the order is one the catalog claims to cover completely, the
+    count is compared against the classification count.
     """
     entries: list[AuditEntry] = []
     loaded: dict[int, list[FiniteGroup]] = {}
@@ -262,7 +262,7 @@ def audit_catalog(directory: str | Path, orders: Sequence[int] | None = None,
             if orders is not None and group_header(text)[1] not in orders:
                 continue
             G = load_group(text)
-        except GroupEqError as exc:
+        except (GroupEqError, OSError) as exc:
             entries.append(AuditEntry(path.name, None, str(exc)))
             continue
         entries.append(AuditEntry(path.name, classify_group(G, config), None))

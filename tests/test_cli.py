@@ -570,6 +570,16 @@ def test_audit_reports_a_non_utf8_file_and_goes_on(tmp_path):
     assert "006_s3.grp: order 6, metabelian, witness" in out
 
 
+def test_audit_reports_an_unreadable_file_and_goes_on(tmp_path):
+    src = resolve_data_path("@catalog/004_c4.grp")
+    (tmp_path / "004_c4.grp").write_text(src.read_text(encoding="utf-8"))
+    (tmp_path / "x.grp").mkdir()
+    code, out, err = run_cli(["audit-catalog", str(tmp_path)])
+    assert code != 2 and err == ""
+    assert any(line.startswith("x.grp: LOAD ERROR: ") for line in out.splitlines())
+    assert "004_c4.grp: order 4, metabelian, witness" in out
+
+
 def test_non_utf8_error_names_the_file(tmp_path):
     bad = tmp_path / "bad.grp"
     bad.write_bytes(b"group G order 1\ntable:\n\xff\n")
@@ -748,14 +758,37 @@ def test_ragged_row_file_is_one_error_line(tmp_path):
 def test_analyze_system_builds_one_smith_form(monkeypatch):
     import groupeq.equations as equations
     calls = []
-    snf = equations.smith_normal_form
-    monkeypatch.setattr(equations, "smith_normal_form", lambda A: calls.append(A) or snf(A))
+    diagonal = equations._smith_diagonal
+    monkeypatch.setattr(equations, "_smith_diagonal", lambda A: calls.append(A) or diagonal(A))
+    monkeypatch.setattr(equations, "smith_normal_form",
+                        lambda A: pytest.fail("smith_normal_form was called"))
     monkeypatch.setattr(equations, "echelon", lambda *args: pytest.fail("echelon was called"))
     for fmt in ("text", "structured"):
         code, out, err = run_cli(["--format", fmt, "analyze-system", "@examples/example0.sys",
                                   "--prime", "5", "--prime", "17"])
         assert (code, err) == (0, "") and "-5" in out
     assert len(calls) == 2
+
+
+def test_only_the_abelian_solver_builds_u_and_v(tmp_path, monkeypatch):
+    import groupeq.equations as equations
+    calls = []
+    snf = equations.smith_normal_form
+    monkeypatch.setattr(equations, "smith_normal_form", lambda A: calls.append(A) or snf(A))
+    rng = random.Random(5)                  # the 40x40 system below
+    E = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    names = [f"x{i}" for i in range(1, 41)]
+    (tmp_path / "s.sys").write_text("vars: " + " ".join(names) + "\n" + "".join(
+        "eq: " + " ".join(f"{v}^{e}" for v, e in zip(names, row) if e) + "\n" for row in E))
+    assert run_cli(["analyze-system", str(tmp_path / "s.sys")])[0] == 0
+    system = equations.parse_system_file(tmp_path / "s.sys")
+    assert equations.classify(system).smith.U is None
+    assert equations.is_p_nonsingular(system, 7)
+    assert calls == []
+    code, out, err = run_cli(["wreath-transform", "@examples/wreath_demo.sys",
+                              "--base", "@catalog/002_c2.grp", "--top", "@catalog/002_c2.grp",
+                              "--prime", "2"])
+    assert (code, err) == (0, "") and len(calls) == 1
 
 
 def test_analyze_system_factoring_is_bounded(tmp_path):
@@ -828,6 +861,25 @@ def test_group_subgroups_past_the_cap_is_refused_from_the_header(tmp_path, monke
                     "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(12)))
     assert run_cli(["group", str(path), "--subgroups"]) == (
         2, "", "error: subgroup enumeration needs order <= 512, got 4096\n")
+
+
+def test_group_subgroups_reads_the_normal_ones_off_the_lattice(tmp_path, monkeypatch):
+    import groupeq.groups as groups
+    q8c23 = tmp_path / "q8c23.grp"          # Q8 x C2^3: every subgroup is normal
+    q8c23.write_text("group Q8xC2^3 order 64\ngenerators:\n(1 2 3 4)(5 6 7 8)\n"
+                     "(1 5 3 7)(2 8 4 6)\n(9 10)\n(11 12)\n(13 14)\n")
+    expected = {}
+    for path in ("@catalog/024_s4.grp", str(q8c23)):
+        G = groups.load_group_file(resolve_data_path(path))
+        expected[path] = sorted(S.order for S in groups.normal_subgroups(G))
+    monkeypatch.setattr(groups, "normal_subgroups",
+                        lambda *args: pytest.fail("normal_subgroups was called"))
+    for path, orders in expected.items():
+        code, out, err = run_cli(["--format", "structured", "group", path, "--subgroups"])
+        assert (code, err) == (0, "") and json.loads(out)["normal_subgroup_orders"] == orders
+        code, out, err = run_cli(["group", path, "--subgroups"])
+        assert f"normal subgroups: {len(orders)} (orders {orders})" in out.splitlines()
+    assert expected["@catalog/024_s4.grp"] == [1, 4, 12, 24] and len(expected[str(q8c23)]) == 425
 
 
 def _cli_cases(st):

@@ -204,7 +204,7 @@ def test_smith_decomposition_matches_sympy():
         M = sympy.Matrix(rows, cols, [x for row in A for x in row])
         snf = smith_normal_form(A)
         cls = classify_matrix(A)
-        assert cls.smith == snf
+        assert (cls.smith.D, cls.smith.sign) == (snf.D, snf.sign)
         d = sympy_snf(M, domain=sympy.ZZ)
         expected = tuple(abs(int(d[i, i])) for i in range(min(rows, cols)) if d[i, i])
         assert snf.invariant_factors == expected
@@ -226,6 +226,43 @@ def test_smith_decomposition_matches_sympy():
             snf.p_nonsingular(p)
         with pytest.raises(ValidationError, match=f"^{p} is not prime$"):
             equations.is_p_nonsingular(parse_system(EXAMPLE0), p)
+
+
+def test_verdict_diagonal_matches_sympy_up_to_24x24():
+    """The invariant factors and determinant the verdicts read, from the
+    diagonalization that builds no U and V, against sympy on seeded square,
+    non-square and rank-deficient matrices up to 24x24."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(24)
+    kinds = {"square": 0, "non-square": 0, "deficient": 0}
+    for trial in range(36):
+        rows = rng.randint(12, 24)
+        cols = rows if trial % 2 == 0 else rng.randint(12, 24)
+        A = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 0:                  # force a dependent row
+            A[-1] = [2 * a - 3 * b for a, b in zip(A[0], A[1])]
+        cls = classify_matrix(A)
+        assert cls.smith.U is None and cls.smith.V is None
+        d = sympy_snf(sympy.Matrix(A), domain=sympy.ZZ)
+        expected = tuple(abs(int(d[i, i])) for i in range(min(rows, cols)) if d[i, i])
+        assert cls.invariant_factors == expected, A
+        if rows == cols:
+            assert det_int(cls.smith) == DomainMatrix.from_list(A, sympy.ZZ).det(), A
+        kinds["square" if rows == cols else "non-square"] += 1
+        kinds["deficient"] += len(expected) < min(rows, cols)
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_smith_of_no_rows_or_no_columns():
+    """U is the identity and V is empty."""
+    assert smith_normal_form([]) == equations.SmithDecomposition([], [], [], 1)
+    for rows in (1, 2, 3):
+        identity = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        assert smith_normal_form([[]] * rows) == equations.SmithDecomposition(
+            identity, [[]] * rows, [], 1)
+        assert classify_matrix([[]] * rows).singular_primes == "all"
 
 
 def test_echelon_matches_sympy():
