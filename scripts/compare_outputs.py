@@ -25,6 +25,11 @@ a seeded 64x64 system.
 inputs, in text and in structured format: each verdict over Z_p and over
 Q, a family one entry past the row oracle's work cap, a free part, empty
 and ragged families, and elements with doubled or trailing signs.
+``--workload wreath`` (no seeds) runs a fixed list of ``wreath-transform``
+inputs that bind coefficients by element name, in text and in structured
+format: C2 wr C2, whose base names contain commas, S3 wr C2, C3 wr C3 with
+``--prime 3``, the identity ``1``, a name with one coordinate too few and an
+unknown name (both error lines), and ``@examples/wreath_demo.sys``.
 
 Each tree runs in its own child interpreter (``PYTHONPATH=<tree>/src``, in
 the directory that holds the deck's input files), which calls
@@ -226,6 +231,27 @@ ROWS_CASES = [
 ]
 
 
+C2, S3, C3 = "@catalog/002_c2.grp", "@catalog/006_s3.grp", "@catalog/003_c3.grp"
+WREATH_FILES = {
+    "c2-names.sys": "vars: x y\ncoeffs: a b t\nbind: @group a=((1,2),1;(1,2)) "
+                    "b=(1,(1,2);1) t=(1,1;(1,2))\neq: x a y t\neq: y b\n",
+    "s3-names.sys": "vars: x\ncoeffs: a t\nbind: @group a=((1,3,5)(2,6,4),(1,2)(3,4)(5,6);1) "
+                    "t=(1,(1,4)(2,5)(3,6);(1,2))\neq: x a x^-1 t x\n",
+    "c3-names.sys": "vars: x y\ncoeffs: a t\nbind: @group a=((1,2,3),1,(1,3,2);(1,2,3)) "
+                    "t=(1,1,1;(1,3,2))\neq: x a y\neq: y t y\n",
+    "identity.sys": "vars: x\ncoeffs: e\nbind: @group e=1\neq: x e\n",
+    "too-few.sys": "vars: x\ncoeffs: a\nbind: @group a=((1,2);(1,2))\neq: x a\n",
+    "unknown.sys": "vars: x\ncoeffs: a\nbind: @group a=((1,2),1;(1,3))\neq: x a\n",
+}
+WREATH_CASES = [
+    *([name, "--base", C2, "--top", C2, "--prime", "2"]
+      for name in ("c2-names.sys", "identity.sys", "too-few.sys", "unknown.sys")),
+    ["s3-names.sys", "--base", S3, "--top", C2, "--prime", "2"],
+    ["c3-names.sys", "--base", C3, "--top", C3, "--prime", "3"],
+    [*WREATH, "--prime", "2"],
+]
+
+
 def write_files(directory: Path, files: dict[str, str | None]) -> None:
     for name, text in files.items():
         path = directory / name
@@ -245,6 +271,11 @@ def rows_commands(directory: Path) -> list[list[str]]:
     write_files(directory, ROWS_FILES)
     return [["--format", "structured", *case[:-1], "certify-rows", case[-1]]
             for case in ROWS_CASES]
+
+
+def wreath_commands(directory: Path) -> list[list[str]]:
+    write_files(directory, WREATH_FILES)
+    return [["--format", "structured", "wreath-transform", *case] for case in WREATH_CASES]
 
 
 def run_tree(tree: Path, argvs: list[list[str]], cwd: Path, entry: bool) -> list[list]:
@@ -279,7 +310,7 @@ def first_difference(argvs, parent, change) -> str | None:
     return None
 
 
-FIXED_WORKLOADS = ("catalog", "argv", "analyze", "rows")   # fixed command lists, no seeds
+FIXED_WORKLOADS = ("catalog", "argv", "analyze", "rows", "wreath")   # fixed lists, no seeds
 
 
 def seed_range(text: str) -> range:
@@ -315,6 +346,7 @@ def main(argv: list[str] | None = None) -> int:
                 structured = (catalog_commands() if args.workload == "catalog"
                               else analyze_commands(work) if args.workload == "analyze"
                               else rows_commands(work) if args.workload == "rows"
+                              else wreath_commands(work) if args.workload == "wreath"
                               else deck_commands(args.workload, seed, work))
                 argvs = structured + [text_format(a) for a in structured]
             parent, change = (run_tree(tree, argvs, work, args.workload == "argv")

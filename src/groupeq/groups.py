@@ -12,6 +12,10 @@ abelian p-group all grow them with one closure, ``_close``, and none is
 re-checked: only ``subgroup`` checks a caller's element list. Associativity
 (Light's test), normality and commutativity are decided on a generating
 sequence that each group caches, as it caches its derived series.
+
+A group, a FiniteGroup or a packed `wreath.WreathGroup`, has a name and is read
+only through order, identity, mul, mul_all, inv, conj, elements, element_name
+and index_of.
 """
 
 from __future__ import annotations
@@ -186,9 +190,7 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    @property
-    def identity(self) -> int:
-        return 0
+    identity = 0
 
     def conj(self, g: int, h: int) -> int:
         """g**h = h^-1 * g * h."""
@@ -220,6 +222,9 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    def element_name(self, a: int) -> str:
+        return self.names[a]
 
     def index_of(self, name: str) -> int:
         try:
@@ -560,9 +565,9 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 class Homomorphism(Record):
-    """A checked map from a FiniteGroup into any group with ``order`` and
-    ``mul_all`` (a FiniteGroup or a packed WreathGroup); the check costs one
-    ``mul_all`` gather per source row and names the first failing pair."""
+    """A checked map from a FiniteGroup into any group of the module's
+    protocol; the check costs one ``mul_all`` gather per source row and
+    names the first failing pair."""
     source: FiniteGroup
     target: object
     image: tuple[int, ...]
@@ -704,14 +709,15 @@ def is_prime(n: int) -> bool:
 
 
 _TRIAL_BOUND, _RHO_STEPS = 1 << 10, 1 << 17       # the work bounds of prime_factors
+_RHO_BATCH = 128                # rho steps whose differences share one gcd
 
 
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n that bounded work proves, in increasing order:
     trial division below ``_TRIAL_BOUND``, then, on what is left, `is_prime` and Brent's
-    variant of Pollard's rho (R. P. Brent, BIT 20, 1980) for ``_RHO_STEPS`` steps in all.
-    The primes of a cofactor left unfactored are not listed; below ``_TRIAL_BOUND ** 2``
-    none is left."""
+    variant of Pollard's rho (R. P. Brent, BIT 20, 1980) for ``_RHO_STEPS`` steps in all,
+    one gcd per ``_RHO_BATCH`` steps, replayed step by step when it is not 1. The primes
+    of a cofactor left unfactored are not listed; below ``_TRIAL_BOUND ** 2`` none is left."""
     out = []
     for p in itertools.chain([2], range(3, _TRIAL_BOUND, 2)):
         if p * p > n:
@@ -728,17 +734,30 @@ def prime_factors(n: int) -> list[int]:
             continue
         x, y, c, i = 2, 2, 1, 1     # y -> y*y + c, compared with x, its value at step 2^k
         while steps:
-            steps -= 1
-            y = (y * y + c) % m
-            g = gcd(x - y, m)
-            if 1 < g < m:
+            saved, batch, q = (x, y, i), min(steps, _RHO_BATCH), 1
+            for _ in range(batch):
+                y = (y * y + c) % m
+                q = q * (x - y) % m
+                if i & (i - 1) == 0:
+                    x = y
+                i += 1
+            if gcd(q, m) == 1:
+                steps -= batch
+                continue
+            x, y, i = saved     # some step of the batch meets a factor: replay it
+            while True:
+                steps -= 1
+                y = (y * y + c) % m
+                g = gcd(x - y, m)
+                if g > 1:
+                    break
+                if i & (i - 1) == 0:
+                    x = y
+                i += 1
+            if g < m:
                 todo += [g, m // g]
                 break
-            if g == m:          # the cycle closed mod m itself: start again with c + 1
-                x, y, c, i = 2, 2, c + 1, 0
-            elif i & (i - 1) == 0:
-                x = y
-            i += 1
+            x, y, c, i = 2, 2, c + 1, 1     # the cycle closed mod m itself: start again with c + 1
     return sorted(set(out))
 
 

@@ -31,7 +31,7 @@ and `brute_force_solve` read every one of them as is:
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import AbelianGroupSpec, AlgebraElement, RowFamily, augmentation
 from .config import DEFAULT_CONFIG, Config
@@ -57,31 +57,32 @@ def wreath_order(base_order: int, top_order: int, config: Config = DEFAULT_CONFI
 class WreathGroup:
     """H wr B on packed element indices; identity is index 0."""
 
-    def __init__(self, base: FiniteGroup, top: FiniteGroup,
+    identity = 0
+
+    def __init__(self, base: FiniteGroup | WreathGroup, top: FiniteGroup,
                  config: Config = DEFAULT_CONFIG) -> None:
         self.order = wreath_order(base.order, top.order, config)
         self.base = base
         self.top = top
+        self.name = f"{base.name}wr{top.name}"
+        self._translate = tuple(zip(*top.table))     # [t][b] = b*t
         self._group: FiniteGroup | None = None
 
     # -- packing -------------------------------------------------------------
 
-    def encode(self, f: Sequence[int], t: int) -> int:
-        code = 0
+    def encode(self, f: Iterable[int], t: int) -> int:
+        n, code = self.base.order, 0
         for v in f:
-            code = code * self.base.order + v
+            code = code * n + v
         return code * self.top.order + t
 
-    def decode(self, x: int) -> tuple[tuple[int, ...], int]:
-        code, t = divmod(x, self.top.order)
-        f = [0] * self.top.order
-        for i in range(self.top.order - 1, -1, -1):
-            code, f[i] = divmod(code, self.base.order)
-        return tuple(f), t
-
-    @property
-    def identity(self) -> int:
-        return 0
+    def decode(self, x: int) -> tuple[list[int], int]:
+        n, k = self.base.order, self.top.order
+        code, t = divmod(x, k)
+        f = [0] * k
+        for i in range(k - 1, -1, -1):
+            code, f[i] = divmod(code, n)
+        return f, t
 
     def embed_base(self, f: Sequence[int]) -> int:
         return self.encode(f, 0)
@@ -97,10 +98,8 @@ class WreathGroup:
     def mul(self, x: int, y: int) -> int:
         f, t = self.decode(x)
         g, u = self.decode(y)
-        tm = self.top.table
-        bm = self.base.table
-        prod = tuple(bm[f[b]][g[tm[b][t]]] for b in range(self.top.order))
-        return self.encode(prod, tm[t][u])
+        prod = self.base.mul_all(f, [g[b] for b in self._translate[t]])
+        return self.encode(prod, self.top.table[t][u])
 
     def mul_all(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
         """[x*y for x, y in zip(xs, ys)], without realizing the table."""
@@ -109,9 +108,7 @@ class WreathGroup:
     def inv(self, x: int) -> int:
         f, t = self.decode(x)
         tinv = self.top.inverse[t]
-        tm = self.top.table
-        binv = self.base.inverse
-        h = tuple(binv[f[tm[c][tinv]]] for c in range(self.top.order))
+        h = map(self.base.inv, [f[c] for c in self._translate[tinv]])
         return self.encode(h, tinv)
 
     def conj(self, x: int, d: int) -> int:
@@ -124,28 +121,25 @@ class WreathGroup:
         f, t = self.decode(x)
         if x == 0:
             return "1"
-        coords = ",".join(self.base.names[v] for v in f)
-        return f"({coords};{self.top.names[t]})"
+        coords = ",".join(map(self.base.element_name, f))
+        return f"({coords};{self.top.element_name(t)})"
 
     def index_of(self, name: str) -> int:
         """The least x with ``element_name(x) == name``, read through the
         base and top groups' names: any ';' may end the coordinates, and each
-        split keeps its least reading other than the identity (named "1")."""
+        split keeps its least reading other than the identity (named "1").
+        Only a FiniteGroup base has names to read: a nested product binds #k."""
+        base_names = self.base._name_index if isinstance(self.base, FiniteGroup) else {}
         hits = [0] if name == "1" else []
         for i, ch in enumerate(name[:-1] if name[:1] == "(" and name[-1:] == ")" else ""):
             t = self.top._name_index.get(name[i + 1:-1]) if ch == ";" else None
             if t is not None:
-                xs = (self.encode(f, t) for f in
-                      _readings(name[1:i], self.base._name_index, self.top.order))
+                xs = (self.encode(f, t) for f in _readings(name[1:i], base_names, self.top.order))
                 hits += itertools.islice(filter(None, xs), 1)
         if hits:
             return min(hits)
         raise ValidationError(f"wreath product has no element named {name!r} "
                               "(hint: #<index> bindings always work)")
-
-    @property
-    def name(self) -> str:
-        return f"{self.base.name}wr{self.top.name}"
 
     def realize(self) -> FiniteGroup:
         """Materialize the Cayley table (cached); capped because the table
@@ -168,7 +162,7 @@ def _readings(text: str, names: Mapping[str, int], k: int) -> Iterator[tuple[int
     """Each way to spell *text* as k of *names* joined by commas, least first; a
     name may contain commas, and left[a] counts names that spell text past cut a."""
     cuts = [-1] + [i for i, ch in enumerate(text) if ch == ","] + [len(text)]
-    span = 2 + max(w.count(",") for w in names)
+    span = 2 + max((w.count(",") for w in names), default=0)
     steps = [sorted((names[w], b) for b in range(a + 1, min(a + span, len(cuts)))
                     if (w := text[cuts[a] + 1:cuts[b]]) in names) for a in range(len(cuts))]
     left = [set() for _ in cuts[1:]] + [{0}]

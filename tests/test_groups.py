@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import textwrap
@@ -8,6 +9,7 @@ from conftest import run_python
 from make_catalog import (affine_group_over_prime_field, cyclic_action, dicyclic, dihedral,
                           format_group_file, quaternion_group, semidirect_product)
 
+from groupeq import groups
 from groupeq.catalog import bundled_catalog_dir
 from groupeq.config import Config
 from groupeq.errors import CapExceeded, ParseError, ValidationError
@@ -17,7 +19,7 @@ from groupeq.groups import (FiniteGroup, Homomorphism, Subgroup, _close,
                             direct_product, dlog_table, from_generators, is_metabelian,
                             is_nilpotent, isomorphic, load_group, load_group_file,
                             lower_central_series, normal_subgroups,
-                            parse_cycles, perm_compose, prime_factors, quotient,
+                            is_prime, parse_cycles, perm_compose, prime_factors, quotient,
                             subgroup, sylow_subgroup, trivial_group)
 from groupeq.wreath import WreathGroup
 
@@ -475,6 +477,90 @@ def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(42) == [2, 3, 7]
     assert prime_factors(64) == [2]
+
+
+def per_step_prime_factors(n, gcd=math.gcd):
+    """prime_factors as it was written with one gcd per rho step."""
+    out = []
+    for p in itertools.chain([2], range(3, groups._TRIAL_BOUND, 2)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    todo, steps = [n] if n > 1 else [], groups._RHO_STEPS
+    while todo:
+        m = todo.pop()
+        if m < groups._TRIAL_BOUND ** 2 or m < groups._MR_EXACT_BELOW and is_prime(m):
+            out.append(m)
+            continue
+        x, y, c, i = 2, 2, 1, 1
+        while steps:
+            steps -= 1
+            y = (y * y + c) % m
+            g = gcd(x - y, m)
+            if 1 < g < m:
+                todo += [g, m // g]
+                break
+            if g == m:
+                x, y, c, i = 2, 2, c + 1, 0
+            elif i & (i - 1) == 0:
+                x = y
+            i += 1
+    return sorted(set(out))
+
+
+# the last invariant factor of the 64x64 matrix of random.Random(64), one
+# randint(-3, 3) per entry row by row; its cofactor past 3 * 17 * 7566421
+# outlasts the rho budget
+SEEDED_64_FACTOR = 385760928275415452986526073472948171226659145241792352415024217
+
+
+def test_prime_factors_batches_find_what_one_gcd_per_step_finds(monkeypatch):
+    # every gcd past 1 of a batch is followed by the one of the step it
+    # replays up to; those steps must take the same gcds, of the same x - y
+    met = []
+
+    def recording_gcd(a, b):
+        g = math.gcd(a, b)
+        if g > 1:
+            met.append((a, b))
+        return g
+
+    monkeypatch.setattr(groups, "gcd", recording_gcd)
+    rng = random.Random(33)
+
+    def prime(digits):
+        while not is_prime(p := rng.randrange(10 ** (digits - 1), 10 ** digits)):
+            pass
+        return p
+
+    # rho's cycle closes mod 1031 * 1291 and 1033 * 1187 themselves, so c = 1 gives way to 2
+    cases = [SEEDED_64_FACTOR, 2 ** 61 - 1, (10 ** 9 + 7) ** 2, 1031 * 1291, 1033 * 1187]
+    for _ in range(16):         # about half of them spend the whole budget
+        ps = [prime(rng.randint(3, 14)) for _ in range(rng.randint(1, 3))]
+        cases.append(math.prod(p ** rng.choice((1, 2)) for p in ps))
+    for n in cases:
+        met.clear()
+        got = prime_factors(n)
+        batched, met[:] = met[:], []
+        assert got == per_step_prime_factors(n, recording_gcd), n
+        assert batched[1::2] == met and len(batched) == 2 * len(met), n
+
+
+def test_prime_factors_takes_one_gcd_per_batch(monkeypatch):
+    # the whole rho budget of 2^17 steps spent on one cofactor: 1,024 batches
+    calls = []
+    monkeypatch.setattr(groups, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b))
+    ps = prime_factors(SEEDED_64_FACTOR)
+    assert ps == [3, 17, 7566421]
+    cofactor = SEEDED_64_FACTOR
+    for p in ps:
+        while cofactor % p == 0:
+            cofactor //= p
+    assert cofactor > 1
+    assert len(calls) <= 2048, len(calls)
 
 
 def test_bundled_s3_and_affine7_examples():

@@ -527,7 +527,8 @@ def test_block_scan_yields_every_solution_of_the_reference_scan():
     rng = random.Random(12)
     groups = [load_group_file(f) for f in sorted(bundled_catalog_dir().glob("*.grp"))
               if int(f.name[:3]) <= 24]
-    groups += [trivial_group(), WreathGroup(cyclic(2), cyclic(2))]
+    groups += [trivial_group(), WreathGroup(cyclic(2), cyclic(2)),
+               WreathGroup(WreathGroup(cyclic(2), cyclic(2)), cyclic(2))]
     seen = set()
     for G in groups:
         for nvars in range(4):

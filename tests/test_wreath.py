@@ -88,6 +88,56 @@ def test_coordinate_action_law_exhaustive():
         WreathGroup(cyclic(2), direct_product(cyclic(2), cyclic(3))))
 
 
+def test_nested_product_is_the_sylow_2_subgroup_of_s8():
+    W = WreathGroup(c2wrc2(), cyclic(2))
+    P = from_generators(["(1 2)", "(1 3)(2 4)", "(1 5)(2 6)(3 7)(4 8)"])
+    assert W.order == P.order == 128          # 2^7 is the 2-part of 8! = 40,320
+    assert isomorphic(W.realize(), P) is not None
+    # names nest: each coordinate is the base's own element name
+    x = W.encode((W.base.embed_top(1), W.base.encode((1, 0), 1)), 1)
+    assert W.element_name(x) == "((1,1;g),(g,1;g);g)"
+    assert len({W.element_name(x) for x in W.elements()}) == W.order
+
+
+def imprimitive_action(G):
+    """(number of points, x -> permutation): a FiniteGroup on itself by right
+    multiplication, H wr B on (points of H) x B by (w, b) * (f, t) = (w * f(b), b * t)."""
+    if not isinstance(G, WreathGroup):
+        return G.order, lambda h: tuple(G.table[w][h] for w in G.elements())
+    n, act = imprimitive_action(G.base)
+    tops = G.top.table
+
+    def perm(x):
+        f, t = G.decode(x)
+        moves = [act(v) for v in f]
+        return tuple(tops[b][t] * n + moves[b][w] for b in G.top.elements() for w in range(n))
+    return n * G.top.order, perm
+
+
+def test_nested_product_acts_faithfully_on_twelve_points():
+    # (C3 wr C2) wr C2 in Sym(12), by the action written from the definition;
+    # points are composed left to right, p * (x y) = (p * x) * y
+    inner = WreathGroup(cyclic(3), cyclic(2))
+    W = WreathGroup(inner, cyclic(2))
+    n, phi = imprimitive_action(W)
+    assert (n, W.order) == (12, 648)
+    image = {x: phi(x) for x in W.elements()}
+    assert len(set(image.values())) == W.order            # injective
+    gens = [W.embed_top(1), W.embed_base((inner.embed_top(1), 0)),
+            W.embed_base((inner.embed_base((1, 0)), 0))]
+    reached, seen = [W.identity], {W.identity}
+    for x in reached:                  # appending while iterating: breadth-first
+        for g in gens:
+            y = W.mul(x, g)
+            assert image[y] == tuple(image[g][p] for p in image[x]), (x, g)
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    assert len(reached) == W.order     # the gens generate
+    for x in W.elements():
+        assert tuple(image[W.inv(x)][p] for p in image[x]) == tuple(range(n))
+
+
 def test_kaloujnine_krasner_embeddings():
     c4 = cyclic(4)
     N = subgroup(c4, closure(c4, [2]))
@@ -242,11 +292,12 @@ def test_reconstruct_rejects_bad_pointwise():
         reconstruct_solution(ts, {"y_x_0": 0, "y_x_1": 0})
 
 
-def test_round_trip_random_square_systems():
-    W = c2wrc2()
+def round_trip_random_square_systems(W, count, max_vars):
+    """Normalize, transform, certify, scan over W's base and reconstruct
+    *count* seeded square systems over W, checked against brute force."""
     rng = random.Random(11)
-    for _ in range(40):
-        system = random_wreath_system(W, rng)
+    for _ in range(count):
+        system = random_wreath_system(W, rng, max_vars)
         norm = normalize_top_component(system, 2)
         ts = coordinatewise_transform(norm.system)
         ex = extract_rows(ts, 2)
@@ -273,6 +324,18 @@ def test_round_trip_random_square_systems():
                    for w in system.words):
                 brute.append(combo)
         assert shifted == sorted(brute)
+
+
+def test_round_trip_random_square_systems():
+    round_trip_random_square_systems(c2wrc2(), 40, 2)
+
+
+def test_round_trip_random_square_systems_over_a_nested_product():
+    # the transformed systems lie over the base C2 wr C2, itself a packed product
+    W = WreathGroup(c2wrc2(), cyclic(2))
+    t0 = time.time()
+    round_trip_random_square_systems(W, 12, 1)
+    assert time.time() - t0 < 1.0
 
 
 def test_wreath_solutions_helper_consistency():
@@ -405,6 +468,20 @@ def test_index_of_returns_the_least_of_several_readings():
         least = _scan_index(W)
         for name in names + made:
             assert _index_or_none(W, name) == least.get(name), name
+
+
+def test_a_nested_product_binds_by_index_only():
+    W = WreathGroup(c2wrc2(), cyclic(2))
+    for name in [W.element_name(x) for x in W.elements()][1:] + ["(1,1;1)", "(;)", "nosuch"]:
+        assert _index_or_none(W, name) is None, name
+    assert W.index_of("1") == W.identity
+    text = "vars: x\ncoeffs: c\nbind: @group c={}\neq: x c\n"
+    name = W.element_name(5)
+    with pytest.raises(ValidationError) as info:
+        parse_system(text.format(name), group=W)
+    assert str(info.value) == (f"wreath product has no element named {name!r} "
+                               "(hint: #<index> bindings always work)")
+    assert parse_system(text.format("#5"), group=W).binding.values == {"c": 5}
 
 
 def test_unknown_wreath_name_is_reported_without_a_scan(tmp_path, monkeypatch):
