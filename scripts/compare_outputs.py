@@ -29,7 +29,10 @@ and ragged families, and elements with doubled or trailing signs.
 inputs that bind coefficients by element name, in text and in structured
 format: C2 wr C2, whose base names contain commas, S3 wr C2, C3 wr C3 with
 ``--prime 3``, the identity ``1``, a name with one coordinate too few and an
-unknown name (both error lines), and ``@examples/wreath_demo.sys``.
+unknown name (both error lines), and ``@examples/wreath_demo.sys``; and, with
+the non-cyclic tops C4 x C2 and C3 x C3, which bind coefficients by ``#k``:
+C2 wr (C4 x C2), whose variable change beta is nontrivial in both
+variables, its 2-singular twin (an error line), and C3 wr (C3 x C3).
 
 Each tree runs in its own child interpreter (``PYTHONPATH=<tree>/src``, in
 the directory that holds the deck's input files), which calls
@@ -232,6 +235,7 @@ ROWS_CASES = [
 
 
 C2, S3, C3 = "@catalog/002_c2.grp", "@catalog/006_s3.grp", "@catalog/003_c3.grp"
+C4XC2, C3_2 = "@catalog/008_c4xc2.grp", "@catalog/009_c32.grp"
 WREATH_FILES = {
     "c2-names.sys": "vars: x y\ncoeffs: a b t\nbind: @group a=((1,2),1;(1,2)) "
                     "b=(1,(1,2);1) t=(1,1;(1,2))\neq: x a y t\neq: y b\n",
@@ -242,12 +246,21 @@ WREATH_FILES = {
     "identity.sys": "vars: x\ncoeffs: e\nbind: @group e=1\neq: x e\n",
     "too-few.sys": "vars: x\ncoeffs: a\nbind: @group a=((1,2);(1,2))\neq: x a\n",
     "unknown.sys": "vars: x\ncoeffs: a\nbind: @group a=((1,2),1;(1,3))\neq: x a\n",
+    "c4xc2-top.sys": "vars: x y\ncoeffs: a b c\nbind: @group a=#13 b=#6 c=#1003\n"
+                     "eq: x^3 y a\neq: x y^-1 b x c\n",
+    "c4xc2-singular.sys": "vars: x y\ncoeffs: a b\nbind: @group a=#5 b=#3\n"
+                          "eq: x^2 y^2 a\neq: x y^-1 b\n",
+    "c3xc3-top.sys": "vars: x y\ncoeffs: a b\nbind: @group a=#1234 b=#20000\n"
+                     "eq: x y^2 a\neq: x^2 y^-1 b x\n",
 }
 WREATH_CASES = [
     *([name, "--base", C2, "--top", C2, "--prime", "2"]
       for name in ("c2-names.sys", "identity.sys", "too-few.sys", "unknown.sys")),
     ["s3-names.sys", "--base", S3, "--top", C2, "--prime", "2"],
     ["c3-names.sys", "--base", C3, "--top", C3, "--prime", "3"],
+    *([name, "--base", C2, "--top", C4XC2, "--prime", "2"]
+      for name in ("c4xc2-top.sys", "c4xc2-singular.sys")),
+    ["c3xc3-top.sys", "--base", C3, "--top", C3_2, "--prime", "3"],
     [*WREATH, "--prime", "2"],
 ]
 

@@ -6,8 +6,9 @@ of a Smith normal form U*E*V = D of the exponent-sum matrix E answers every
 question about E: the non-singular / p-nonsingular / unimodular verdicts,
 the rank mod p (the number of invariant factors p does not divide) and,
 with the sign det(U)*det(V), the determinant; only the abelian solver reads
-U and V. `echelon`, exact elimination over Q or a prime field, serves the
-group-ring certificates and oracles.
+U and V, and it solves D*z = U*b by powers in the bound group, which it
+decomposes only to grow it. `echelon`, exact elimination over Q or a prime
+field, serves the group-ring certificates and oracles.
 
 Words compile to one letter form, which `evaluate_compiled` evaluates
 and `scan_solutions`, the one exhaustive search behind `solve`, solves; a
@@ -19,13 +20,15 @@ All integer arithmetic is arbitrary precision.
 from __future__ import annotations
 
 import itertools
-from math import gcd, prod
+from functools import reduce
+from math import prod
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ParseError, ValidationError, int_literal, read_text_file
-from .groups import (FiniteGroup, Homomorphism, abelian_p_basis, cyclic,
-                     direct_product, dlog_table, is_prime, load_group_file,
+from .errors import (CapExceeded, ParseError, ValidationError, int_literal,
+                     read_text_file)
+from .groups import (MAX_TABLE_ORDER, FiniteGroup, Homomorphism, abelian_p_basis,
+                     cyclic, direct_product, dlog_table, is_prime, load_group_file,
                      prime_factors)
 from .record import Record
 from .words import VAR, Word, exponent_sum, parse_word, strip_comment, symbol_kinds
@@ -35,14 +38,6 @@ IntMatrix = list[list[int]]
 
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
-
-def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("matrix shape mismatch")
-    cols = len(B[0]) if B else 0
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(cols)]
-            for i in range(len(A))]
-
 
 class SmithDecomposition(Record):
     """U * A * V = D with U, V unimodular (None for the verdicts, which read
@@ -466,7 +461,15 @@ class AbelianSolution(Record):
     embedding: Homomorphism            # B -> group
     assignment: dict[str, int]         # variable -> element index of group
     lift_exponent: int                 # every cyclic factor grew by p**this
-    basis: tuple[int, ...]             # direct basis of group (element indices)
+
+
+def _p_split(n: int, p: int) -> tuple[int, int]:
+    """(a, u) with n = p^a * u and u prime to p, for n nonzero."""
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return a, n
 
 
 def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
@@ -474,12 +477,15 @@ def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
 
     One Smith form U*E*V = D of the exponent matrix E does all the work:
     the system is non-singular when D has a nonzero entry per equation, and
-    with b the right-hand sides over the basis of B, D*z = U*b is solved
-    componentwise and y = V*z. The lift exponent v is the p-valuation of
-    the last invariant factor. A p-nonsingular system has v = 0 and solves
-    in B itself: the group is B, the embedding the identity and the basis
-    B's. Otherwise each cyclic factor grows by p^v in a new direct product
-    B', into which B embeds by h -> h^(p^v).
+    with b the right-hand sides, D*z = U*b is solved by powers and y = V*z.
+    The lift exponent v is the p-valuation of the last invariant factor. A
+    p-nonsingular system has v = 0 and solves in B itself with B's own
+    multiplication and powers: the group is B, the embedding the identity.
+    Otherwise B is decomposed, each cyclic factor grows by p^v in a new
+    direct product B', each right-hand side h moves to the h' of B' with
+    h's coordinates, and B embeds by h -> h'^(p^v). With d_j = p^a * u_j,
+    z_j = (U*b)_j ^ (p^(v-a) * (u_j^-1 mod |group|)) gives z_j^(d_j) =
+    (U*b)_j ^ (p^v), the j-th entry of U times the embedded b.
     """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
@@ -488,84 +494,58 @@ def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
     B = system.binding.group
     if not isinstance(B, FiniteGroup):
         raise ValidationError("abelian solver needs a FiniteGroup binding")
-    basis = abelian_p_basis(B, p)
-    cyc_orders = [B.element_order(b) for b in basis]
-    if B.order > 1 and not basis:
-        raise ValidationError("no decomposition for the bound group")
+    if not B.is_abelian:
+        raise ValidationError("group is not abelian")
+    if _p_split(B.order, p)[1] != 1:
+        raise ValidationError(f"group order {B.order} is not a power of {p}")
 
     snf = smith_normal_form(exponent_matrix(system))
     factors = snf.invariant_factors
     if len(factors) != len(system.words):
         raise ValidationError("system is not non-singular; the abelian solver "
                               "needs independent exponent rows")
-    last = factors[-1] if factors else 1
-    v = 0
-    while last % p == 0:
-        last //= p
-        v += 1
+    v = _p_split(factors[-1], p)[0] if factors else 0
 
-    logB = dlog_table(B, basis)
-    lift = p ** v
-    if v:
-        # extension group B' and the embedding h -> h^(p^v)
-        orders = [o * lift for o in cyc_orders]
-        group = _direct_of_cyclics(orders, name=f"{B.name}-ext")
-        basis = _canonical_basis(group, orders)
-        embedding = Homomorphism(B, group, tuple(
-            _from_vector(group, basis, [e * lift for e in logB[g]])
-            for g in B.elements()))
-    else:
-        orders, group = cyc_orders, B
-        embedding = Homomorphism(B, B, tuple(B.elements()))
-
-    # right-hand side: equation j says sum_i E[j][i] * y_i = -c_j
+    # right-hand side: equation j says sum_i E[j][i] * y_i = b_j
     values, at_identity = system.binding.values, dict.fromkeys(system.variables, 0)
-    rhs = [[e * lift for e in logB[B.inv(evaluate_word(w, B, values, at_identity))]]
-           for w in system.words]
-    z = [[_solve_congruence(snf.D[j][j], x % n, n) for x, n in zip(row, orders)]
-         for j, row in enumerate(mat_mul(snf.U, rhs))]
-    z += [[0] * len(orders) for _ in range(len(system.variables) - len(z))]
-    assignment = {var: _from_vector(group, basis, [x % n for x, n in zip(y, orders)])
-                  for var, y in zip(system.variables, mat_mul(snf.V, z))}
+    rhs = [B.inv(evaluate_word(w, B, values, at_identity)) for w in system.words]
+    lift, group, moved = p ** v, B, B.elements()          # moved: h -> h'
+    if v:
+        basis = abelian_p_basis(B, p)
+        orders = [B.element_order(h) * lift for h in basis]
+        group = _direct_of_cyclics(orders, name=f"{B.name}-ext")
+        coords = dlog_table(B, basis)
+        strides = [prod(orders[i + 1:]) for i in range(len(orders))]    # mixed radix
+        moved = [sum(e * s for e, s in zip(coords[h], strides)) for h in B.elements()]
+    embedding = Homomorphism(B, group, tuple(group.power(h, lift) for h in moved))
+    rhs = [moved[h] for h in rhs]
+
+    def combine(row: Sequence[int], xs: Sequence[int]) -> int:
+        """The product of the xs[k]^row[k], each exponent reduced mod |group|."""
+        exponents = [e % group.order for e in row]
+        return reduce(group.mul, map(group.power, xs, exponents), group.identity)
+
+    z = []
+    for j, row in enumerate(snf.U):
+        a, u = _p_split(snf.D[j][j], p)
+        z.append(group.power(combine(row, rhs), p ** (v - a) * pow(u, -1, group.order)))
+    z += [group.identity] * (len(system.variables) - len(z))
+    assignment = {var: combine(row, z) for var, row in zip(system.variables, snf.V)}
 
     coeffs = {c: embedding(values[c]) for c in system.coefficients}
     if not satisfies(system.bind(group, coeffs), assignment):
         raise ValidationError("internal error: abelian solution fails to verify")
-    return AbelianSolution(group, embedding, assignment, v, tuple(basis))
+    return AbelianSolution(group, embedding, assignment, v)
 
 
-def _solve_congruence(d: int, a: int, n: int) -> int:
-    """Some z with d*z = a (mod n); raises if insoluble."""
-    g = gcd(d, n)
-    if a % g != 0:
-        raise ValidationError(f"congruence {d}*z = {a} (mod {n}) has no solution")
-    if n == 1:
-        return 0
-    d2, a2, n2 = d // g, a // g, n // g
-    return (a2 * pow(d2, -1, n2)) % n2
-
-
-def _direct_of_cyclics(orders: Sequence[int], name: str = "B") -> FiniteGroup:
-    if not orders:
-        return cyclic(1, name=name)
-    G = cyclic(orders[0], gen_symbol="h1")
+def _direct_of_cyclics(orders: Sequence[int], name: str) -> FiniteGroup:
+    """C_(orders[0]) x C_(orders[1]) x ... generated by h1, h2, ...: the element
+    of index x has coordinates x in mixed radix, the first most significant.
+    Past MAX_TABLE_ORDER it raises CapExceeded before any table is built."""
+    if prod(orders) > MAX_TABLE_ORDER:
+        raise CapExceeded(f"grown group order {prod(orders)} exceeds the table cap "
+                          f"{MAX_TABLE_ORDER}")
+    G = cyclic(orders[0] if orders else 1, name=name, gen_symbol="h1")
     for t, o in enumerate(orders[1:], start=2):
-        G = direct_product(G, cyclic(o, gen_symbol=f"h{t}"))
-    return FiniteGroup(G.table, G.names, name=name)
-
-
-def _canonical_basis(G: FiniteGroup, orders: Sequence[int]) -> list[int]:
-    """Generator indices of a group built by _direct_of_cyclics."""
-    basis = []
-    stride = G.order
-    for o in orders:
-        stride //= o
-        basis.append(stride)
-    return basis
-
-
-def _from_vector(G: FiniteGroup, basis: Sequence[int], vec: Sequence[int]) -> int:
-    x = G.identity
-    for b, e in zip(basis, vec):
-        x = G.mul(x, G.power(b, e))
-    return x
+        G = direct_product(G, cyclic(o, gen_symbol=f"h{t}"), name=name)
+    return G

@@ -9,13 +9,15 @@ from conftest import run_python
 import groupeq.equations as equations
 from make_catalog import dihedral
 
+from groupeq.catalog import bundled_catalog_dir
 from groupeq.equations import (EquationSystem, classify, classify_matrix,
                                det_int, echelon, evaluate_word, exponent_matrix,
-                               mat_mul, parse_system,
+                               parse_system,
                                rank_mod_p, satisfies, smith_normal_form,
                                solve_abelian_p_system)
-from groupeq.errors import ParseError, ValidationError
-from groupeq.groups import abelian_p_basis, cyclic, direct_product
+from groupeq.errors import CapExceeded, ParseError, ValidationError
+from groupeq.groups import (FiniteGroup, abelian_p_basis, cyclic, direct_product,
+                            dlog_table, load_group_file, prime_factors)
 from groupeq.words import COEFF, VAR, Letter, format_word
 
 EXAMPLE0 = """
@@ -25,6 +27,15 @@ eq: [x,y] x^2 g1 y^-3
 eq: [y,z] z
 eq: x g2 y g3 z
 """
+
+
+def mat_mul(A, B):
+    """The integer matrix product A * B."""
+    if A and B and len(A[0]) != len(B):
+        raise ValueError("matrix shape mismatch")
+    cols = len(B[0]) if B else 0
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(cols)]
+            for i in range(len(A))]
 
 
 def det(A):
@@ -416,29 +427,136 @@ def test_echelon_returns_reduced_rows_in_pivot_order():
             assert not any(any(row) for row in e.rows[e.rank:])
 
 
+def _solve_congruence(d, a, n):
+    """Some z with d*z = a (mod n)."""
+    g = math.gcd(d, n)
+    assert a % g == 0, (d, a, n)
+    return 0 if n == 1 else a // g * pow(d // g, -1, n // g) % (n // g)
+
+
+def coordinate_solve(system, p):
+    """Reference for `solve_abelian_p_system`: D*z = U*b solved one congruence
+    per coordinate over the direct basis of B that `abelian_p_basis` gives,
+    each cyclic factor grown by p^v. Returns the grown order, the image of
+    B's elements (coordinates times p^v) and the assignment; over a grown
+    group an element's index is its coordinate vector in mixed radix."""
+    B, values = system.binding.group, system.binding.values
+    basis = abelian_p_basis(B, p)
+    logs = dlog_table(B, basis)
+    snf = smith_normal_form(exponent_matrix(system))
+    last, v = (snf.invariant_factors or (1,))[-1], 0
+    while last % p == 0:
+        last, v = last // p, v + 1
+    lift = p ** v
+    orders = [B.element_order(b) * lift for b in basis]
+
+    def element(vec):
+        x = B.identity
+        for b, o, e in zip(basis, orders, vec):
+            x = x * o + e if v else B.mul(x, B.power(b, e))
+        return x
+
+    image = tuple(element([e * lift for e in logs[g]]) for g in B.elements())
+    at_identity = dict.fromkeys(system.variables, 0)
+    rhs = [[e * lift for e in logs[B.inv(evaluate_word(w, B, values, at_identity))]]
+           for w in system.words]
+    z = [[_solve_congruence(snf.D[j][j], x % n, n) for x, n in zip(row, orders)]
+         for j, row in enumerate(mat_mul(snf.U, rhs))]
+    z += [[0] * len(orders) for _ in range(len(system.variables) - len(z))]
+    assignment = {var: element([x % n for x, n in zip(y, orders)])
+                  for var, y in zip(system.variables, mat_mul(snf.V, z))}
+    return math.prod(orders), image, assignment
+
+
+def seeded_system(B, rng):
+    """1-3 variables, as many or fewer equations, exponents in -4..4, each
+    equation ending in a coefficient bound to a random element of B."""
+    nvars = rng.randint(1, 3)
+    variables = "xyz"[:nvars]
+    rows = [[rng.randint(-4, 4) for _ in variables] for _ in range(rng.randint(1, nvars))]
+    words = [" ".join(f"{v}^{k}" for v, k in zip(variables, row) if k) + f" g{j}"
+             for j, row in enumerate(rows)]
+    text = (f"vars: {' '.join(variables)}\ncoeffs: {' '.join(f'g{j}' for j in range(len(rows)))}\n"
+            + "".join(f"eq: {w}\n" for w in words))
+    return rows, parse_system(text).bind(B, {f"g{j}": rng.randrange(B.order)
+                                             for j in range(len(rows))})
+
+
 def test_abelian_solver_p_nonsingular_solves_in_b_itself(monkeypatch):
-    def rebuilt(*args, **kwargs):
-        raise AssertionError("the solver rebuilt B")
-    monkeypatch.setattr(equations, "_direct_of_cyclics", rebuilt)
+    """Every abelian p-group of the catalog up to order 16 and three more
+    groups: a p-nonsingular system solves in B by powers alone, with the
+    reference's assignment; one that needs a lift grows B as the reference
+    does (grown orders past 256 are left out to keep the test fast)."""
+    catalog = [load_group_file(path) for path in sorted(bundled_catalog_dir().glob("0*.grp"))
+               if 1 < int(path.name[:3]) <= 16]
+    groups = [(B, prime_factors(B.order)[0]) for B in catalog
+              if B.is_abelian and len(prime_factors(B.order)) == 1]
+    assert len(groups) == 18
+    groups += [(direct_product(cyclic(2), cyclic(2)), 2), (direct_product(cyclic(4), cyclic(2)), 2),
+               (direct_product(cyclic(3), cyclic(9)), 3)]
     rng = random.Random(19)
-    for B, p in ((direct_product(cyclic(2), cyclic(2)), 2),
-                 (direct_product(cyclic(4), cyclic(2)), 2),
-                 (direct_product(cyclic(3), cyclic(9)), 3), (cyclic(5), 5)):
-        basis = abelian_p_basis(B, p)
-        for _ in range(12):
-            e = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
-            if rank_mod_p(e, p) < 2:
-                continue
-            words = [" ".join(f"{v}^{k}" for v, k in zip("xy", row) if k) + f" g{j}"
-                     for j, row in enumerate(e)]
-            text = "vars: x y\ncoeffs: g0 g1\n" + "".join(f"eq: {w}\n" for w in words)
-            values = {"g0": rng.randrange(B.order), "g1": rng.randrange(B.order)}
-            s = parse_system(text).bind(B, values)
-            sol = solve_abelian_p_system(s, p)
-            assert sol.group is B and sol.lift_exponent == 0
-            assert sol.embedding.image == tuple(B.elements())
-            assert list(sol.basis) == basis
-            assert satisfies(s, sol.assignment)
+    lifted = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a p-nonsingular solve called {name}")
+        return call
+
+    with monkeypatch.context() as m:
+        for name in ("_direct_of_cyclics", "abelian_p_basis", "dlog_table"):
+            m.setattr(equations, name, refuse(name))
+        solved = 0
+        for B, p in groups:
+            for _ in range(12):
+                rows, s = seeded_system(B, rng)
+                if len(smith_normal_form(rows).invariant_factors) < len(rows):
+                    continue                    # singular over Q: no solver applies
+                order, image, assignment = coordinate_solve(s, p)
+                if rank_mod_p(rows, p) < len(rows):
+                    lifted.append((s, p, order, image))
+                    continue
+                sol = solve_abelian_p_system(s, p)
+                assert sol.group is B and sol.lift_exponent == 0
+                assert sol.embedding.image == image == tuple(B.elements())
+                assert sol.assignment == assignment
+                assert satisfies(s, sol.assignment)
+                solved += 1
+    assert solved >= 150
+    grown = [case for case in lifted if case[2] <= 256]
+    assert len(grown) >= 50
+    for s, p, order, image in grown:
+        sol = solve_abelian_p_system(s, p)
+        assert sol.lift_exponent > 0
+        assert (sol.group.order, sol.embedding.image) == (order, image)
+        coeffs = {c: sol.embedding(x) for c, x in s.binding.values.items()}
+        assert satisfies(s.bind(sol.group, coeffs), sol.assignment)
+
+
+def _count_constructions(monkeypatch) -> list:
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    return built
+
+
+def test_abelian_solver_caps_the_grown_group_before_building_it(monkeypatch):
+    s = parse_system("vars: x\ncoeffs: g\neq: x^8192 g").bind(cyclic(2), {"g": 1})
+    built = _count_constructions(monkeypatch)
+    with pytest.raises(CapExceeded, match="^grown group order 16384 exceeds the table cap 4096$"):
+        solve_abelian_p_system(s, 2)
+    assert built == []
+
+
+def test_abelian_solver_builds_the_grown_group_once(monkeypatch):
+    s = parse_system("vars: x\ncoeffs: g\neq: x^4 g").bind(cyclic(2), {"g": 1})
+    built = _count_constructions(monkeypatch)
+    sol = solve_abelian_p_system(s, 2)
+    assert (sol.group.name, sol.group.order, sol.lift_exponent) == ("C2-ext", 8, 2)
+    assert len(built) == 1
 
 
 def test_system_reports_its_first_bad_letter():
