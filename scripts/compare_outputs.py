@@ -30,9 +30,11 @@ inputs that bind coefficients by element name, in text and in structured
 format: C2 wr C2, whose base names contain commas, S3 wr C2, C3 wr C3 with
 ``--prime 3``, the identity ``1``, a name with one coordinate too few and an
 unknown name (both error lines), and ``@examples/wreath_demo.sys``; and, with
-the non-cyclic tops C4 x C2 and C3 x C3, which bind coefficients by ``#k``:
-C2 wr (C4 x C2), whose variable change beta is nontrivial in both
-variables, its 2-singular twin (an error line), and C3 wr (C3 x C3).
+the non-cyclic tops C4 x C2, C3 x C3 and C2^3, which bind coefficients by
+``#k``: C2 wr (C4 x C2), whose variable change beta is nontrivial in both
+variables, its 2-singular twin (an error line), C3 wr (C3 x C3), and
+C2 wr C2^3, whose rows over Z_2[C2^3] pin the order of all three
+coordinates.
 
 Each tree runs in its own child interpreter (``PYTHONPATH=<tree>/src``, in
 the directory that holds the deck's input files), which calls
@@ -235,7 +237,7 @@ ROWS_CASES = [
 
 
 C2, S3, C3 = "@catalog/002_c2.grp", "@catalog/006_s3.grp", "@catalog/003_c3.grp"
-C4XC2, C3_2 = "@catalog/008_c4xc2.grp", "@catalog/009_c32.grp"
+C4XC2, C3_2, C2_3 = "@catalog/008_c4xc2.grp", "@catalog/009_c32.grp", "@catalog/008_c23.grp"
 WREATH_FILES = {
     "c2-names.sys": "vars: x y\ncoeffs: a b t\nbind: @group a=((1,2),1;(1,2)) "
                     "b=(1,(1,2);1) t=(1,1;(1,2))\neq: x a y t\neq: y b\n",
@@ -252,6 +254,8 @@ WREATH_FILES = {
                           "eq: x^2 y^2 a\neq: x y^-1 b\n",
     "c3xc3-top.sys": "vars: x y\ncoeffs: a b\nbind: @group a=#1234 b=#20000\n"
                      "eq: x y^2 a\neq: x^2 y^-1 b x\n",
+    "c2-c23-top.sys": "vars: x y\ncoeffs: a b c\nbind: @group a=#9 b=#1 c=#1030\n"
+                      "eq: x a y b\neq: y c\n",
 }
 WREATH_CASES = [
     *([name, "--base", C2, "--top", C2, "--prime", "2"]
@@ -261,6 +265,7 @@ WREATH_CASES = [
     *([name, "--base", C2, "--top", C4XC2, "--prime", "2"]
       for name in ("c4xc2-top.sys", "c4xc2-singular.sys")),
     ["c3xc3-top.sys", "--base", C3, "--top", C3_2, "--prime", "3"],
+    ["c2-c23-top.sys", "--base", C2, "--top", C2_3, "--prime", "2"],
     [*WREATH, "--prime", "2"],
 ]
 

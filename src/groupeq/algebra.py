@@ -152,11 +152,11 @@ class AlgebraElement:
         return AlgebraElement(spec, [(mono, c)])
 
     @staticmethod
-    def monomial(spec: Spec, torsion: Sequence[int] = (), free: Sequence[int] = (),
-                 coeff: int = 1) -> "AlgebraElement":
+    def monomial(spec: Spec, torsion: Sequence[int] = (),
+                 free: Sequence[int] = ()) -> "AlgebraElement":
         tv = tuple(torsion) + (0,) * (len(spec.torsion_orders) - len(torsion))
         fv = tuple(free) + (0,) * (spec.free_rank - len(free))
-        return AlgebraElement(spec, [((tv, fv), coeff)])
+        return AlgebraElement(spec, [((tv, fv), 1)])
 
     @staticmethod
     def torsion_gen(spec: Spec, i: int) -> "AlgebraElement":

@@ -48,14 +48,19 @@ _INT_KEYS = {name for name, kind in Config.__annotations__.items() if kind == "i
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "classify_primes":
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
+        from .groups import is_prime        # groups imports this module
+        primes = tuple(int(tok) for tok in raw.replace(",", " ").split())
+        for p in primes:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        return primes
     if key in _INT_KEYS:
         return int(raw)
     return raw
 
 
-def parse_config_text(text: str, base: Config = DEFAULT_CONFIG) -> Config:
-    """Parse ``key = value`` lines into a Config derived from *base*."""
+def parse_config_text(text: str) -> Config:
+    """Parse ``key = value`` lines into a Config derived from the defaults."""
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -71,7 +76,7 @@ def parse_config_text(text: str, base: Config = DEFAULT_CONFIG) -> Config:
             updates[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ParseError(f"config line {lineno}: bad value for {key}: {exc}") from exc
-    return base.replace(**updates)
+    return DEFAULT_CONFIG.replace(**updates)
 
 
 def load_config(path: str | os.PathLike | None = None) -> Config:

@@ -28,8 +28,8 @@ from typing import Iterator, Mapping, Sequence
 from .errors import (CapExceeded, ParseError, ValidationError, int_literal,
                      read_text_file)
 from .groups import (MAX_TABLE_ORDER, FiniteGroup, Homomorphism, abelian_p_basis,
-                     cyclic, direct_product, dlog_table, is_prime, load_group_file,
-                     prime_factors)
+                     check_abelian_p_group, cyclic, direct_product, is_prime,
+                     load_group_file, p_split, prime_factors)
 from .record import Record
 from .words import VAR, Word, exponent_sum, parse_word, strip_comment, symbol_kinds
 
@@ -463,15 +463,6 @@ class AbelianSolution(Record):
     lift_exponent: int                 # every cyclic factor grew by p**this
 
 
-def _p_split(n: int, p: int) -> tuple[int, int]:
-    """(a, u) with n = p^a * u and u prime to p, for n nonzero."""
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a, n
-
-
 def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
     """Solve a non-singular system over a finite abelian p-group B.
 
@@ -494,27 +485,23 @@ def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
     B = system.binding.group
     if not isinstance(B, FiniteGroup):
         raise ValidationError("abelian solver needs a FiniteGroup binding")
-    if not B.is_abelian:
-        raise ValidationError("group is not abelian")
-    if _p_split(B.order, p)[1] != 1:
-        raise ValidationError(f"group order {B.order} is not a power of {p}")
+    check_abelian_p_group(B, p)
 
     snf = smith_normal_form(exponent_matrix(system))
     factors = snf.invariant_factors
     if len(factors) != len(system.words):
         raise ValidationError("system is not non-singular; the abelian solver "
                               "needs independent exponent rows")
-    v = _p_split(factors[-1], p)[0] if factors else 0
+    v = p_split(factors[-1], p)[0] if factors else 0
 
     # right-hand side: equation j says sum_i E[j][i] * y_i = b_j
     values, at_identity = system.binding.values, dict.fromkeys(system.variables, 0)
     rhs = [B.inv(evaluate_word(w, B, values, at_identity)) for w in system.words]
     lift, group, moved = p ** v, B, B.elements()          # moved: h -> h'
     if v:
-        basis = abelian_p_basis(B, p)
+        basis, coords = abelian_p_basis(B, p)
         orders = [B.element_order(h) * lift for h in basis]
         group = _direct_of_cyclics(orders, name=f"{B.name}-ext")
-        coords = dlog_table(B, basis)
         strides = [prod(orders[i + 1:]) for i in range(len(orders))]    # mixed radix
         moved = [sum(e * s for e, s in zip(coords[h], strides)) for h in B.elements()]
     embedding = Homomorphism(B, group, tuple(group.power(h, lift) for h in moved))
@@ -527,7 +514,7 @@ def solve_abelian_p_system(system: EquationSystem, p: int) -> AbelianSolution:
 
     z = []
     for j, row in enumerate(snf.U):
-        a, u = _p_split(snf.D[j][j], p)
+        a, u = p_split(snf.D[j][j], p)
         z.append(group.power(combine(row, rhs), p ** (v - a) * pow(u, -1, group.order)))
     z += [group.identity] * (len(system.variables) - len(z))
     assignment = {var: combine(row, z) for var, row in zip(system.variables, snf.V)}

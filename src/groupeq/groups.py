@@ -7,11 +7,11 @@ leaves this module. Objects do not change once built; the element names of
 permutation closures and quotients are built only when first read.
 
 Subgroups are Python-int bitsets; the lattice, normal subgroups, commutator
-subgroups, both central series, Sylow subgroups and the direct basis of an
-abelian p-group all grow them with one closure, ``_close``, and none is
-re-checked: only ``subgroup`` checks a caller's element list. Associativity
-(Light's test), normality and commutativity are decided on a generating
-sequence that each group caches, as it caches its derived series.
+subgroups, both central series and Sylow subgroups all grow them with one
+closure, ``_close``, and none is re-checked: only ``subgroup`` checks a
+caller's element list. Associativity (Light's test), normality and
+commutativity are decided on a generating sequence that each group caches,
+as it caches its derived series.
 
 A group, a FiniteGroup or a packed `wreath.WreathGroup`, has a name and is read
 only through order, identity, mul, mul_all, inv, conj, elements, element_name
@@ -52,16 +52,16 @@ def perm_identity(n: int) -> Perm:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int | None = None) -> Perm:
+def parse_cycles(text: str) -> Perm:
     """Parse cycle notation like ``(1 2 3)(4 5)`` or ``(1,2,3)`` (1-based)."""
     stripped = text.replace(" ", "").replace(",", "")
     if stripped in ("", "()"):
-        return perm_identity(degree or 0)
+        return ()
     body = text.strip()
     if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", body):
         raise ParseError(f"bad cycle notation: {text!r}")
     cycles: list[list[int]] = []
-    maxpt = degree or 0
+    maxpt = 0
     for inner in _CYCLE_RE.findall(body):
         pts = [tok for tok in re.split(r"[,\s]+", inner.strip()) if tok]
         if not pts:
@@ -550,18 +550,20 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     gens: list[int] = []
     bits = 1
     for g in G.elements():
-        if not bits >> g & 1 and _is_p_power(G.element_order(g), p):
+        if not bits >> g & 1 and p_split(G.element_order(g), p)[1] == 1:
             grown = _close(G, bits, gens + [g])
-            if _is_p_power(grown.bit_count(), p):
+            if p_split(grown.bit_count(), p)[1] == 1:
                 gens.append(g)
                 bits = grown
     return Subgroup(G, bits)
 
 
-def _is_p_power(n: int, p: int) -> bool:
+def p_split(n: int, p: int) -> tuple[int, int]:
+    """(a, u) with n = p^a * u and u prime to p, for n nonzero and p > 1."""
+    a = 0
     while n % p == 0:
-        n //= p
-    return n == 1
+        n, a = n // p, a + 1
+    return a, n
 
 
 class Homomorphism(Record):
@@ -811,21 +813,30 @@ def isomorphic(G: FiniteGroup, H: FiniteGroup,
     return next(all_isomorphisms(G, H, config), None)
 
 
-def automorphisms(G: FiniteGroup, config: Config = DEFAULT_CONFIG) -> list[Homomorphism]:
-    return list(all_isomorphisms(G, G, config))
+def automorphisms(G: FiniteGroup) -> list[Homomorphism]:
+    return list(all_isomorphisms(G, G))
 
 
 # ---------------------------------------------------------------------------
 # abelian p-group decomposition
 
-def abelian_p_basis(G: FiniteGroup, p: int) -> list[int]:
-    """Indices b_1..b_l with G = <b_1> x ... x <b_l>, orders p^k1 >= ... >= p^kl.
+def check_abelian_p_group(G: FiniteGroup, p: int) -> None:
+    """Refuse a G that is not abelian, then one whose order is not a power of p."""
+    if not G.is_abelian:
+        raise ValidationError("group is not abelian")
+    if p_split(G.order, p)[1] != 1:
+        raise ValidationError(f"group order {G.order} is not a power of {p}")
+
+
+def abelian_p_basis(G: FiniteGroup, p: int) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Indices b_1..b_l with G = <b_1> x ... x <b_l>, orders p^k1 >= ... >= p^kl, and
+    coords[h] = (e_1, ..., e_l) with h = b_1^e_1 * ... * b_l^e_l, 0 <= e_i < ord(b_i).
 
     One greedy pass over the elements sorted by (-order, index): g is kept
     when g^(ord(g)/p) lies outside the span S of the elements kept so far,
     and S grows by <g>. Every nontrivial subgroup of the p-group <g>
     contains that element of order p, so the test holds exactly when <g>
-    meets S trivially.
+    meets S trivially. Then S x <g> is direct, and s*g^e gets coords[s] + (e,).
 
     Each S is a direct summand, G = S x C, by induction. A nontrivial c in
     C meets S trivially, so it also meets the smaller span of its own turn
@@ -837,34 +848,19 @@ def abelian_p_basis(G: FiniteGroup, p: int) -> list[int]:
     """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    if not G.is_abelian:
-        raise ValidationError("group is not abelian")
-    if not _is_p_power(G.order, p):
-        raise ValidationError(f"group order {G.order} is not a power of {p}")
+    check_abelian_p_group(G, p)
     orders = [G.element_order(g) for g in G.elements()]
     basis: list[int] = []
-    span = 1
+    coords: dict[int, tuple[int, ...]] = {0: ()}           # over S, keyed by S's elements
     for g in sorted(G.elements(), key=lambda g: (-orders[g], g)):
-        if span.bit_count() == G.order:
+        if len(coords) == G.order:
             break
-        if not span >> G.power(g, orders[g] // p) & 1:
+        if G.power(g, orders[g] // p) not in coords:
             basis.append(g)
-            span = _close(G, span, [g])     # G is abelian, so span is normal
-    return basis
-
-
-def dlog_table(G: FiniteGroup, basis: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """Exponent vectors of all elements over a direct basis."""
-    orders = [G.element_order(b) for b in basis]
-    out: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(o) for o in orders)):
-        x = 0
-        for b, e in zip(basis, exps):
-            x = G.table[x][G.power(b, e)]
-        out[x] = exps
-    if len(out) != G.order:
-        raise ValidationError("basis does not span the group")
-    return out
+            powers = [G.power(g, e) for e in range(orders[g])]
+            coords = {G.table[s][x]: c + (e,) for s, c in coords.items()
+                      for e, x in enumerate(powers)}
+    return basis, coords
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from .config import DEFAULT_CONFIG, Config
 from .equations import (Classification, EquationSystem, classify,
                         compile_word, satisfies, scan_solutions)
 from .errors import CapExceeded, GroupEqError, ValidationError, read_text_file
-from .groups import (FiniteGroup, Subgroup, _is_p_power, cyclic, derived_series,
+from .groups import (FiniteGroup, Subgroup, cyclic, derived_series,
                      direct_product, group_header, is_metabelian,
                      is_normal, is_prime, isomorphic, load_group, normal_subgroups,
-                     prime_factors, quotient, sylow_subgroup)
+                     p_split, prime_factors, quotient, sylow_subgroup)
 from .record import Record
 from .words import (COEFF, VAR, Letter, Word, _check_length, word_conjugate,
                     word_inverse, word_power)
@@ -55,7 +55,7 @@ def verify_witness(G: FiniteGroup, w: Witness) -> bool:
     Q, _ = quotient(G, A)
     if Q.order == 1:
         return G.order % w.prime == 0 or G.order == 1
-    return Q.is_abelian and _is_p_power(Q.order, w.prime)
+    return Q.is_abelian and p_split(Q.order, w.prime)[1] == 1
 
 
 def abelian_by_abelian_p_witness(G: FiniteGroup,
@@ -431,12 +431,10 @@ def obstruction_check(inst: CounterexampleInstance) -> ObstructionReport:
     (ii) `group_obstruction` in the wreath group, unless the instance is
          symbolic.
     """
-    from .algebra import AlgebraElement, IntegralGroupSpec
-    spec = IntegralGroupSpec((inst.p, inst.q), 0)
-    one = AlgebraElement.one(spec)
-    a = AlgebraElement.monomial(spec, (1, 0))
-    b = AlgebraElement.monomial(spec, (0, 1))
+    from .algebra import AlgebraElement
     S = obstruction_s_element(inst.p, inst.q, inst.n, inst.m)
+    one, a, b = (AlgebraElement.one(S.spec), AlgebraElement.torsion_gen(S.spec, 0),
+                 AlgebraElement.torsion_gen(S.spec, 1))
     ring_ok = (S * (one + a * b)) == (S * (a + b))
 
     if not inst.realized:

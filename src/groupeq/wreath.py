@@ -39,7 +39,7 @@ from .equations import (EquationSystem, is_p_nonsingular, satisfies,
                         solve_abelian_p_system)
 from .errors import CapExceeded, ValidationError
 from .groups import (MAX_TABLE_ORDER, FiniteGroup, Homomorphism, Subgroup,
-                     abelian_p_basis, dlog_table, quotient)
+                     abelian_p_basis, p_split, quotient)
 from .record import Record
 from .words import COEFF, VAR, Letter, exponent_sum
 
@@ -346,12 +346,9 @@ def extract_rows(ts: TransformedSystem, p: int) -> ExtractedRows:
     row of the wreath equation j mod p.
     """
     top = ts.source.binding.group.top
-    basis = abelian_p_basis(top, p)
-    orders = [top.element_order(g) for g in basis]            # each a power of p
-    spec = AbelianGroupSpec(p, tuple(next(k for k in range(o) if p ** k == o)
-                                     for o in orders), 0)
-    logs = dlog_table(top, basis)
-    mono = [AlgebraElement.monomial(spec, logs[b]) for b in top.elements()]
+    basis, coords = abelian_p_basis(top, p)
+    spec = AbelianGroupSpec(p, tuple(p_split(top.element_order(g), p)[0] for g in basis), 0)
+    mono = [AlgebraElement.monomial(spec, coords[b]) for b in top.elements()]
 
     variables = ts.source.variables
     coord_of = dict(zip(ts.system.variables, ts.coords))

@@ -179,6 +179,10 @@ def test_config_parse_errors():
     with pytest.raises(ParseError):
         parse_config_text("unknown_key = 3\n")
     assert parse_config_text("# comment\n\njobs = 2\n").jobs == 2
+    for primes, bad in (("4", 4), ("2, 0", 0)):
+        with pytest.raises(ParseError, match=f"^config line 1: bad value for "
+                                             f"classify_primes: {bad} is not prime$"):
+            parse_config_text(f"classify_primes = {primes}\n")
 
 
 def test_jobs_do_not_change_output():
@@ -216,6 +220,11 @@ MALFORMED = {
                         {"c.conf": b"closure_cap = 5\n"}),
     "wreath_table_cap = 5": (["--config", "c.conf", "classify", S3],
                              {"c.conf": b"wreath_table_cap = 5\n"}),
+    # a configured prime is checked when the file is read, by every command
+    "classify_primes = 4": (["--config", "c.conf", "group", S3],
+                            {"c.conf": b"classify_primes = 4\n"}),
+    "classify_primes = 2, 0": (["--config", "c.conf", "analyze-system", "@examples/example0.sys"],
+                               {"c.conf": b"classify_primes = 2, 0\n"}),
     "algebra p=x": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=x\nrow: 1\n"}),
     "torsion=z": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 torsion=z\nrow: 1\n"}),
     "free=y": (["certify-rows", "r.alg"], {"r.alg": b"algebra p=2 free=y\nrow: 1\n"}),

@@ -17,7 +17,7 @@ from groupeq.equations import (EquationSystem, classify, classify_matrix,
                                solve_abelian_p_system)
 from groupeq.errors import CapExceeded, ParseError, ValidationError
 from groupeq.groups import (FiniteGroup, abelian_p_basis, cyclic, direct_product,
-                            dlog_table, load_group_file, prime_factors)
+                            load_group_file, prime_factors)
 from groupeq.words import COEFF, VAR, Letter, format_word
 
 EXAMPLE0 = """
@@ -441,8 +441,7 @@ def coordinate_solve(system, p):
     B's elements (coordinates times p^v) and the assignment; over a grown
     group an element's index is its coordinate vector in mixed radix."""
     B, values = system.binding.group, system.binding.values
-    basis = abelian_p_basis(B, p)
-    logs = dlog_table(B, basis)
+    basis, logs = abelian_p_basis(B, p)
     snf = smith_normal_form(exponent_matrix(system))
     last, v = (snf.invariant_factors or (1,))[-1], 0
     while last % p == 0:
@@ -503,7 +502,7 @@ def test_abelian_solver_p_nonsingular_solves_in_b_itself(monkeypatch):
         return call
 
     with monkeypatch.context() as m:
-        for name in ("_direct_of_cyclics", "abelian_p_basis", "dlog_table"):
+        for name in ("_direct_of_cyclics", "abelian_p_basis"):
             m.setattr(equations, name, refuse(name))
         solved = 0
         for B, p in groups:

@@ -16,7 +16,7 @@ from groupeq.errors import CapExceeded, ParseError, ValidationError
 from groupeq.groups import (FiniteGroup, Homomorphism, Subgroup, _close,
                             abelian_p_basis, all_subgroups, automorphisms, center,
                             closure, commutator_subgroup, cyclic, derived_series,
-                            direct_product, dlog_table, from_generators, is_metabelian,
+                            direct_product, from_generators, is_metabelian,
                             is_nilpotent, isomorphic, load_group, load_group_file,
                             lower_central_series, normal_subgroups,
                             is_prime, parse_cycles, perm_compose, prime_factors, quotient,
@@ -374,7 +374,7 @@ NON_PRIME_P = textwrap.dedent("""
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6])
 def test_non_prime_p_is_refused(p):
-    # _is_p_power(n, 1) never returns, so each p runs in a child under a timeout
+    # p_split(n, 1) never returns, so each p runs in a child under a timeout
     proc = run_python(NON_PRIME_P, str(p), timeout=60)
     assert proc.returncode == 0, proc.stderr
 
@@ -419,15 +419,14 @@ def test_homomorphism_validation():
 
 def test_abelian_p_basis():
     G = direct_product(cyclic(2), cyclic(4))
-    basis = abelian_p_basis(G, 2)
+    basis, coords = abelian_p_basis(G, 2)
     assert sorted(G.element_order(b) for b in basis) == [2, 4]
-    logs = dlog_table(G, basis)
-    assert len(logs) == 8
+    assert len(coords) == 8
     with pytest.raises(ValidationError):
         abelian_p_basis(dihedral(4), 2)
     with pytest.raises(ValidationError):
         abelian_p_basis(cyclic(6), 2)
-    assert abelian_p_basis(trivial_group(), 3) == []
+    assert abelian_p_basis(trivial_group(), 3) == ([], {0: ()})
 
 
 def test_group_file_roundtrip():
@@ -692,7 +691,15 @@ def test_abelian_p_basis_is_the_first_path_of_the_counting_search():
     rng = random.Random(12)
     groups += [(_relabel(G, rng), p) for G, p in groups]
     for G, p in groups:
-        basis = abelian_p_basis(G, p)
+        basis, coords = abelian_p_basis(G, p)
         assert basis == _counting_basis(G, p), G.name
-        assert len(dlog_table(G, basis)) == G.order
-    assert abelian_p_basis(trivial_group(), 2) == []
+        # coords maps G one to one onto the vectors with 0 <= e_i < ord(b_i)
+        orders = [G.element_order(b) for b in basis]
+        assert sorted(coords) == list(G.elements()), G.name
+        assert sorted(coords.values()) == list(itertools.product(*map(range, orders))), G.name
+        for h, vec in coords.items():
+            x = G.identity
+            for b, e in zip(basis, vec):
+                x = G.mul(x, G.power(b, e))
+            assert x == h, G.name
+    assert abelian_p_basis(trivial_group(), 2) == ([], {0: ()})
